@@ -13,7 +13,7 @@ import numpy as np
 
 from .criteria import collect_criteria
 from .errors import DegenerateError, LengthMismatchError
-from .model import MaskSet, TransformerModel, num_head_units
+from .model import TransformerModel, num_head_units
 
 
 @dataclass
@@ -145,24 +145,7 @@ def perplexity(model: TransformerModel, masker, tokens,
     ``masker`` is None (dense), a MaskSet (static), or a callable
     ``window_tokens -> MaskSet`` re-evaluated per window (contextual).
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if masker is None or isinstance(masker, MaskSet):
-        total, count = model.stream_nll(tokens, mask=masker, window=window)
-        return float(np.exp(total / count))
-    window = model.cfg.max_seq_len if window is None else int(window)
-    total, count = 0.0, 0
-    for start in range(0, len(tokens), window):
-        chunk = tokens[start:start + window]
-        if len(chunk) < 2:
-            break
-        mask = masker(chunk)
-        t, c = model.stream_nll(chunk, mask=mask, window=window)
-        total += t
-        count += c
-    if count == 0:
-        from .errors import EmptyStreamError
-
-        raise EmptyStreamError("perplexity: nothing to predict in the stream")
+    total, count = model.stream_nll(tokens, mask=masker, window=window)
     return float(np.exp(total / count))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigMismatchError, FormatError
-from .model import ModelConfig, TransformerModel
+from .model import ModelConfig, TransformerModel, param_shapes
 
 MAGIC = b"SHLM"
 VERSION = 1
@@ -115,8 +115,7 @@ def load_checkpoint(path, expected: ModelConfig | None = None) -> TransformerMod
     cfg = ModelConfig.from_dict(config["config"])
     if expected is not None and cfg != expected:
         raise ConfigMismatchError(f"{path}: checkpoint config {cfg} != expected {expected}")
-    probe = TransformerModel(cfg, seed=0)
-    want = {name: t.shape for name, t in probe.params.items()}
+    want = param_shapes(cfg)
     got = {name: arr.shape for name, arr in tensors.items()}
     if want != got:
         missing = sorted(set(want) - set(got))

@@ -28,8 +28,8 @@ from .criteria import (AGGREGATE_ONLY, CriterionKind, collect_criteria,
                        write_scores_csv)
 from .errors import ConfigError, ShlmError
 from .model import ModelConfig, TransformerModel
-from .predictor import (MODEL_PRESETS, PredictorConfig, build_dataset,
-                        contextual_mask_source, load_predictor,
+from .predictor import (MODEL_PRESETS, TOPOLOGIES, PredictorConfig,
+                        build_dataset, contextual_mask_source, load_predictor,
                         predictor_fidelity, predictor_flops, save_predictor,
                         train_predictor)
 from .pruning import PruneSpec, oracle_ablation, sparsity_sweep, write_oracle_csv
@@ -72,13 +72,11 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         name = f"{prefix}{key}"
-        if key not in base and prefix.rstrip(".") not in _FREEFORM and prefix:
+        if key not in base:
             raise ConfigError(f"field '{name}': unknown")
-        if key not in base and not prefix:
-            raise ConfigError(f"field '{name}': unknown")
-        if isinstance(base.get(key), dict) and not isinstance(value, dict):
+        if isinstance(base[key], dict) and not isinstance(value, dict):
             raise ConfigError(f"field '{name}': expected an object")
-        if isinstance(base.get(key), dict) and key not in _FREEFORM:
+        if isinstance(base[key], dict) and key not in _FREEFORM:
             out[key] = _merge(base[key], value, f"{name}.")
         else:
             out[key] = copy.deepcopy(value)
@@ -136,8 +134,11 @@ def _resolve_config(args) -> dict:
             _set_path(cfg, dotted, value)
     if getattr(args, "contextual", False):
         cfg["contextual"] = True
-    if not cfg["seeds"]:
-        raise ConfigError("field 'seeds': must be non-empty")
+    seeds = cfg["seeds"]
+    if not isinstance(seeds, list) or len(seeds) != 1:
+        raise ConfigError(
+            f"field 'seeds': must list exactly one seed, got {seeds!r}; "
+            "a run writes one seed's artifacts, so run once per seed")
     return cfg
 
 
@@ -441,7 +442,7 @@ def cmd_flops(cfg, args, out: Path | None) -> None:
         raise ConfigError("field 'flops.preset': required "
                           "(pass --model-preset or a model config)")
     topology = section["topology"]
-    if topology not in ("shadow", "fullseq", "dejavu"):
+    if topology not in TOPOLOGIES:
         raise ConfigError(
             f"field 'flops.topology': unknown topology {topology!r}")
     report = predictor_flops(dims, topology, p1=int(section["p1"]))
@@ -521,7 +522,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--corpus")
     p.add_argument("--criterion")
-    p.add_argument("--topology", choices=("shadow", "fullseq", "dejavu"))
+    p.add_argument("--topology", choices=TOPOLOGIES)
     p.add_argument("--n-prompts", dest="n_prompts", type=int)
 
     p = common(sub.add_parser("eval-predictor",
@@ -560,7 +561,7 @@ def _parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("flops", help="analytical predictor cost"))
     p.add_argument("--model-preset", dest="model_preset",
                    choices=sorted(MODEL_PRESETS))
-    p.add_argument("--topology", choices=("shadow", "fullseq", "dejavu"))
+    p.add_argument("--topology", choices=TOPOLOGIES)
     p.add_argument("--p1", type=int)
 
     p = common(sub.add_parser("oracle",

@@ -4,6 +4,9 @@ Seven criteria score units per example (contextual): l2norm, gradnorm,
 plainact, fisher, grasp, snip, nwot. Two are defined only over a batch
 of examples (aggregate-only): jacov and epenas. Aggregation for the
 contextual seven is the elementwise mean of per-example scores.
+l2norm, gradnorm, plainact and fisher are rows of one reduction table.
+snip is plainact on this model family: its |x| * |dL/dx| equals
+|x * dL/dx| bit for bit.
 
 For a head the activation is its attention output ``A`` (heads, T,
 head_dim) before masking; for an FFN neuron the activation is its
@@ -14,6 +17,7 @@ up-projection column.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +40,6 @@ from .model import (
     TransformerModel,
     UnitKind,
     _Replicas,
-    num_head_units,
     num_units,
     unit_at,
 )
@@ -86,12 +89,6 @@ class ScoreVector:
         if self.covered.shape != self.values.shape or self.values.ndim != 1:
             raise ValueError("ScoreVector values/covered must be matching 1-D arrays")
 
-    def heads_part(self, cfg: ModelConfig) -> np.ndarray:
-        return self.values[: num_head_units(cfg)].reshape(cfg.num_layers, cfg.num_heads)
-
-    def neurons_part(self, cfg: ModelConfig) -> np.ndarray:
-        return self.values[num_head_units(cfg):].reshape(cfg.num_layers, cfg.ffn_dim)
-
 
 def _flat_scores(cfg: ModelConfig, heads: np.ndarray, neurons: np.ndarray) -> np.ndarray:
     return np.concatenate([heads.reshape(-1), neurons.reshape(-1)]).astype(np.float64)
@@ -108,81 +105,59 @@ def _require(capture: ForwardResult, attr: str, kind: CriterionKind) -> list:
 # contextual criteria
 
 
+# criterion -> (head fields, neuron fields, elementwise map, reduction,
+# final map). The fields are multiplied in float64; heads then reduce over
+# (T, head_dim) and neurons over their column.
+_REDUCTIONS = {
+    CriterionKind.L2NORM: (("head_acts",), ("neuron_acts",),
+                           np.square, np.sum, np.sqrt),
+    CriterionKind.GRADNORM: (("head_grads",), ("up_grads",),
+                             np.square, np.sum, np.sqrt),
+    CriterionKind.PLAINACT: (("head_acts", "head_grads"),
+                             ("up_weights", "up_grads"), np.abs, np.sum, None),
+    CriterionKind.FISHER: (("head_acts", "head_grads"),
+                           ("up_weights", "up_grads"), np.square, np.mean, None),
+}
+# SNIP's |x| * |dL/dx| equals |x * dL/dx| bit for bit in IEEE arithmetic,
+# so on this model family it is plainact
+_REDUCTIONS[CriterionKind.SNIP] = _REDUCTIONS[CriterionKind.PLAINACT]
+
+
+def _table_score(capture: ForwardResult, kind: CriterionKind) -> np.ndarray:
+    head_fields, neuron_fields, elementwise, reduce, final = _REDUCTIONS[kind]
+    parts = []
+    for names, axis in ((head_fields, (1, 2)), (neuron_fields, 0)):
+        per_layer = []
+        for layer in zip(*[_require(capture, name, kind) for name in names]):
+            x = functools.reduce(np.multiply,
+                                 [a.astype(np.float64) for a in layer])
+            per_layer.append(reduce(elementwise(x), axis=axis))
+        stacked = np.stack(per_layer)
+        parts.append(stacked if final is None else final(stacked))
+    return _flat_scores(capture.cfg, *parts)
+
+
 def score_l2norm(capture: ForwardResult) -> np.ndarray:
-    cfg = capture.cfg
-    acts = _require(capture, "head_acts", CriterionKind.L2NORM)
-    hidden = _require(capture, "neuron_acts", CriterionKind.L2NORM)
-    heads = np.stack([np.linalg.norm(a.astype(np.float64), axis=(1, 2)) for a in acts])
-    neurons = np.stack([np.linalg.norm(h.astype(np.float64), axis=0) for h in hidden])
-    return _flat_scores(cfg, heads, neurons)
+    """L2 norm of the activation, per unit."""
+    return _table_score(capture, CriterionKind.L2NORM)
 
 
 def score_gradnorm(capture: ForwardResult) -> np.ndarray:
-    cfg = capture.cfg
-    hg = _require(capture, "head_grads", CriterionKind.GRADNORM)
-    ug = _require(capture, "up_grads", CriterionKind.GRADNORM)
-    heads = np.stack([np.linalg.norm(g.astype(np.float64), axis=(1, 2)) for g in hg])
-    neurons = np.stack([np.linalg.norm(g.astype(np.float64), axis=0) for g in ug])
-    return _flat_scores(cfg, heads, neurons)
+    """L2 norm of the loss gradient, per unit."""
+    return _table_score(capture, CriterionKind.GRADNORM)
 
 
 def score_plainact(capture: ForwardResult) -> np.ndarray:
     """L1 norm of activation times its loss gradient, per unit."""
-    cfg = capture.cfg
-    acts = _require(capture, "head_acts", CriterionKind.PLAINACT)
-    hg = _require(capture, "head_grads", CriterionKind.PLAINACT)
-    ups = _require(capture, "up_weights", CriterionKind.PLAINACT)
-    ug = _require(capture, "up_grads", CriterionKind.PLAINACT)
-    heads = np.stack([
-        np.abs(a.astype(np.float64) * g.astype(np.float64)).sum(axis=(1, 2))
-        for a, g in zip(acts, hg)
-    ])
-    neurons = np.stack([
-        np.abs(w.astype(np.float64) * g.astype(np.float64)).sum(axis=0)
-        for w, g in zip(ups, ug)
-    ])
-    return _flat_scores(cfg, heads, neurons)
+    return _table_score(capture, CriterionKind.PLAINACT)
 
 
 def score_fisher(capture: ForwardResult) -> np.ndarray:
     """Mean squared activation-gradient product, per unit."""
-    cfg = capture.cfg
-    acts = _require(capture, "head_acts", CriterionKind.FISHER)
-    hg = _require(capture, "head_grads", CriterionKind.FISHER)
-    ups = _require(capture, "up_weights", CriterionKind.FISHER)
-    ug = _require(capture, "up_grads", CriterionKind.FISHER)
-    heads = np.stack([
-        np.square(a.astype(np.float64) * g.astype(np.float64)).mean(axis=(1, 2))
-        for a, g in zip(acts, hg)
-    ])
-    neurons = np.stack([
-        np.square(w.astype(np.float64) * g.astype(np.float64)).mean(axis=0)
-        for w, g in zip(ups, ug)
-    ])
-    return _flat_scores(cfg, heads, neurons)
+    return _table_score(capture, CriterionKind.FISHER)
 
 
-def score_snip(capture: ForwardResult) -> np.ndarray:
-    """Sum of per-element connection sensitivities |x * dL/dx| per unit.
-
-    On this model family the result coincides with plainact; it is kept
-    as an independently coded criterion and the equality is a regression
-    guard in the tests.
-    """
-    cfg = capture.cfg
-    acts = _require(capture, "head_acts", CriterionKind.SNIP)
-    hg = _require(capture, "head_grads", CriterionKind.SNIP)
-    ups = _require(capture, "up_weights", CriterionKind.SNIP)
-    ug = _require(capture, "up_grads", CriterionKind.SNIP)
-    n_layers = cfg.num_layers
-    heads = np.zeros((n_layers, cfg.num_heads))
-    neurons = np.zeros((n_layers, cfg.ffn_dim))
-    for layer in range(n_layers):
-        sal_h = np.abs(acts[layer].astype(np.float64)) * np.abs(hg[layer].astype(np.float64))
-        heads[layer] = sal_h.sum(axis=(1, 2))
-        sal_n = np.abs(ups[layer].astype(np.float64)) * np.abs(ug[layer].astype(np.float64))
-        neurons[layer] = sal_n.sum(axis=0)
-    return _flat_scores(cfg, heads, neurons)
+score_snip = score_plainact
 
 
 def score_nwot(capture: ForwardResult) -> np.ndarray:
@@ -364,16 +339,8 @@ def score_contextual(capture: ForwardResult, kind: CriterionKind,
     kind = CriterionKind(kind)
     if kind in AGGREGATE_ONLY:
         raise ContextualUnsupportedError(f"{kind.value} is aggregate-only")
-    if kind == CriterionKind.L2NORM:
-        return score_l2norm(capture)
-    if kind == CriterionKind.GRADNORM:
-        return score_gradnorm(capture)
-    if kind == CriterionKind.PLAINACT:
-        return score_plainact(capture)
-    if kind == CriterionKind.FISHER:
-        return score_fisher(capture)
-    if kind == CriterionKind.SNIP:
-        return score_snip(capture)
+    if kind in _REDUCTIONS:
+        return _table_score(capture, kind)
     if kind == CriterionKind.NWOT:
         return score_nwot(capture)
     if model is None or tokens is None:

@@ -11,6 +11,7 @@ gradients that the saliency criteria consume.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -209,8 +210,20 @@ class ForwardResult:
     head_offset_grads: list[np.ndarray] | None = None
 
 
-def _normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * std).astype(dtype)
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape by name, in init and checkpoint file order."""
+    e = cfg.embed_dim
+    shapes = {"tok_emb": (cfg.vocab_size, e), "pos_emb": (cfg.max_seq_len, e)}
+    for i in range(cfg.num_layers):
+        for name, shape in (("ln1_g", (e,)), ("ln1_b", (e,)), ("wq", (e, e)),
+                            ("wk", (e, e)), ("wv", (e, e)), ("wo", (e, e)),
+                            ("ln2_g", (e,)), ("ln2_b", (e,)),
+                            ("w_up", (e, cfg.ffn_dim)),
+                            ("w_down", (cfg.ffn_dim, e))):
+            shapes[f"h{i}.{name}"] = shape
+    shapes["lnf_g"] = (e,)
+    shapes["lnf_b"] = (e,)
+    return shapes
 
 
 class TransformerModel:
@@ -226,27 +239,20 @@ class TransformerModel:
                                          requires_grad=True)
 
     def _init_params(self, seed: int) -> dict[str, np.ndarray]:
-        cfg = self.cfg
+        """Layernorm gains 1 and biases 0; weights normal with std 0.02,
+        scaled down for the residual projections (wo, w_down)."""
         rng = np.random.default_rng(seed)
         std = 0.02
-        resid_std = std / math.sqrt(2.0 * cfg.num_layers)
+        resid_std = std / math.sqrt(2.0 * self.cfg.num_layers)
         p: dict[str, np.ndarray] = {}
-        p["tok_emb"] = _normal(rng, (cfg.vocab_size, cfg.embed_dim), std, self.dtype)
-        p["pos_emb"] = _normal(rng, (cfg.max_seq_len, cfg.embed_dim), std, self.dtype)
-        for i in range(cfg.num_layers):
-            pre = f"h{i}."
-            p[pre + "ln1_g"] = np.ones(cfg.embed_dim, dtype=self.dtype)
-            p[pre + "ln1_b"] = np.zeros(cfg.embed_dim, dtype=self.dtype)
-            p[pre + "wq"] = _normal(rng, (cfg.embed_dim, cfg.embed_dim), std, self.dtype)
-            p[pre + "wk"] = _normal(rng, (cfg.embed_dim, cfg.embed_dim), std, self.dtype)
-            p[pre + "wv"] = _normal(rng, (cfg.embed_dim, cfg.embed_dim), std, self.dtype)
-            p[pre + "wo"] = _normal(rng, (cfg.embed_dim, cfg.embed_dim), resid_std, self.dtype)
-            p[pre + "ln2_g"] = np.ones(cfg.embed_dim, dtype=self.dtype)
-            p[pre + "ln2_b"] = np.zeros(cfg.embed_dim, dtype=self.dtype)
-            p[pre + "w_up"] = _normal(rng, (cfg.embed_dim, cfg.ffn_dim), std, self.dtype)
-            p[pre + "w_down"] = _normal(rng, (cfg.ffn_dim, cfg.embed_dim), resid_std, self.dtype)
-        p["lnf_g"] = np.ones(cfg.embed_dim, dtype=self.dtype)
-        p["lnf_b"] = np.zeros(cfg.embed_dim, dtype=self.dtype)
+        for name, shape in param_shapes(self.cfg).items():
+            if name.endswith("_g"):
+                p[name] = np.ones(shape, dtype=self.dtype)
+            elif name.endswith("_b"):
+                p[name] = np.zeros(shape, dtype=self.dtype)
+            else:
+                sd = resid_std if name.endswith(("wo", "w_down")) else std
+                p[name] = (rng.standard_normal(shape) * sd).astype(self.dtype)
         return p
 
     # -- parameter plumbing -------------------------------------------------
@@ -424,11 +430,14 @@ class TransformerModel:
 
     # -- evaluation ---------------------------------------------------------
 
-    def stream_nll(self, tokens, mask: MaskSet | None = None,
+    def stream_nll(self, tokens,
+                   mask: MaskSet | Callable[[np.ndarray], MaskSet] | None = None,
                    window: int | None = None) -> tuple[float, int]:
         """Total float64 next-token NLL and prediction count over
         non-overlapping windows of the stream. A trailing partial window
-        is evaluated when it still has something to predict.
+        is evaluated when it still has something to predict. ``mask`` is
+        None (dense), a MaskSet, or a callable ``window_tokens -> MaskSet``
+        evaluated once per window.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         window = self.cfg.max_seq_len if window is None else int(window)
@@ -439,7 +448,7 @@ class TransformerModel:
             chunk = tokens[start:start + window]
             if len(chunk) < 2:
                 break
-            res = self.forward(chunk, mask=mask)
+            res = self.forward(chunk, mask=mask(chunk) if callable(mask) else mask)
             total += _nll_from_logits(res.logits, chunk[1:])
             count += len(chunk) - 1
         if count == 0:

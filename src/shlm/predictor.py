@@ -177,8 +177,25 @@ def _layer_slices(cfg: ModelConfig, layer: int) -> tuple[slice, slice]:
             slice(hb + layer * cfg.ffn_dim, hb + (layer + 1) * cfg.ffn_dim))
 
 
-def _window_slices(cfg: ModelConfig, layers: list[int]) -> list[slice]:
-    return [s for l in layers for s in _layer_slices(cfg, l)]
+def _nets(cfg: ModelConfig, covered: np.ndarray, topology: str,
+          stride: int) -> list[tuple[str, int | None, int | None, np.ndarray]]:
+    """The regressors of a topology, one (parameter prefix, feature row,
+    host layer, scored columns) entry each. shadow and fullseq have one
+    net over every covered unit, fed the whole feature; dejavu has one
+    per host whose window holds covered units, fed that host's row of
+    the stacked feature."""
+    if topology != "dejavu":
+        return [("", None, None, np.flatnonzero(covered))]
+    nets = []
+    for row, host in enumerate(dejavu_hosts(cfg, stride)):
+        window = np.zeros_like(covered)
+        for layer in dejavu_window(cfg, host, stride):
+            for sl in _layer_slices(cfg, layer):
+                window[sl] = True
+        cols = np.flatnonzero(covered & window)
+        if cols.size:
+            nets.append((f"host{host}.", row, host, cols))
+    return nets
 
 
 # ---------------------------------------------------------------------------
@@ -442,28 +459,15 @@ def _encode_sequence(p: dict, seq: T.Tensor, e: int) -> T.Tensor:
     return T.mean_rows(out)
 
 
-class _Net:
-    """Taped view over a predictor's parameter arrays."""
-
-    def __init__(self, arrays: dict[str, np.ndarray], trainable: bool):
-        self.tensors = {n: T.Tensor(a.copy(), requires_grad=trainable)
-                        for n, a in arrays.items()}
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {n: t.data.copy() for n, t in self.tensors.items()}
-
-
-def _forward_batch(net: _Net, cfg: PredictorConfig, mcfg: ModelConfig,
-                   features, prefix: str = "") -> T.Tensor:
+def _forward_batch(p: dict[str, T.Tensor], cfg: PredictorConfig,
+                   embed_dim: int, features, prefix: str) -> T.Tensor:
     """Predictions for a list of features -> (batch, out_dim) Tensor."""
-    p = net.tensors
     if cfg.topology == "fullseq":
-        pooled = [_encode_sequence(p, T.constant(f), mcfg.embed_dim)
-                  for f in features]
-        x = T.stack_rows(pooled)
-        return _mlp_forward(p, prefix, x, cfg.hidden_layers)
-    x = T.constant(np.stack([np.asarray(f, dtype=np.float32)
-                             for f in features]))
+        x = T.stack_rows([_encode_sequence(p, T.constant(f), embed_dim)
+                          for f in features])
+    else:
+        x = T.constant(np.stack([np.asarray(f, dtype=np.float32)
+                                 for f in features]))
     return _mlp_forward(p, prefix, x, cfg.hidden_layers)
 
 
@@ -476,7 +480,6 @@ class PredictorTrainingLog:
     train_mse: list[float]
     heldout_mse: list[float]
     settings: dict
-    per_host: dict | None = None
 
     @property
     def final_heldout_mse(self) -> float:
@@ -488,13 +491,13 @@ def _mse_loss(pred: T.Tensor, target: np.ndarray) -> T.Tensor:
     return T.scale(T.tsum(T.square(diff)), 1.0 / target.size)
 
 
-def _train_single_net(arrays: dict, cfg: PredictorConfig, mcfg: ModelConfig,
-                      features, targets: np.ndarray, train_idx, heldout_idx,
-                      rng: np.random.Generator, prefix: str = ""):
-    """Shared epoch loop; mutates nothing outside its own net copy."""
-    net = _Net(arrays, trainable=True)
-    opt = AdamW(list(net.tensors.values()), lr=cfg.lr,
-                weight_decay=cfg.weight_decay)
+def _train_net(arrays: dict, cfg: PredictorConfig, embed_dim: int, features,
+               targets: np.ndarray, train_idx, heldout_idx,
+               rng: np.random.Generator, prefix: str):
+    """Epoch loop over one net -> (trained arrays, train and held-out
+    MSE per epoch)."""
+    p = {n: T.Tensor(a, requires_grad=True) for n, a in arrays.items()}
+    opt = AdamW(list(p.values()), lr=cfg.lr, weight_decay=cfg.weight_decay)
     train_curve, heldout_curve = [], []
     for epoch in range(cfg.epochs):
         opt.lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
@@ -502,7 +505,7 @@ def _train_single_net(arrays: dict, cfg: PredictorConfig, mcfg: ModelConfig,
         se_sum, n_seen = 0.0, 0
         for start in range(0, len(order), cfg.batch):
             idx = order[start:start + cfg.batch]
-            pred = _forward_batch(net, cfg, mcfg,
+            pred = _forward_batch(p, cfg, embed_dim,
                                   [features[i] for i in idx], prefix)
             loss = _mse_loss(pred, targets[idx])
             opt.zero_grad()
@@ -511,116 +514,76 @@ def _train_single_net(arrays: dict, cfg: PredictorConfig, mcfg: ModelConfig,
             se_sum += float(loss.data) * targets[idx].size
             n_seen += targets[idx].size
         train_curve.append(se_sum / n_seen)
-        heldout_curve.append(_eval_mse(net, cfg, mcfg, features,
-                                       targets, heldout_idx, prefix))
-    return net.arrays(), train_curve, heldout_curve
-
-
-def _eval_mse(net: _Net, cfg: PredictorConfig, mcfg: ModelConfig,
-              features, targets: np.ndarray, idx, prefix: str = "") -> float:
-    if len(idx) == 0:
-        return float("nan")
-    pred = _forward_batch(net, cfg, mcfg, [features[i] for i in idx], prefix)
-    err = pred.data.astype(np.float64) - targets[idx]
-    for t in net.tensors.values():
-        t.zero_grad()
-    return float(np.mean(err * err))
+        if len(heldout_idx) == 0:
+            heldout_curve.append(float("nan"))
+            continue
+        pred = _forward_batch(p, cfg, embed_dim,
+                              [features[i] for i in heldout_idx], prefix)
+        err = pred.data.astype(np.float64) - targets[heldout_idx]
+        heldout_curve.append(float(np.mean(err * err)))
+    return {n: t.data for n, t in p.items()}, train_curve, heldout_curve
 
 
 def train_predictor(dataset: CriteriaDataset, config: PredictorConfig,
                     seed: int = 0) -> tuple[Predictor, PredictorTrainingLog]:
     """Fit the regressor(s) to the dataset's normalized targets.
 
-    Deterministic under (dataset, config, seed). Requires enough training
-    examples for at least two optimizer batches per epoch.
+    Deterministic under (dataset, config, seed). Every net initialises
+    from one shared generator in ``_nets`` order; shadow and fullseq
+    train from it too, while each dejavu host trains from its own
+    ``(seed, host)`` generator. The log averages the nets' curves.
+    Requires enough training examples for at least two optimizer
+    batches per epoch.
     """
     if config.topology != dataset.topology:
         raise ValueError(
             f"config topology {config.topology!r} != dataset "
             f"topology {dataset.topology!r}")
+    if config.topology == "dejavu" and config.dejavu_stride != dataset.stride:
+        raise ValueError(
+            f"config stride {config.dejavu_stride} != dataset "
+            f"stride {dataset.stride}")
     mcfg = dataset.model_config
+    e = mcfg.embed_dim
     n_train = len(dataset.train_idx)
     if math.ceil(n_train / config.batch) < 2:
         raise DatasetTooSmallError(
             f"{n_train} training examples fill fewer than 2 batches "
             f"of {config.batch}")
-    hidden = config.resolved_hidden(mcfg.embed_dim)
+    hidden = config.resolved_hidden(e)
     covered = dataset.covered
     rng = np.random.default_rng(seed)
-
-    if config.topology == "dejavu":
-        if config.dejavu_stride != dataset.stride:
-            raise ValueError(
-                f"config stride {config.dejavu_stride} != dataset "
-                f"stride {dataset.stride}")
-        hosts = dejavu_hosts(mcfg, dataset.stride)
-        params: dict[str, np.ndarray] = {}
-        per_host: dict[int, dict] = {}
-        feats = np.stack([np.asarray(f, dtype=np.float32)
-                          for f in dataset.features])
-        for hi, h in enumerate(hosts):
-            win = np.zeros_like(covered)
-            for sl in _window_slices(mcfg, dejavu_window(mcfg, h, dataset.stride)):
-                win[sl] = True
-            idx_cols = np.where(covered & win)[0]
-            if idx_cols.size == 0:
-                continue
-            sub_rng = np.random.default_rng([seed, h])
-            arrays = _init_mlp(rng, f"host{h}.", mcfg.embed_dim, hidden,
-                               config.hidden_layers, idx_cols.size)
-            trained, tr, he = _train_single_net(
-                arrays, config, mcfg, feats[:, hi, :],
-                dataset.targets[:, idx_cols].astype(np.float32),
-                dataset.train_idx, dataset.heldout_idx, sub_rng,
-                prefix=f"host{h}.")
-            params.update(trained)
-            per_host[h] = {"train_mse": tr, "heldout_mse": he}
-        curves = list(per_host.values())
-        log = PredictorTrainingLog(
-            train_mse=list(np.mean([c["train_mse"] for c in curves], axis=0)),
-            heldout_mse=list(np.mean([c["heldout_mse"] for c in curves], axis=0)),
-            settings={"seed": seed, "hidden": hidden, **config.to_dict()},
-            per_host=per_host)
-        pred = Predictor(config=config, model_config=mcfg,
-                         criterion=dataset.criterion, params=params,
-                         covered=covered.copy())
-        return pred, log
-
-    out_dim = int(covered.sum())
-    arrays = _init_mlp(rng, "", mcfg.embed_dim, hidden,
-                       config.hidden_layers, out_dim)
-    if config.topology == "fullseq":
-        arrays = {**_init_encoder(rng, mcfg.embed_dim), **arrays}
-    trained, tr, he = _train_single_net(
-        arrays, config, mcfg, dataset.features,
-        dataset.targets[:, covered].astype(np.float32),
-        dataset.train_idx, dataset.heldout_idx, rng)
+    params: dict[str, np.ndarray] = {}
+    curves = []
+    for prefix, row, host, cols in _nets(mcfg, covered, config.topology,
+                                         config.dejavu_stride):
+        arrays = _init_mlp(rng, prefix, e, hidden, config.hidden_layers,
+                           cols.size)
+        if config.topology == "fullseq":
+            arrays = {**_init_encoder(rng, e), **arrays}
+        features = (dataset.features if row is None else
+                    [np.asarray(f, dtype=np.float32)[row]
+                     for f in dataset.features])
+        net_rng = rng if host is None else np.random.default_rng([seed, host])
+        trained, train_curve, heldout_curve = _train_net(
+            arrays, config, e, features,
+            dataset.targets[:, cols].astype(np.float32),
+            dataset.train_idx, dataset.heldout_idx, net_rng, prefix)
+        params.update(trained)
+        curves.append((train_curve, heldout_curve))
+    train_mse, heldout_mse = np.mean(curves, axis=0)
     log = PredictorTrainingLog(
-        train_mse=tr, heldout_mse=he,
+        train_mse=[float(v) for v in train_mse],
+        heldout_mse=[float(v) for v in heldout_mse],
         settings={"seed": seed, "hidden": hidden, **config.to_dict()})
     pred = Predictor(config=config, model_config=mcfg,
-                     criterion=dataset.criterion, params=params_dict(trained),
+                     criterion=dataset.criterion, params=params,
                      covered=covered.copy())
     return pred, log
 
 
-def params_dict(arrays: dict) -> dict[str, np.ndarray]:
-    return {n: np.asarray(a, dtype=np.float32) for n, a in arrays.items()}
-
-
 # ---------------------------------------------------------------------------
 # prediction
-
-
-def _run_net(predictor: Predictor, feature: np.ndarray,
-             prefix: str = "") -> np.ndarray:
-    net = _Net(predictor.params if not prefix else
-               {n: a for n, a in predictor.params.items()
-                if n.startswith(prefix)}, trainable=False)
-    batch = [feature]
-    out = _forward_batch(net, predictor.config, predictor.model_config,
-                         batch, prefix)
-    return out.data[0].astype(np.float64)
 
 
 def predict_scores(predictor: Predictor, feature, host: int | None = None) -> ScoreVector:
@@ -630,39 +593,30 @@ def predict_scores(predictor: Predictor, feature, host: int | None = None) -> Sc
     mcfg = predictor.model_config
     e = mcfg.embed_dim
     cfg = predictor.config
-    values = np.zeros(num_units(mcfg), dtype=np.float64)
-    if cfg.topology in ("shadow", "fullseq"):
-        if cfg.topology == "shadow":
-            feature = _check_feature(feature, (e,), "shadow")
-        else:
-            feature = _check_feature(feature, (None, e), "fullseq")
-            if feature.shape[0] == 0:
-                raise FeatureShapeMismatchError("fullseq feature has no positions")
-        out = _run_net(predictor, feature)
-        values[predictor.covered] = out
-        return ScoreVector(values, predictor.criterion,
-                           covered=predictor.covered.copy())
-
-    hosts = dejavu_hosts(mcfg, cfg.dejavu_stride)
-    if host is not None:
-        if host not in hosts:
+    nets = _nets(mcfg, predictor.covered, cfg.topology, cfg.dejavu_stride)
+    if cfg.topology == "shadow":
+        feature = _check_feature(feature, (e,), "shadow")
+    elif cfg.topology == "fullseq":
+        feature = _check_feature(feature, (None, e), "fullseq")
+        if feature.shape[0] == 0:
+            raise FeatureShapeMismatchError("fullseq feature has no positions")
+    elif host is not None:
+        if host not in dejavu_hosts(mcfg, cfg.dejavu_stride):
             raise FeatureShapeMismatchError(f"layer {host} hosts no predictor")
         feature = _check_feature(feature, (e,), "dejavu")
-        pairs = [(host, feature)]
+        nets = [(prefix, None, h, cols) for prefix, _, h, cols in nets
+                if h == host]
     else:
-        feature = _check_feature(feature, (len(hosts), e), "dejavu")
-        pairs = list(zip(hosts, feature))
+        n_hosts = len(dejavu_hosts(mcfg, cfg.dejavu_stride))
+        feature = _check_feature(feature, (n_hosts, e), "dejavu")
+    values = np.zeros(num_units(mcfg), dtype=np.float64)
     covered = np.zeros_like(predictor.covered)
-    for h, feat in pairs:
-        win = np.zeros_like(predictor.covered)
-        for sl in _window_slices(mcfg, dejavu_window(mcfg, h, cfg.dejavu_stride)):
-            win[sl] = True
-        idx_cols = np.where(predictor.covered & win)[0]
-        if idx_cols.size == 0:
-            continue
-        out = _run_net(predictor, feat, prefix=f"host{h}.")
-        values[idx_cols] = out
-        covered[idx_cols] = True
+    for prefix, row, _, cols in nets:
+        p = {n: T.constant(a) for n, a in predictor.params.items()
+             if n.startswith(prefix)}
+        x = feature if row is None else feature[row]
+        values[cols] = _forward_batch(p, cfg, e, [x], prefix).data[0]
+        covered[cols] = True
     return ScoreVector(values, predictor.criterion, covered=covered)
 
 

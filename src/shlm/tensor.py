@@ -71,33 +71,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self._op})"
 
-    # operator sugar used throughout the model code
-    def __add__(self, other):
-        return add(self, _wrap(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.dtype))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def constant(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=False, dtype=dtype)
-
-
-def _wrap(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str, vjp) -> Tensor:

@@ -102,6 +102,15 @@ def test_unknown_config_key_named(tmp_path, capsys):
     assert "sparkle" in capsys.readouterr().err
 
 
+def test_several_seeds_rejected(tmp_path, capsys):
+    # a run writes one seed's artifacts; a longer list must not be cut short
+    cfg = tmp_path / "seeds.json"
+    cfg.write_text(json.dumps({"seeds": [0, 1]}), encoding="utf-8")
+    assert main(["flops", "--model-preset", "opt-1.3b",
+                 "--config", str(cfg)]) == 2
+    assert "field 'seeds'" in capsys.readouterr().err
+
+
 def test_invalid_json_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

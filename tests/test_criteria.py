@@ -77,12 +77,17 @@ def _scale_grads(cap, c):
 
 def test_l2norm_matches_direct_computation():
     rng = np.random.default_rng(0)
-    cap = _fake_capture(_CFG, 5, rng, grads=False)
+    cap = _fake_capture(_CFG, 5, rng)
     got = score_l2norm(cap)
     want_head = np.sqrt((cap.head_acts[1][0] ** 2).sum())
     assert abs(got[unit_index(_CFG, UnitId(1, UnitKind.HEAD, 0))] - want_head) <= 1e-12
     want_neuron = np.sqrt((cap.neuron_acts[0][:, 3] ** 2).sum())
     assert abs(got[unit_index(_CFG, UnitId(0, UnitKind.NEURON, 3))] - want_neuron) <= 1e-12
+    grad = score_gradnorm(cap)
+    want_head = np.sqrt((cap.head_grads[0][1] ** 2).sum())
+    assert abs(grad[unit_index(_CFG, UnitId(0, UnitKind.HEAD, 1))] - want_head) <= 1e-12
+    want_neuron = np.sqrt((cap.up_grads[1][:, 4] ** 2).sum())
+    assert abs(grad[unit_index(_CFG, UnitId(1, UnitKind.NEURON, 4))] - want_neuron) <= 1e-12
 
 
 def test_plainact_and_fisher_hand_values():
@@ -104,6 +109,11 @@ def test_snip_equals_plainact():
     rng = np.random.default_rng(2)
     cap = _fake_capture(_CFG, 6, rng)
     assert np.allclose(score_snip(cap), score_plainact(cap), rtol=1e-12, atol=0)
+    # snip is plainact because |x| * |g| equals |x * g| bit for bit
+    a, g = cap.head_acts[1], cap.head_grads[1]
+    start = unit_index(_CFG, UnitId(1, UnitKind.HEAD, 0))
+    np.testing.assert_array_equal(score_snip(cap)[start:start + _CFG.num_heads],
+                                  (np.abs(a) * np.abs(g)).sum(axis=(1, 2)))
 
 
 def test_gradnorm_scales_linearly_and_preserves_ranking():

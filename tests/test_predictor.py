@@ -379,6 +379,29 @@ def test_dejavu_roundtrip_and_host_windows(trained_model):
         predict_scores(pred, ds.features[0][0], host=1)
 
 
+def test_dejavu_per_host_prediction_matches_stacked():
+    cfg = ModelConfig(num_layers=4, embed_dim=32, num_heads=4, head_dim=8,
+                      ffn_dim=16, vocab_size=256, max_seq_len=32)
+    model = TransformerModel(cfg, seed=2)
+    rng = np.random.default_rng(22)
+    prompts = [np.asarray(rng.integers(0, cfg.vocab_size, size=10),
+                          dtype=np.int64) for _ in range(12)]
+    ds = build_dataset(model, prompts, "l2norm", topology="dejavu")
+    pred, _ = train_predictor(
+        ds, PredictorConfig(topology="dejavu", epochs=2, batch=4), seed=0)
+    feature = ds.features[0]
+    stacked = predict_scores(pred, feature)
+    union = np.zeros_like(pred.covered)
+    for row, host in enumerate(dejavu_hosts(cfg, 2)):
+        one = predict_scores(pred, feature[row], host=host)
+        assert one.covered.any()
+        np.testing.assert_array_equal(one.values[one.covered],
+                                      stacked.values[one.covered])
+        assert not (union & one.covered).any()
+        union |= one.covered
+    np.testing.assert_array_equal(union, pred.covered)
+
+
 # ---------------------------------------------------------------------------
 # persistence and mask plumbing
 
