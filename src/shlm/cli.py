@@ -145,7 +145,10 @@ def _resolve_config(args) -> dict:
 def _seed(cfg: dict, args) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
-    return int(cfg["seeds"][0])
+    seed = cfg["seeds"][0]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"field 'seeds': the seed must be an integer, got {seed!r}")
+    return seed
 
 
 def _model_config(cfg: dict, vocab_size: int | None = None) -> ModelConfig:

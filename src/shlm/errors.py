@@ -106,6 +106,10 @@ class EmptyHeldoutError(ShlmError):
     pass
 
 
+class NoCoveredUnitsError(ShlmError):
+    pass
+
+
 # analytics
 class LengthMismatchError(ShlmError):
     pass

@@ -10,9 +10,10 @@ gradients that the saliency criteria consume.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -21,6 +22,7 @@ from . import tensor as T
 from .errors import (
     EmptyStreamError,
     MaskShapeMismatchError,
+    NonFiniteError,
     SequenceTooLongError,
 )
 
@@ -210,6 +212,28 @@ class ForwardResult:
     head_offset_grads: list[np.ndarray] | None = None
 
 
+@dataclass
+class Taps:
+    """Tensors kept for capture; each ``block`` call appends one to each
+    list: per-head attention (H, T, d_h) and post-ReLU FFN activations
+    (T, F), both before masking, the attention output (T, E) before the
+    residual add, and the block output (T, E)."""
+
+    head_acts: list[T.Tensor] = field(default_factory=list)
+    neuron_acts: list[T.Tensor] = field(default_factory=list)
+    attn_outs: list[T.Tensor] = field(default_factory=list)
+    layer_outs: list[T.Tensor] = field(default_factory=list)
+
+
+@functools.lru_cache(maxsize=16)
+def _causal(t_len: int, dtype: np.dtype) -> T.Tensor:
+    """Additive score mask hiding future positions; one read-only
+    constant per (length, dtype), shared by every block and thread."""
+    arr = np.triu(np.full((t_len, t_len), _NEG_ATTN, dtype=dtype), k=1)
+    arr.flags.writeable = False
+    return T.constant(arr)
+
+
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape by name, in init and checkpoint file order."""
     e = cfg.embed_dim
@@ -285,12 +309,90 @@ class TransformerModel:
 
     # -- forward ------------------------------------------------------------
 
+    def embed(self, tokens) -> T.Tensor:
+        """Token plus position embeddings of a 1-D token sequence, (T, E)."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if tokens.ndim != 1 or tokens.size == 0:
+            raise EmptyStreamError("forward: need a non-empty 1-D token sequence")
+        t_len = int(tokens.size)
+        if t_len > self.cfg.max_seq_len:
+            raise SequenceTooLongError(
+                f"sequence length {t_len} exceeds max_seq_len {self.cfg.max_seq_len}"
+            )
+        p = self.params
+        return T.add(T.embedding_lookup(p["tok_emb"], tokens),
+                     T.slice_rows(p["pos_emb"], 0, t_len))
+
+    def block(self, i: int, x: T.Tensor, mask: MaskSet | None = None,
+              head_scales: np.ndarray | None = None,
+              neuron_scales: np.ndarray | None = None, head_offsets=None,
+              up_offsets=None, taps: Taps | None = None) -> T.Tensor:
+        """Block ``i`` applied to its input ``x`` (T, E): causal attention,
+        then the FFN, each added to the residual. ``mask``, the scales and
+        the offsets are the whole-model arguments of ``forward``; the block
+        reads its own layer of each. ``taps`` receives the captured tensors.
+        A non-finite value is reported with the layer as well as the op.
+        """
+        head_f = self._unit_factors(mask, head_scales, "head", i)
+        neuron_f = self._unit_factors(mask, neuron_scales, "neuron", i)
+        n_heads, d_head = self.cfg.num_heads, self.cfg.head_dim
+        t_len, e_dim = x.shape
+        p = self.params
+        pre = f"h{i}."
+        try:
+            h1 = T.layernorm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
+            q = T.transpose(T.reshape(T.matmul(h1, p[pre + "wq"]),
+                                      (t_len, n_heads, d_head)), (1, 0, 2))
+            k = T.transpose(T.reshape(T.matmul(h1, p[pre + "wk"]),
+                                      (t_len, n_heads, d_head)), (1, 0, 2))
+            v = T.transpose(T.reshape(T.matmul(h1, p[pre + "wv"]),
+                                      (t_len, n_heads, d_head)), (1, 0, 2))
+            scores = T.add(T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))),
+                                   1.0 / math.sqrt(d_head)),
+                           _causal(t_len, self.dtype))
+            probs = T.softmax_rows(scores)
+            att = T.matmul(probs, v)                      # (H, T, d_h)
+            if head_offsets is not None:
+                att = T.add(att, head_offsets[i])
+            if taps is not None:
+                taps.head_acts.append(att)
+            if head_f is not None:
+                att = T.mul(att, T.constant(
+                    head_f.reshape(n_heads, 1, 1).astype(self.dtype)))
+            merged = T.reshape(T.transpose(att, (1, 0, 2)), (t_len, e_dim))
+            attn_out = T.matmul(merged, p[pre + "wo"])
+            x = T.add(x, attn_out)
+
+            h2 = T.layernorm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
+            w_up = p[pre + "w_up"]
+            if up_offsets is not None:
+                w_up = T.add(w_up, up_offsets[i])
+            hidden = T.relu(T.matmul(h2, w_up))           # (T, F)
+            if taps is not None:
+                taps.neuron_acts.append(hidden)
+            if neuron_f is not None:
+                hidden = T.mul(hidden, T.constant(neuron_f.astype(self.dtype)))
+            x = T.add(x, T.matmul(hidden, p[pre + "w_down"]))
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{exc} in layer {i}") from exc
+        if taps is not None:
+            taps.attn_outs.append(attn_out)
+            taps.layer_outs.append(x)
+        return x
+
+    def readout(self, x: T.Tensor) -> T.Tensor:
+        """Final layernorm and tied projection: (T, E) -> logits (T, V)."""
+        p = self.params
+        return T.matmul(T.layernorm(x, p["lnf_g"], p["lnf_b"]),
+                        T.transpose(p["tok_emb"], (1, 0)))
+
     def forward(self, tokens, mask: MaskSet | None = None, capture: str = CAPTURE_NONE,
                 loss_from: int = 1, head_offsets=None, up_offsets=None,
                 head_scales: np.ndarray | None = None,
                 neuron_scales: np.ndarray | None = None) -> ForwardResult:
-        """Run one sequence. ``loss_from`` is the first predicted position;
-        the loss averages next-token NLL over positions loss_from..T-1.
+        """Run one sequence: ``embed``, every ``block``, ``readout``.
+        ``loss_from`` is the first predicted position; the loss averages
+        next-token NLL over positions loss_from..T-1.
         ``head_scales``/``neuron_scales`` multiply unit activations with
         float factors (masking is the 0/1 special case). ``head_offsets``
         and ``up_offsets`` are taped per-layer additive perturbations used
@@ -300,72 +402,18 @@ class TransformerModel:
         if capture not in _CAPTURE_MODES:
             raise ValueError(f"unknown capture mode {capture!r}")
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise EmptyStreamError("forward: need a non-empty 1-D token sequence")
+        x = self.embed(tokens)
         t_len = int(tokens.size)
-        if t_len > cfg.max_seq_len:
-            raise SequenceTooLongError(
-                f"sequence length {t_len} exceeds max_seq_len {cfg.max_seq_len}"
-            )
-        if mask is not None:
-            mask.validate_for(cfg)
-
-        n_heads, d_head, e_dim = cfg.num_heads, cfg.head_dim, cfg.embed_dim
         p = self.params
         want_acts = capture in (CAPTURE_ACTIVATIONS, CAPTURE_GRADS)
         want_grads = capture == CAPTURE_GRADS
-        if want_grads:
-            self.zero_grads()
+        taps = Taps() if want_acts else None
 
-        head_factors = self._unit_factors(mask, head_scales, "head")
-        neuron_factors = self._unit_factors(mask, neuron_scales, "neuron")
-
-        x = T.add(T.embedding_lookup(p["tok_emb"], tokens),
-                  T.slice_rows(p["pos_emb"], 0, t_len))
         embed_t = x
-        causal = T.constant(
-            np.triu(np.full((t_len, t_len), _NEG_ATTN, dtype=self.dtype), k=1)
-        )
-
-        head_act_ts, neuron_act_ts, attn_out_ts, layer_out_ts = [], [], [], []
         for i in range(cfg.num_layers):
-            pre = f"h{i}."
-            h1 = T.layernorm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-            q = T.transpose(T.reshape(T.matmul(h1, p[pre + "wq"]),
-                                      (t_len, n_heads, d_head)), (1, 0, 2))
-            k = T.transpose(T.reshape(T.matmul(h1, p[pre + "wk"]),
-                                      (t_len, n_heads, d_head)), (1, 0, 2))
-            v = T.transpose(T.reshape(T.matmul(h1, p[pre + "wv"]),
-                                      (t_len, n_heads, d_head)), (1, 0, 2))
-            scores = T.add(T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))),
-                                   1.0 / math.sqrt(d_head)), causal)
-            probs = T.softmax_rows(scores)
-            att = T.matmul(probs, v)                      # (H, T, d_h)
-            if head_offsets is not None:
-                att = T.add(att, head_offsets[i])
-            head_act_ts.append(att)
-            if head_factors is not None:
-                att = T.mul(att, T.constant(
-                    head_factors[i].reshape(n_heads, 1, 1).astype(self.dtype)))
-            merged = T.reshape(T.transpose(att, (1, 0, 2)), (t_len, e_dim))
-            attn_out = T.matmul(merged, p[pre + "wo"])
-            attn_out_ts.append(attn_out)
-            x = T.add(x, attn_out)
-
-            h2 = T.layernorm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
-            w_up = p[pre + "w_up"]
-            if up_offsets is not None:
-                w_up = T.add(w_up, up_offsets[i])
-            hidden = T.relu(T.matmul(h2, w_up))           # (T, F)
-            neuron_act_ts.append(hidden)
-            if neuron_factors is not None:
-                hidden = T.mul(hidden, T.constant(
-                    neuron_factors[i].astype(self.dtype)))
-            x = T.add(x, T.matmul(hidden, p[pre + "w_down"]))
-            layer_out_ts.append(x)
-
-        hf = T.layernorm(x, p["lnf_g"], p["lnf_b"])
-        logits = T.matmul(hf, T.transpose(p["tok_emb"], (1, 0)))
+            x = self.block(i, x, mask, head_scales, neuron_scales,
+                           head_offsets, up_offsets, taps)
+        logits = self.readout(x)
 
         loss_t = None
         n_pred = 0
@@ -384,10 +432,10 @@ class TransformerModel:
         )
         if want_acts:
             result.embed = embed_t.data.copy()
-            result.head_acts = [t.data.copy() for t in head_act_ts]
-            result.neuron_acts = [t.data.copy() for t in neuron_act_ts]
-            result.attn_outs = [t.data.copy() for t in attn_out_ts]
-            result.layer_outs = [t.data.copy() for t in layer_out_ts]
+            result.head_acts = [t.data.copy() for t in taps.head_acts]
+            result.neuron_acts = [t.data.copy() for t in taps.neuron_acts]
+            result.attn_outs = [t.data.copy() for t in taps.attn_outs]
+            result.layer_outs = [t.data.copy() for t in taps.layer_outs]
             result.up_weights = [p[f"h{i}.w_up"].data.copy()
                                  for i in range(cfg.num_layers)]
         if want_grads:
@@ -395,9 +443,10 @@ class TransformerModel:
                 raise EmptyStreamError(
                     "forward: gradient capture needs at least 2 tokens past loss_from"
                 )
+            self.zero_grads()
             T.backward(loss_t)
-            result.head_grads = [self._grad_of(t) for t in head_act_ts]
-            result.neuron_grads = [self._grad_of(t) for t in neuron_act_ts]
+            result.head_grads = [self._grad_of(t) for t in taps.head_acts]
+            result.neuron_grads = [self._grad_of(t) for t in taps.neuron_acts]
             result.up_grads = [self._grad_of(p[f"h{i}.w_up"])
                                for i in range(cfg.num_layers)]
             if head_offsets is not None:
@@ -405,13 +454,16 @@ class TransformerModel:
         return result
 
     def _unit_factors(self, mask: MaskSet | None, scales: np.ndarray | None,
-                      kind: str) -> np.ndarray | None:
+                      kind: str, layer: int) -> np.ndarray | None:
+        """Layer ``layer``'s row of the float64 mask-times-scales factors
+        for one unit kind, or None when neither is given."""
         cfg = self.cfg
         width = cfg.num_heads if kind == "head" else cfg.ffn_dim
         base = None
         if mask is not None:
+            mask.validate_for(cfg)
             arr = mask.heads if kind == "head" else mask.neurons
-            base = arr.astype(np.float64)
+            base = arr[layer].astype(np.float64)
         if scales is not None:
             scales = np.asarray(scales, dtype=np.float64)
             if scales.shape != (cfg.num_layers, width):
@@ -419,7 +471,7 @@ class TransformerModel:
                     f"{kind} scales shape {scales.shape} !="
                     f" ({cfg.num_layers}, {width})"
                 )
-            base = scales if base is None else base * scales
+            base = scales[layer] if base is None else base * scales[layer]
         return base
 
     @staticmethod
@@ -430,29 +482,37 @@ class TransformerModel:
 
     # -- evaluation ---------------------------------------------------------
 
-    def stream_nll(self, tokens,
-                   mask: MaskSet | Callable[[np.ndarray], MaskSet] | None = None,
-                   window: int | None = None) -> tuple[float, int]:
-        """Total float64 next-token NLL and prediction count over
-        non-overlapping windows of the stream. A trailing partial window
-        is evaluated when it still has something to predict. ``mask`` is
-        None (dense), a MaskSet, or a callable ``window_tokens -> MaskSet``
-        evaluated once per window.
-        """
+    def eval_windows(self, tokens, window: int | None = None) -> list[np.ndarray]:
+        """The non-overlapping windows ``stream_nll`` scores: a trailing
+        partial window is kept when it still has something to predict."""
         tokens = np.asarray(tokens, dtype=np.int64)
         window = self.cfg.max_seq_len if window is None else int(window)
         if window < 2:
             raise ValueError("stream_nll: window must be >= 2")
-        total, count = 0.0, 0
+        chunks = []
         for start in range(0, len(tokens), window):
             chunk = tokens[start:start + window]
             if len(chunk) < 2:
                 break
-            res = self.forward(chunk, mask=mask(chunk) if callable(mask) else mask)
-            total += _nll_from_logits(res.logits, chunk[1:])
-            count += len(chunk) - 1
-        if count == 0:
+            chunks.append(chunk)
+        if not chunks:
             raise EmptyStreamError("stream_nll: nothing to predict in the stream")
+        return chunks
+
+    def stream_nll(self, tokens,
+                   mask: MaskSet | Callable[[np.ndarray], MaskSet] | None = None,
+                   window: int | None = None) -> tuple[float, int]:
+        """Total float64 next-token NLL and prediction count over
+        ``eval_windows``, run without a tape. ``mask`` is None (dense), a
+        MaskSet, or a callable ``window_tokens -> MaskSet`` evaluated once
+        per window.
+        """
+        total, count = 0.0, 0
+        with T.no_grad():
+            for chunk in self.eval_windows(tokens, window):
+                res = self.forward(chunk, mask=mask(chunk) if callable(mask) else mask)
+                total += _nll_from_logits(res.logits, chunk[1:])
+                count += len(chunk) - 1
         return total, count
 
 

@@ -22,9 +22,10 @@ from .checkpoint import read_container, write_container
 from .criteria import AGGREGATE_ONLY, CriterionKind, ScoreVector
 from .errors import (ConfigMismatchError, ContextualUnsupportedError,
                      DatasetTooSmallError, EmptyHeldoutError,
-                     EmptyPromptError, FeatureShapeMismatchError)
-from .model import (CAPTURE_ACTIVATIONS, MaskSet, ModelConfig,
-                    TransformerModel, num_head_units, num_units)
+                     EmptyPromptError, FeatureShapeMismatchError,
+                     NoCoveredUnitsError)
+from .model import (MaskSet, ModelConfig, Taps, TransformerModel,
+                    num_head_units, num_units)
 from .pruning import PruneSpec, build_mask
 from .train import AdamW, cosine_lr
 
@@ -204,7 +205,8 @@ def _nets(cfg: ModelConfig, covered: np.ndarray, topology: str,
 
 def extract_features(model: TransformerModel, prompt, topology: str,
                      stride: int = 2):
-    """Predictor input for one prompt, taken from a dense forward pass.
+    """Predictor input for one prompt, from a dense forward pass run
+    without a tape and only as far as the feature's last layer.
 
     shadow: layer-0 attention output at the last position, shape (E,).
     dejavu: stacked post-host-layer last-token states, (n_hosts, E).
@@ -219,13 +221,21 @@ def extract_features(model: TransformerModel, prompt, topology: str,
             [tokens, np.asarray(prompt[1], dtype=np.int64)])
     if tokens.size == 0:
         raise EmptyPromptError("cannot extract features from an empty prompt")
-    res = model.forward(tokens, capture=CAPTURE_ACTIVATIONS)
-    if topology == "shadow":
-        return res.attn_outs[0][-1].astype(np.float32)
-    if topology == "fullseq":
-        return res.embed.astype(np.float32)
-    hosts = dejavu_hosts(model.cfg, stride)
-    return np.stack([res.layer_outs[h][-1] for h in hosts]).astype(np.float32)
+    with T.no_grad():
+        x = model.embed(tokens)
+        if topology == "fullseq":
+            return x.data.astype(np.float32)
+        if topology == "shadow":
+            taps = Taps()
+            model.block(0, x, taps=taps)
+            return taps.attn_outs[0].data[-1].astype(np.float32)
+        hosts = dejavu_hosts(model.cfg, stride)
+        rows = []
+        for i in range(hosts[-1] + 1):
+            x = model.block(i, x)
+            if i in hosts:
+                rows.append(x.data[-1])
+    return np.stack(rows).astype(np.float32)
 
 
 def _check_feature(feature: np.ndarray, expected: tuple, topology: str):
@@ -532,8 +542,8 @@ def train_predictor(dataset: CriteriaDataset, config: PredictorConfig,
     from one shared generator in ``_nets`` order; shadow and fullseq
     train from it too, while each dejavu host trains from its own
     ``(seed, host)`` generator. The log averages the nets' curves.
-    Requires enough training examples for at least two optimizer
-    batches per epoch.
+    Requires at least one covered unit, and enough training examples for
+    at least two optimizer batches per epoch.
     """
     if config.topology != dataset.topology:
         raise ValueError(
@@ -544,6 +554,11 @@ def train_predictor(dataset: CriteriaDataset, config: PredictorConfig,
             f"config stride {config.dejavu_stride} != dataset "
             f"stride {dataset.stride}")
     mcfg = dataset.model_config
+    if not dataset.covered.any():
+        raise NoCoveredUnitsError(
+            f"the {config.topology} predictor has no unit to score in a "
+            f"{mcfg.num_layers}-layer model with {dataset.criterion} targets"
+            " (shadow and dejavu leave layer 0 dense)")
     e = mcfg.embed_dim
     n_train = len(dataset.train_idx)
     if math.ceil(n_train / config.batch) < 2:

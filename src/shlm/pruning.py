@@ -17,14 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .criteria import ScoreVector
 from .errors import BudgetExceedsUnitsError, TooManyUnitsError
 from .model import (
+    CAPTURE_ACTIVATIONS,
     MaskSet,
     ModelConfig,
     TransformerModel,
     UnitId,
     UnitKind,
+    _nll_from_logits,
     _Replicas,
     num_head_units,
     num_units,
@@ -141,7 +144,8 @@ def oracle_ablation(model: TransformerModel, eval_tokens, scope: str = "both",
                     workers: int = 1) -> list[tuple[UnitId, float]]:
     """Measure each unit's true importance: the change in mean NLL on the
     evaluation stream when that single unit is masked. Results follow
-    canonical unit order.
+    canonical unit order and equal ``stream_nll`` with and without the
+    unit bit for bit.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
@@ -159,15 +163,36 @@ def oracle_ablation(model: TransformerModel, eval_tokens, scope: str = "both",
             f"{len(flats)} units exceed the cap of {max_units};"
             " raise max_units or narrow the scope"
         )
-    base_total, base_count = model.stream_nll(eval_tokens, window=window)
-    base = base_total / base_count
+    # Ablating a unit in layer l leaves every layer below l bit-identical
+    # to the dense run (a masked forward multiplies them by exactly 1.0),
+    # so each window's block inputs are kept from one dense pass and an
+    # ablation reruns only blocks l.. from there. The cache is read-only
+    # and shared by the replicas.
+    chunks = model.eval_windows(eval_tokens, window)
+    count = sum(len(chunk) - 1 for chunk in chunks)
+    block_inputs, base_total = [], 0.0
+    with T.no_grad():
+        for chunk in chunks:
+            res = model.forward(chunk, capture=CAPTURE_ACTIVATIONS)
+            base_total += _nll_from_logits(res.logits, chunk[1:])
+            inputs = [res.embed] + res.layer_outs[:-1]
+            for arr in inputs:
+                arr.flags.writeable = False
+            block_inputs.append(inputs)
+    base = base_total / count
     ones = MaskSet.ones(cfg)
     replicas = _Replicas(model, workers)
 
     def ablate(m: TransformerModel, flat: int) -> float:
         uid = unit_at(cfg, flat)
-        total, count = m.stream_nll(eval_tokens, mask=ones.without([uid]),
-                                    window=window)
+        mask = ones.without([uid])
+        total = 0.0
+        with T.no_grad():
+            for chunk, inputs in zip(chunks, block_inputs):
+                x = T.constant(inputs[uid.layer])
+                for i in range(uid.layer, cfg.num_layers):
+                    x = m.block(i, x, mask)
+                total += _nll_from_logits(m.readout(x).data, chunk[1:])
         return total / count - base
 
     deltas = replicas.run(flats, ablate)

@@ -5,9 +5,18 @@ tape. ``backward`` walks the tape once in reverse topological order,
 propagating a fresh seed of 1.0 and adding the resulting adjoints into
 ``grad`` buffers, so repeated calls accumulate. float32 is the working
 precision for training; float64 is used by verification paths.
+
+Inside ``with no_grad():`` ops compute the same values but record no
+parents or closures, so an evaluation pass builds no tape and frees each
+intermediate as soon as nothing reads it. Every op still checks its
+output for non-finite values. The mode is per thread: entering it in one
+thread leaves the tape on in every other.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -23,6 +32,24 @@ from .errors import (
 
 DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape in this thread for the duration of the block."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -82,7 +109,7 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str, vjp) -> Ten
     out.data = data
     out.grad = None
     out._op = op
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -157,7 +184,8 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * keep,)
 
-    return _from_op(np.where(keep, a.data, 0.0).astype(a.dtype), (a,), "relu", vjp)
+    out = np.where(keep, a.data, 0.0).astype(a.dtype, copy=False)
+    return _from_op(out, (a,), "relu", vjp)
 
 
 def square(a: Tensor) -> Tensor:
@@ -285,7 +313,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         inner = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - inner),)
 
-    return _from_op(s.astype(a.dtype), (a,), "softmax_rows", vjp)
+    return _from_op(s.astype(a.dtype, copy=False), (a,), "softmax_rows", vjp)
 
 
 def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -312,7 +340,7 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         )
         return da.astype(a.dtype), dgamma.astype(gamma.dtype), dbeta.astype(beta.dtype)
 
-    out = (y * gamma.data + beta.data).astype(a.dtype)
+    out = (y * gamma.data + beta.data).astype(a.dtype, copy=False)
     return _from_op(out, (a, gamma, beta), "layernorm", vjp)
 
 

@@ -111,6 +111,15 @@ def test_several_seeds_rejected(tmp_path, capsys):
     assert "field 'seeds'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, True])
+def test_non_integer_seed_rejected(tmp_path, capsys, seed):
+    cfg = tmp_path / "seeds.json"
+    cfg.write_text(json.dumps({"seeds": [seed]}), encoding="utf-8")
+    assert main(["flops", "--model-preset", "opt-1.3b",
+                 "--config", str(cfg)]) == 2
+    assert "field 'seeds'" in capsys.readouterr().err
+
+
 def test_invalid_json_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -179,6 +188,23 @@ def test_predictor_artifacts(pipeline):
     rows = (pipeline / "fid" / "fidelity.csv").read_text().splitlines()
     assert rows[0] == "topology,criterion,spearman_global,spearman_local,mse,seed"
     assert rows[1].startswith("shadow,plainact,")
+
+
+def test_predictor_covering_no_unit_is_runtime_error(tmp_path, workdir, capsys):
+    # shadow leaves layer 0 dense, so a 1-layer model gives it nothing to score
+    one_layer = {**TOY_CONFIG, "model": {**TOY_CONFIG["model"], "num_layers": 1},
+                 "train": {**TOY_CONFIG["train"], "steps": 1},
+                 "prompts": {"n": 6, "length": 8}}
+    cfg = tmp_path / "one_layer.json"
+    cfg.write_text(json.dumps(one_layer), encoding="utf-8")
+    corpus = str(workdir / "corpus.txt")
+    assert main(["train-lm", "--config", str(cfg), "--corpus", corpus,
+                 "--out", str(tmp_path / "lm")]) == 0
+    rc = main(["train-predictor", "--config", str(cfg), "--corpus", corpus,
+               "--checkpoint", str(tmp_path / "lm" / "model.bin"),
+               "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    assert "no unit to score" in capsys.readouterr().err
 
 
 def test_sweep_zero_sparsity_matches_dense_eval(pipeline):

@@ -9,6 +9,7 @@ from shlm import tensor as T
 from shlm.errors import (
     EmptyStreamError,
     MaskShapeMismatchError,
+    NonFiniteError,
     SequenceTooLongError,
 )
 from shlm.model import (
@@ -247,3 +248,50 @@ def test_to_dtype_roundtrip():
     a = model.forward(toks).logits
     b = wide.forward(toks).logits
     assert np.max(np.abs(a - b)) <= 1e-4
+
+
+def test_no_grad_forward_is_bit_exact_and_untaped():
+    model = TransformerModel(TINY, seed=1)
+    toks = _tokens(16)
+    taped = model.forward(toks)
+    with T.no_grad():
+        free = model.forward(toks)
+    assert np.array_equal(free.logits, taped.logits)
+    assert free.loss == taped.loss
+    assert taped.loss_tensor._parents
+    assert free.loss_tensor._parents == () and not free.loss_tensor.requires_grad
+
+
+def test_forward_resumed_from_block_input_is_bit_exact():
+    cfg = ModelConfig(num_layers=3, embed_dim=16, num_heads=2, head_dim=8,
+                      ffn_dim=16, vocab_size=256, max_seq_len=32)
+    model = TransformerModel(cfg, seed=3)
+    toks = _tokens(20)
+    dense = model.forward(toks, capture=CAPTURE_ACTIVATIONS)
+    block_inputs = [dense.embed] + dense.layer_outs[:-1]
+    for start in range(cfg.num_layers):
+        # units at or after the start layer only: the layers below it
+        # must be the dense ones the cached input came from
+        mask = MaskSet.ones(cfg).without([
+            UnitId(start, UnitKind.HEAD, 1), UnitId(start, UnitKind.NEURON, 5),
+            UnitId(cfg.num_layers - 1, UnitKind.NEURON, 0)])
+        full = model.forward(toks, mask=mask).logits
+        with T.no_grad():
+            x = T.constant(block_inputs[start])
+            for i in range(start, cfg.num_layers):
+                x = model.block(i, x, mask)
+            resumed = model.readout(x).data
+        assert np.array_equal(resumed, full), start
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_nonfinite_names_layer_with_and_without_tape():
+    model = TransformerModel(TINY, seed=0)
+    w_up = model.params["h1.w_up"].data
+    w_up /= np.abs(w_up).max()
+    w_up *= np.float32(3e38)   # h2 @ w_up overflows float32 in layer 1
+    toks = _tokens(16)
+    with pytest.raises(NonFiniteError, match="'matmul' in layer 1"):
+        model.forward(toks)
+    with T.no_grad(), pytest.raises(NonFiniteError, match="'matmul' in layer 1"):
+        model.forward(toks)

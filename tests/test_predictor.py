@@ -7,7 +7,8 @@ from shlm.checkpoint import save_checkpoint
 from shlm.criteria import collect_criteria
 from shlm.errors import (ConfigMismatchError, ContextualUnsupportedError,
                          DatasetTooSmallError, EmptyHeldoutError,
-                         EmptyPromptError, FeatureShapeMismatchError)
+                         EmptyPromptError, FeatureShapeMismatchError,
+                         NoCoveredUnitsError)
 from shlm.model import CAPTURE_ACTIVATIONS, ModelConfig, TransformerModel
 from shlm.predictor import (MODEL_PRESETS, CriteriaDataset, PredictorConfig,
                             build_dataset, contextual_mask_source,
@@ -168,6 +169,28 @@ def test_feature_shapes_other_topologies(trained_model):
     assert dv.shape == (1, TINY.embed_dim)
 
 
+@pytest.mark.parametrize("topology,stride", [
+    ("shadow", 2), ("fullseq", 2), ("dejavu", 1), ("dejavu", 2), ("dejavu", 3)])
+def test_features_equal_full_capture_forward(topology, stride):
+    # extraction stops after the last layer it reads; the values must be
+    # those of the whole forward
+    cfg = ModelConfig(num_layers=4, embed_dim=16, num_heads=2, head_dim=8,
+                      ffn_dim=16, vocab_size=256, max_seq_len=32)
+    model = TransformerModel(cfg, seed=5)
+    prompt = (np.arange(7, dtype=np.int64), np.arange(20, 25, dtype=np.int64))
+    res = model.forward(np.concatenate(prompt), capture=CAPTURE_ACTIVATIONS)
+    if topology == "shadow":
+        want = res.attn_outs[0][-1]
+    elif topology == "fullseq":
+        want = res.embed
+    else:
+        want = np.stack([res.layer_outs[h][-1]
+                         for h in dejavu_hosts(cfg, stride)])
+    got = extract_features(model, prompt, topology, stride)
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got, want.astype(np.float32))
+
+
 def test_empty_prompt_rejected(trained_model):
     with pytest.raises(EmptyPromptError):
         extract_features(trained_model, np.asarray([], dtype=np.int64), "shadow")
@@ -283,6 +306,21 @@ def test_train_requires_two_batches(shadow_dataset):
     cfg = PredictorConfig(epochs=1, batch=64)
     with pytest.raises(DatasetTooSmallError):
         train_predictor(shadow_dataset, cfg)
+
+
+@pytest.mark.parametrize("topology", ["shadow", "dejavu"])
+def test_train_rejects_topology_covering_no_unit(topology):
+    # both wirings leave layer 0 dense, so a 1-layer model has nothing to score
+    cfg = ModelConfig(num_layers=1, embed_dim=8, num_heads=2, head_dim=4,
+                      ffn_dim=8, vocab_size=256, max_seq_len=16)
+    model = TransformerModel(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    prompts = [rng.integers(0, 256, size=8) for _ in range(6)]
+    dataset = build_dataset(model, prompts, "plainact", topology=topology)
+    assert not dataset.covered.any()
+    with pytest.raises(NoCoveredUnitsError, match=topology):
+        train_predictor(dataset, PredictorConfig(topology=topology, epochs=1,
+                                                 batch=2))
 
 
 def test_train_topology_must_match(shadow_dataset):

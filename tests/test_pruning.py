@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shlm import tensor as T
 from shlm.criteria import ScoreVector
 from shlm.errors import BudgetExceedsUnitsError, TooManyUnitsError
 from shlm.model import (
@@ -177,6 +178,18 @@ def test_oracle_ablation_workers_deterministic(trained_model, stream):
     two = oracle_ablation(trained_model, eval_tokens, scope="heads", window=48,
                           workers=3)
     assert one == two
+
+
+def test_grad_mode_stays_on_in_main_thread_after_oracle_workers(trained_model,
+                                                             stream):
+    # the workers enter no_grad in their own threads; a process-wide
+    # switch would leave it off here when their exits interleave
+    oracle_ablation(trained_model, stream.val[:96], scope="heads", window=48,
+                    workers=3)
+    model = trained_model.clone()
+    res = model.forward(stream.val[:16])
+    T.backward(res.loss_tensor)
+    assert all(p.grad is not None for p in model.parameters())
 
 
 def test_write_oracle_csv(tmp_path):
