@@ -172,6 +172,20 @@ def test_oracle_ablation_matches_direct_measurement(trained_model, stream):
     assert delta == pytest.approx(ab_t / ab_c - base_t / base_c, abs=1e-12)
 
 
+def test_oracle_ablation_bit_exact_for_every_unit(trained_model, stream):
+    # the oracle reruns only the blocks from the ablated unit's layer on;
+    # each delta must still equal two full stream_nll passes exactly
+    eval_tokens = stream.val[:100]   # windows of 48, 48 and a partial 4
+    results = oracle_ablation(trained_model, eval_tokens, window=48)
+    base_t, base_c = trained_model.stream_nll(eval_tokens, window=48)
+    ones = MaskSet.ones(TINY)
+    for uid, delta in results:
+        ab_t, ab_c = trained_model.stream_nll(eval_tokens,
+                                              mask=ones.without([uid]),
+                                              window=48)
+        assert delta == ab_t / ab_c - base_t / base_c, uid
+
+
 def test_oracle_ablation_workers_deterministic(trained_model, stream):
     eval_tokens = stream.val[:96]
     one = oracle_ablation(trained_model, eval_tokens, scope="heads", window=48)
