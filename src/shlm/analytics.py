@@ -160,10 +160,10 @@ def fewshot_study(model: TransformerModel, templates, shots_list, criterion: str
     """Static-mask sweep per shots value.
 
     For each shots count, criteria are aggregated over fresh prompts from
-    every template, masks are built per spec, and masked perplexity is
-    measured on the evaluation stream.
+    every template and ``sparsity_sweep`` measures the masked perplexity
+    of every spec on the evaluation stream.
     """
-    from .pruning import build_mask
+    from .pruning import sparsity_sweep
     from .text import make_fewshot_prompts
 
     records = []
@@ -174,15 +174,14 @@ def fewshot_study(model: TransformerModel, templates, shots_list, criterion: str
                 template, shots=shots, n=n_prompts, seed=seed + 1000 * i))
         agg = collect_criteria(model, prompts, criterion, aggregate=True,
                                loss_on=loss_on, workers=workers)
-        for spec in specs:
-            mask = build_mask(model.cfg, agg, spec)
-            ppl = perplexity(model, mask, eval_tokens, window=window)
+        for rec in sparsity_sweep(model, agg, specs, eval_tokens,
+                                  window=window):
             records.append(FewshotRecord(
                 shots=shots,
-                strategy=spec.strategy,
-                sparsity=spec.sparsity,
+                strategy=rec.strategy,
+                sparsity=rec.sparsity,
                 criterion=criterion,
-                perplexity=ppl,
+                perplexity=rec.perplexity,
                 seed=seed,
             ))
     return records

@@ -16,6 +16,7 @@ up-projection column.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -370,12 +371,14 @@ def collect_criteria(model: TransformerModel, prompts, kind,
 
     parts = [_prompt_parts(p, loss_on) for p in prompts]
     capture_mode = CAPTURE_GRADS if needs_grads(kind) else CAPTURE_ACTIVATIONS
+    grad_mode = contextlib.nullcontext if needs_grads(kind) else T.no_grad
     scoring_model = model.to_dtype(np.float64) if kind == CriterionKind.GRASP else model
     replicas = _Replicas(scoring_model, workers)
 
     def capture_one(m: TransformerModel, part):
         tokens, loss_from, _ = part
-        return m.forward(tokens, capture=capture_mode, loss_from=loss_from)
+        with grad_mode():   # entered in the worker: the mode is per thread
+            return m.forward(tokens, capture=capture_mode, loss_from=loss_from)
 
     captures = replicas.run(parts, capture_one)
 

@@ -723,14 +723,21 @@ def predictor_fidelity(predictor, dataset: CriteriaDataset,
 
 def contextual_mask_source(predictor: Predictor):
     """Adapter for sweeps: (model, window_tokens, spec) -> MaskSet built
-    from predicted scores for that window."""
+    from predicted scores for that window. The scores of the last window
+    seen are kept, so a sweep asking for several specs on one window
+    predicts once."""
+    memo: dict = {}
 
     def source(model: TransformerModel, window_tokens, spec: PruneSpec) -> MaskSet:
-        feat = extract_features(model, np.asarray(window_tokens),
-                                predictor.topology,
-                                predictor.config.dejavu_stride)
-        sv = predict_scores(predictor, feat)
-        return build_mask(model.cfg, sv, spec)
+        window_tokens = np.asarray(window_tokens, dtype=np.int64)
+        key = (id(model), window_tokens.tobytes())
+        if key not in memo:
+            feat = extract_features(model, window_tokens, predictor.topology,
+                                    predictor.config.dejavu_stride)
+            # the entry holds the model so its id cannot be reused
+            memo.clear()
+            memo[key] = (model, predict_scores(predictor, feat))
+        return build_mask(model.cfg, memo[key][1], spec)
 
     return source
 

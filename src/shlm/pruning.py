@@ -21,7 +21,6 @@ from . import tensor as T
 from .criteria import ScoreVector
 from .errors import BudgetExceedsUnitsError, TooManyUnitsError
 from .model import (
-    CAPTURE_ACTIVATIONS,
     MaskSet,
     ModelConfig,
     TransformerModel,
@@ -136,6 +135,47 @@ def load_mask(cfg: ModelConfig, path) -> MaskSet:
 
 
 # ---------------------------------------------------------------------------
+# shared dense pass
+
+
+class _DensePass:
+    """One eval window's dense forward, run once and kept for every mask
+    scored on that window: the input of each block (read-only, so the
+    oracle's replicas can share it) and the window's dense NLL.
+
+    A masked forward multiplies each layer with no pruned unit by exactly
+    1.0, so its values below the first pruned layer equal the dense run
+    bit for bit; ``nll`` resumes from there.
+    """
+
+    def __init__(self, model: TransformerModel, chunk: np.ndarray):
+        self.targets = chunk[1:]
+        self.count = len(self.targets)
+        self.block_inputs = []
+        with T.no_grad():
+            x = model.embed(chunk)
+            for i in range(model.cfg.num_layers):
+                x.data.flags.writeable = False
+                self.block_inputs.append(x.data)
+                x = model.block(i, x)
+            self.dense = _nll_from_logits(model.readout(x).data, self.targets)
+
+    def nll(self, model: TransformerModel, mask: MaskSet) -> float:
+        """float64 NLL sum of this window under ``mask``, bit-identical to
+        a full masked forward."""
+        mask.validate_for(model.cfg)
+        pruned = ~(mask.heads.all(axis=1) & mask.neurons.all(axis=1))
+        if not pruned.any():
+            return self.dense
+        first = int(np.argmax(pruned))
+        with T.no_grad():
+            x = T.constant(self.block_inputs[first])
+            for i in range(first, model.cfg.num_layers):
+                x = model.block(i, x, mask)
+            return _nll_from_logits(model.readout(x).data, self.targets)
+
+
+# ---------------------------------------------------------------------------
 # brute-force ablation
 
 
@@ -163,36 +203,22 @@ def oracle_ablation(model: TransformerModel, eval_tokens, scope: str = "both",
             f"{len(flats)} units exceed the cap of {max_units};"
             " raise max_units or narrow the scope"
         )
-    # Ablating a unit in layer l leaves every layer below l bit-identical
-    # to the dense run (a masked forward multiplies them by exactly 1.0),
-    # so each window's block inputs are kept from one dense pass and an
-    # ablation reruns only blocks l.. from there. The cache is read-only
-    # and shared by the replicas.
-    chunks = model.eval_windows(eval_tokens, window)
-    count = sum(len(chunk) - 1 for chunk in chunks)
-    block_inputs, base_total = [], 0.0
-    with T.no_grad():
-        for chunk in chunks:
-            res = model.forward(chunk, capture=CAPTURE_ACTIVATIONS)
-            base_total += _nll_from_logits(res.logits, chunk[1:])
-            inputs = [res.embed] + res.layer_outs[:-1]
-            for arr in inputs:
-                arr.flags.writeable = False
-            block_inputs.append(inputs)
+    passes = [_DensePass(model, chunk)
+              for chunk in model.eval_windows(eval_tokens, window)]
+    # window NLLs are added left to right, as stream_nll adds them
+    count, base_total = 0, 0.0
+    for dp in passes:
+        count += dp.count
+        base_total += dp.dense
     base = base_total / count
     ones = MaskSet.ones(cfg)
     replicas = _Replicas(model, workers)
 
     def ablate(m: TransformerModel, flat: int) -> float:
-        uid = unit_at(cfg, flat)
-        mask = ones.without([uid])
+        mask = ones.without([unit_at(cfg, flat)])
         total = 0.0
-        with T.no_grad():
-            for chunk, inputs in zip(chunks, block_inputs):
-                x = T.constant(inputs[uid.layer])
-                for i in range(uid.layer, cfg.num_layers):
-                    x = m.block(i, x, mask)
-                total += _nll_from_logits(m.readout(x).data, chunk[1:])
+        for dp in passes:
+            total += dp.nll(m, mask)
         return total / count - base
 
     deltas = replicas.run(flats, ablate)
@@ -218,26 +244,23 @@ def sparsity_sweep(model: TransformerModel, source, specs, eval_tokens,
 
     ``source`` is either a ScoreVector (one static mask per spec) or a
     callable ``(model, window_tokens, spec) -> MaskSet`` re-evaluated per
-    input window (the predictor path).
+    input window (the predictor path). All specs share one dense pass
+    per window; each NLL equals ``stream_nll`` under its mask bit for bit.
     """
-    from .analytics import EvalRecord, perplexity
+    from .analytics import EvalRecord
 
-    records = []
-    for spec in specs:
-        if isinstance(source, ScoreVector):
-            mask = build_mask(model.cfg, source, spec)
-            ppl = perplexity(model, mask, eval_tokens, window=window)
-        else:
-            def masker(window_tokens, _spec=spec):
-                return source(model, window_tokens, _spec)
-
-            ppl = perplexity(model, masker, eval_tokens, window=window)
-        records.append(EvalRecord(
-            strategy=spec.strategy,
-            sparsity=spec.sparsity,
-            criterion=criterion,
-            topology=topology,
-            perplexity=ppl,
-            seed=seed,
-        ))
-    return records
+    static = isinstance(source, ScoreVector)
+    if static:
+        masks = [build_mask(model.cfg, source, spec) for spec in specs]
+    totals = [0.0] * len(specs)
+    count = 0
+    for chunk in model.eval_windows(eval_tokens, window):
+        dp = _DensePass(model, chunk)
+        count += dp.count
+        for j, spec in enumerate(specs):
+            mask = masks[j] if static else source(model, chunk, spec)
+            totals[j] += dp.nll(model, mask)
+    return [EvalRecord(strategy=spec.strategy, sparsity=spec.sparsity,
+                       criterion=criterion, topology=topology,
+                       perplexity=float(np.exp(total / count)), seed=seed)
+            for spec, total in zip(specs, totals)]

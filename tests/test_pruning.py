@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shlm import predictor as predictor_mod
 from shlm import tensor as T
+from shlm.analytics import perplexity
 from shlm.criteria import ScoreVector
-from shlm.errors import BudgetExceedsUnitsError, TooManyUnitsError
+from shlm.errors import (
+    BudgetExceedsUnitsError,
+    MaskShapeMismatchError,
+    TooManyUnitsError,
+)
 from shlm.model import (
     MaskSet,
     ModelConfig,
@@ -17,6 +23,12 @@ from shlm.model import (
     num_head_units,
     num_units,
     unit_index,
+)
+from shlm.predictor import (
+    PredictorConfig,
+    build_dataset,
+    contextual_mask_source,
+    train_predictor,
 )
 from shlm.pruning import (
     PruneSpec,
@@ -232,3 +244,95 @@ def test_sweep_zero_sparsity_equals_dense(trained_model, stream):
     assert records[0].sparsity == 0.0
     assert records[1].perplexity >= records[0].perplexity * 0.5  # sane value
     assert records[0].criterion == "l2norm"
+
+
+# every strategy at three sparsities, a protected first layer, and each
+# single-kind scope
+_SWEEP_SPECS = [PruneSpec(strategy, sparsity)
+                for strategy in ("local", "global")
+                for sparsity in (0.0, 0.25, 0.5)] + [
+    PruneSpec("local", 0.5, protect_first_layer=True),
+    PruneSpec("global", 0.5, scope="heads"),
+    PruneSpec("global", 0.5, scope="neurons"),
+]
+
+
+@pytest.fixture(scope="module")
+def shadow_predictor(trained_model):
+    rng = np.random.default_rng(11)
+    prompts = [np.asarray(rng.integers(0, TINY.vocab_size, size=16),
+                          dtype=np.int64) for _ in range(20)]
+    dataset = build_dataset(trained_model, prompts, "plainact",
+                            topology="shadow")
+    pred, _ = train_predictor(dataset, PredictorConfig(epochs=2, batch=8),
+                              seed=0)
+    return pred
+
+
+def test_static_sweep_equals_per_spec_perplexity(trained_model, stream):
+    # the sweep shares one dense pass per window and resumes each spec at
+    # its first pruned layer; each value must equal a full masked forward
+    eval_tokens = stream.val[:100]   # windows of 48, 48 and a partial 4
+    rng = np.random.default_rng(5)
+    scores = ScoreVector(rng.standard_normal(num_units(TINY)), "test")
+    records = sparsity_sweep(trained_model, scores, _SWEEP_SPECS, eval_tokens,
+                             window=48)
+    for spec, rec in zip(_SWEEP_SPECS, records):
+        want = perplexity(trained_model, build_mask(TINY, scores, spec),
+                          eval_tokens, window=48)
+        assert rec.perplexity == want, spec
+        assert (rec.strategy, rec.sparsity) == (spec.strategy, spec.sparsity)
+
+
+def test_contextual_sweep_equals_per_spec_callable(trained_model, stream,
+                                                   shadow_predictor):
+    eval_tokens = stream.val[:100]
+    records = sparsity_sweep(trained_model,
+                             contextual_mask_source(shadow_predictor),
+                             _SWEEP_SPECS, eval_tokens, window=48)
+    source = contextual_mask_source(shadow_predictor)
+    for spec, rec in zip(_SWEEP_SPECS, records):
+        want = perplexity(trained_model,
+                          lambda w, _spec=spec: source(trained_model, w, _spec),
+                          eval_tokens, window=48)
+        assert rec.perplexity == want, spec
+
+
+def test_contextual_sweep_predicts_once_per_window(trained_model, stream,
+                                                   shadow_predictor,
+                                                   monkeypatch):
+    calls = {"extract_features": 0, "predict_scores": 0}
+    for name in calls:
+        real = getattr(predictor_mod, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(predictor_mod, name, counted)
+    sparsity_sweep(trained_model, contextual_mask_source(shadow_predictor),
+                   _SWEEP_SPECS[:4], stream.val[:100], window=48)
+    assert calls == {"extract_features": 3, "predict_scores": 3}
+
+
+def test_contextual_source_keys_scores_on_model(trained_model,
+                                                shadow_predictor):
+    window = np.arange(24, dtype=np.int64)
+    spec = PruneSpec("global", 0.5)
+    other = TransformerModel(TINY, seed=9)
+    source = contextual_mask_source(shadow_predictor)
+    source(trained_model, window, spec)
+    fresh = contextual_mask_source(shadow_predictor)
+    assert source(other, window, spec) == fresh(other, window, spec)
+    assert fresh(other, window, spec) != fresh(trained_model, window, spec)
+
+
+def test_sweep_checks_mask_shape_before_dense_shortcut(trained_model, stream):
+    # an all-ones mask is answered from the dense pass; a mask built for
+    # another config must still be rejected, not scored as dense
+    def wrong_config_ones(m, window_tokens, spec):
+        return MaskSet.ones(_CFG)
+
+    with pytest.raises(MaskShapeMismatchError):
+        sparsity_sweep(trained_model, wrong_config_ones,
+                       [PruneSpec("local", 0.0)], stream.val[:64], window=32)
