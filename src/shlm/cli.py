@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +25,17 @@ from .analytics import (FIDELITY_COLUMNS, FEWSHOT_COLUMNS, RANK_VARIANCE_COLUMNS
                         SWEEP_COLUMNS, emit_report, fewshot_study,
                         rank_variance)
 from .checkpoint import load_checkpoint
-from .criteria import (AGGREGATE_ONLY, CriterionKind, collect_criteria,
-                       write_scores_csv)
+from .criteria import (AGGREGATE_ONLY, LOSS_ON, CriterionKind,
+                       collect_criteria, write_scores_csv)
 from .errors import ConfigError, ShlmError
 from .model import ModelConfig, TransformerModel
 from .predictor import (MODEL_PRESETS, TOPOLOGIES, PredictorConfig,
                         build_dataset, contextual_mask_source, load_predictor,
                         predictor_fidelity, predictor_flops, save_predictor,
                         train_predictor)
-from .pruning import PruneSpec, oracle_ablation, sparsity_sweep, write_oracle_csv
-from .text import TEMPLATES, ingest_corpus, save_vocab
+from .pruning import (SCOPES, STRATEGIES, PruneSpec, oracle_ablation,
+                      sparsity_sweep, write_oracle_csv)
+from .text import BYTE, TEMPLATES, WORD, ingest_corpus, save_vocab
 from .train import train_lm
 
 log = logging.getLogger("shlm")
@@ -64,6 +66,81 @@ DEFAULTS = {
 _FREEFORM = ("model", "predictor")
 
 
+@dataclass(frozen=True)
+class _Option:
+    """One config field. ``flag``, taken by ``commands``, overrides it;
+    ``type``, ``choices`` and ``minimum`` check its resolved value, or
+    each element of it when ``many`` (the flag then takes 1+ values)."""
+
+    field: str
+    flag: str | None = None
+    commands: tuple[str, ...] = ()
+    type: type = str
+    choices: tuple | None = None
+    minimum: int | None = None
+    many: bool = False
+    help: str | None = None
+
+    def problem(self, value) -> str | None:
+        kinds = (int, float) if self.type is float else self.type
+        # a bool is an int to isinstance, but never a number here
+        if isinstance(value, bool) != (self.type is bool) \
+                or not isinstance(value, kinds):
+            return f"expected {self.type.__name__}, got {value!r}"
+        if self.choices is not None and value not in self.choices:
+            return f"must be one of {list(self.choices)}, got {value!r}"
+        if self.minimum is not None and value < self.minimum:
+            return f"must be >= {self.minimum}, got {value!r}"
+        return None
+
+
+_MODEL_COMMANDS = ("collect", "train-predictor", "eval-predictor", "sweep",
+                   "rank-variance", "fewshot", "oracle")
+_OPTIONS = (
+    _Option("corpus", "--corpus", ("train-lm", *_MODEL_COMMANDS)),
+    _Option("tokenizer", "--tokenizer", ("train-lm",), choices=(BYTE, WORD)),
+    _Option("checkpoint", "--checkpoint", _MODEL_COMMANDS),
+    _Option("predictor_path", "--predictor", ("eval-predictor", "sweep"),
+            help="a trained predictor; sweep builds contextual masks from it"),
+    _Option("criterion", "--criterion",
+            ("collect", "train-predictor", "sweep", "rank-variance", "fewshot"),
+            choices=tuple(k.value for k in CriterionKind)),
+    _Option("contextual", "--contextual", ("collect",), type=bool,
+            help="per-example scores instead of the aggregate"),
+    _Option("loss_on", choices=LOSS_ON),
+    _Option("train.steps", "--steps", ("train-lm",), type=int),
+    _Option("train.lr", type=float),
+    _Option("train.batch_size", type=int, minimum=1),
+    _Option("train.seq_len", type=int),
+    _Option("train.weight_decay", type=float),
+    _Option("prompts.n", "--n-prompts",
+            ("collect", "train-predictor", "eval-predictor", "rank-variance"),
+            type=int),
+    _Option("prompts.length", "--prompt-len", ("collect",), type=int, minimum=1),
+    _Option("predictor.topology", "--topology", ("train-predictor",),
+            choices=TOPOLOGIES),
+    _Option("prune.strategy", "--strategy", ("sweep",),
+            choices=(*STRATEGIES, "both")),
+    _Option("prune.sparsities", "--sparsity", ("sweep",), type=float, many=True),
+    _Option("prune.scope", choices=SCOPES),
+    _Option("prune.protect_first_layer", type=bool),
+    _Option("eval.window", "--window", ("sweep", "oracle"), type=int, minimum=2),
+    _Option("eval.max_tokens", "--max-tokens", ("sweep", "fewshot", "oracle"),
+            type=int, minimum=1),
+    _Option("fewshot.tasks", "--tasks", ("fewshot",), choices=tuple(TEMPLATES),
+            many=True),
+    _Option("fewshot.shots", "--shots", ("fewshot",), type=int, minimum=0,
+            many=True),
+    _Option("fewshot.n", type=int, minimum=1),
+    _Option("oracle.scope", choices=SCOPES),
+    _Option("oracle.max_units", "--max-units", ("oracle",), type=int),
+    _Option("flops.preset", "--model-preset", ("flops",),
+            choices=tuple(sorted(MODEL_PRESETS))),
+    _Option("flops.topology", "--topology", ("flops",), choices=TOPOLOGIES),
+    _Option("flops.p1", "--p1", ("flops",), type=int, minimum=1),
+)
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -83,41 +160,17 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     return out
 
 
-def _set_path(cfg: dict, dotted: str, value) -> None:
-    node = cfg
-    parts = dotted.split(".")
-    for p in parts[:-1]:
-        node = node[p]
-    node[parts[-1]] = value
-
-
-# flag -> config field, applied only when the flag was actually given
-_OVERRIDES = [
-    ("corpus", "corpus"),
-    ("tokenizer", "tokenizer"),
-    ("checkpoint", "checkpoint"),
-    ("predictor", "predictor_path"),
-    ("criterion", "criterion"),
-    ("loss_on", "loss_on"),
-    ("topology", "predictor.topology"),
-    ("strategy", "prune.strategy"),
-    ("sparsity", "prune.sparsities"),
-    ("steps", "train.steps"),
-    ("n_prompts", "prompts.n"),
-    ("prompt_len", "prompts.length"),
-    ("window", "eval.window"),
-    ("max_tokens", "eval.max_tokens"),
-    ("max_units", "oracle.max_units"),
-    ("tasks", "fewshot.tasks"),
-    ("shots", "fewshot.shots"),
-    ("model_preset", "flops.preset"),
-    ("p1", "flops.p1"),
-]
+def _parent(cfg: dict, dotted: str) -> tuple[dict, str]:
+    """The section holding a dotted field, and the field's key in it."""
+    *sections, key = dotted.split(".")
+    for section in sections:
+        cfg = cfg[section]
+    return cfg, key
 
 
 def _resolve_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"field 'config': no such file {args.config!r}")
@@ -128,12 +181,23 @@ def _resolve_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("field 'config': top level must be an object")
         cfg = _merge(cfg, loaded)
-    for flag, dotted in _OVERRIDES:
-        value = getattr(args, flag, None)
-        if value is not None:
-            _set_path(cfg, dotted, value)
-    if getattr(args, "contextual", False):
-        cfg["contextual"] = True
+    # A flag's dest is its field, None when not given. Each row's check
+    # runs on the resolved value, so a config-file value gets its flag's
+    # check, whichever command runs.
+    for opt in _OPTIONS:
+        node, key = _parent(cfg, opt.field)
+        given = getattr(args, opt.field, None)
+        if given is not None:
+            node[key] = given
+        value = node.get(key)
+        if value is None and _parent(DEFAULTS, opt.field)[0].get(key) is None:
+            continue  # unset: a None default, or a freeform key not given
+        if opt.many and not isinstance(value, list):
+            raise ConfigError(f"field '{opt.field}': expected a list, got {value!r}")
+        for item in value if opt.many else [value]:
+            problem = opt.problem(item)
+            if problem is not None:
+                raise ConfigError(f"field '{opt.field}': {problem}")
     seeds = cfg["seeds"]
     if not isinstance(seeds, list) or len(seeds) != 1:
         raise ConfigError(
@@ -143,8 +207,8 @@ def _resolve_config(args) -> dict:
 
 
 def _seed(cfg: dict, args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+    if args.seed is not None:
+        return args.seed
     seed = cfg["seeds"][0]
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"field 'seeds': the seed must be an integer, got {seed!r}")
@@ -168,15 +232,6 @@ def _predictor_config(cfg: dict) -> PredictorConfig:
         raise ConfigError(f"field 'predictor': {exc}") from None
 
 
-def _criterion(cfg: dict) -> CriterionKind:
-    try:
-        return CriterionKind(cfg["criterion"])
-    except ValueError:
-        raise ConfigError(
-            f"field 'criterion': unknown criterion {cfg['criterion']!r}"
-        ) from None
-
-
 def _input_path(cfg: dict, field: str) -> Path:
     value = cfg.get(field)
     if not value:
@@ -192,18 +247,21 @@ def _load_corpus(cfg: dict):
     return path, ingest_corpus(path, tokenizer=cfg["tokenizer"])
 
 
+def _model_io(cfg: dict):
+    """The checkpoint's model, the corpus stream, and both input paths."""
+    ckpt = _input_path(cfg, "checkpoint")
+    corpus, stream = _load_corpus(cfg)
+    return load_checkpoint(ckpt), stream, [ckpt, corpus]
+
+
 def _eval_tokens(cfg: dict, stream) -> np.ndarray:
-    tokens = stream.val
     limit = cfg["eval"]["max_tokens"]
-    if limit is not None:
-        tokens = tokens[: int(limit)]
-    return tokens
+    return stream.val if limit is None else stream.val[:limit]
 
 
 def _corpus_prompts(stream, cfg: dict, seed: int) -> list[np.ndarray]:
     """Deterministic random windows drawn from the validation split."""
-    n = int(cfg["prompts"]["n"])
-    length = int(cfg["prompts"]["length"])
+    n, length = cfg["prompts"]["n"], cfg["prompts"]["length"]
     data = stream.val if len(stream.val) > length else stream.train
     if len(data) <= length:
         raise ConfigError(
@@ -215,44 +273,19 @@ def _corpus_prompts(stream, cfg: dict, seed: int) -> list[np.ndarray]:
 
 def _prune_specs(cfg: dict) -> list[PruneSpec]:
     section = cfg["prune"]
-    strategies = (["local", "global"] if section["strategy"] == "both"
+    for s in section["sparsities"]:
+        if not 0.0 <= s < 1.0:
+            raise ConfigError(
+                f"field 'prune.sparsities': must lie in [0, 1), got {s}")
+    strategies = (STRATEGIES if section["strategy"] == "both"
                   else [section["strategy"]])
-    specs = []
-    for strategy in strategies:
-        for s in section["sparsities"]:
-            if not 0.0 <= float(s) < 1.0:
-                raise ConfigError(
-                    f"field 'prune.sparsities': must lie in [0, 1), got {s}")
-            try:
-                specs.append(PruneSpec(strategy, float(s),
-                                       scope=section["scope"],
-                                       protect_first_layer=bool(
-                                           section["protect_first_layer"])))
-            except ValueError as exc:
-                raise ConfigError(f"field 'prune': {exc}") from None
-    return specs
+    return [PruneSpec(strategy, float(s), scope=section["scope"],
+                      protect_first_layer=section["protect_first_layer"])
+            for strategy in strategies for s in section["sparsities"]]
 
 
 # ---------------------------------------------------------------------------
 # artifacts
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_manifest(out: Path, command: str, cfg: dict, seed: int,
-                    workers: int, inputs: list[Path]) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "workers": workers,
-        "config": cfg,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -260,85 +293,92 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
+def _write_manifest(out: Path, command: str, cfg: dict, seed: int,
+                    workers: int, inputs: list[Path]) -> None:
+    _write_json(out / "manifest.json", {
+        "command": command,
+        "version": __version__,
+        "seed": seed,
+        "workers": workers,
+        "config": cfg,
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                   for p in inputs},
+    })
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (cfg, seed, workers, out), writes its artifacts
+# and returns the input files the manifest hashes; its docstring is its help
 
 
-def cmd_train_lm(cfg, args, out: Path) -> None:
-    seed = _seed(cfg, args)
+def cmd_train_lm(cfg, seed: int, workers: int, out: Path) -> list[Path]:
+    """train a toy LM on a corpus"""
     corpus, stream = _load_corpus(cfg)
-    vocab_size = stream.vocab_size if cfg["tokenizer"] == "word" else None
+    vocab_size = stream.vocab_size if cfg["tokenizer"] == WORD else None
     mcfg = _model_config(cfg, vocab_size=vocab_size)
     model = TransformerModel(mcfg, seed=seed)
     t = cfg["train"]
-    tlog = train_lm(model, stream.train, steps=int(t["steps"]),
-                    lr=float(t["lr"]), seed=seed,
-                    batch_size=int(t["batch_size"]),
+    tlog = train_lm(model, stream.train, steps=t["steps"], lr=float(t["lr"]),
+                    seed=seed, batch_size=t["batch_size"],
                     seq_len=t["seq_len"], weight_decay=float(t["weight_decay"]),
                     checkpoint_path=out / "model.bin")
-    if cfg["tokenizer"] == "word":
+    if cfg["tokenizer"] == WORD:
         save_vocab(stream.vocab, out / "vocab.json")
     _write_json(out / "train_log.json",
                 {"losses": tlog.losses, "settings": tlog.settings})
-    _write_manifest(out, "train-lm", cfg, seed, args.workers, [corpus])
     log.info("trained %d steps, final loss %.4f", len(tlog.losses),
              tlog.losses[-1] if tlog.losses else float("nan"))
+    return [corpus]
 
 
-def cmd_collect(cfg, args, out: Path) -> None:
-    seed = _seed(cfg, args)
-    kind = _criterion(cfg)
+def cmd_collect(cfg, seed: int, workers: int, out: Path) -> list[Path]:
+    """score units with a criterion"""
+    kind = CriterionKind(cfg["criterion"])
     if cfg["contextual"] and kind in AGGREGATE_ONLY:
         raise ConfigError(
             f"field 'contextual': {kind.value} is aggregate-only")
-    ckpt = _input_path(cfg, "checkpoint")
-    corpus, stream = _load_corpus(cfg)
-    model = load_checkpoint(ckpt)
+    model, stream, inputs = _model_io(cfg)
     prompts = _corpus_prompts(stream, cfg, seed)
     scores = collect_criteria(model, prompts, kind,
                               aggregate=not cfg["contextual"],
-                              loss_on=cfg["loss_on"], workers=args.workers)
+                              loss_on=cfg["loss_on"], workers=workers)
     meta = {"criterion": kind.value, "contextual": cfg["contextual"],
             "n_prompts": len(prompts), "seed": seed}
     write_scores_csv(scores, model.cfg, out / "scores.csv", meta=meta,
                      sidecar_path=out / "scores_meta.json")
-    _write_manifest(out, "collect", cfg, seed, args.workers, [ckpt, corpus])
+    return inputs
 
 
-def _dataset_for(cfg, args, model, stream, criterion: str, pcfg, seed: int):
+def _dataset_for(cfg, model, stream, criterion: str, pcfg, seed: int,
+                 workers: int):
     prompts = _corpus_prompts(stream, cfg, seed)
     return build_dataset(model, prompts, criterion, topology=pcfg.topology,
                          normalization=pcfg.normalization,
                          stride=pcfg.dejavu_stride, loss_on=cfg["loss_on"],
-                         workers=args.workers)
+                         workers=workers)
 
 
-def cmd_train_predictor(cfg, args, out: Path) -> None:
-    seed = _seed(cfg, args)
-    kind = _criterion(cfg)
+def cmd_train_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
+    """fit a sparsity predictor to a criterion"""
     pcfg = _predictor_config(cfg)
-    ckpt = _input_path(cfg, "checkpoint")
-    corpus, stream = _load_corpus(cfg)
-    model = load_checkpoint(ckpt)
-    dataset = _dataset_for(cfg, args, model, stream, kind.value, pcfg, seed)
+    model, stream, inputs = _model_io(cfg)
+    dataset = _dataset_for(cfg, model, stream, cfg["criterion"], pcfg, seed,
+                           workers)
     predictor, plog = train_predictor(dataset, pcfg, seed=seed)
     save_predictor(predictor, out / "predictor.bin")
     _write_json(out / "predictor_log.json",
                 {"train_mse": plog.train_mse, "heldout_mse": plog.heldout_mse,
                  "settings": plog.settings})
-    _write_manifest(out, "train-predictor", cfg, seed, args.workers,
-                    [ckpt, corpus])
+    return inputs
 
 
-def cmd_eval_predictor(cfg, args, out: Path) -> None:
-    seed = _seed(cfg, args)
-    ckpt = _input_path(cfg, "checkpoint")
+def cmd_eval_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
+    """fidelity of a trained predictor"""
+    model, stream, inputs = _model_io(cfg)
     pred_path = _input_path(cfg, "predictor_path")
-    corpus, stream = _load_corpus(cfg)
-    model = load_checkpoint(ckpt)
     predictor = load_predictor(pred_path)
-    dataset = _dataset_for(cfg, args, model, stream, predictor.criterion,
-                           predictor.config, seed)
+    dataset = _dataset_for(cfg, model, stream, predictor.criterion,
+                           predictor.config, seed, workers)
     report = predictor_fidelity(predictor, dataset)
     _write_json(out / "fidelity.json", {
         "spearman_global": report.spearman_global,
@@ -354,19 +394,14 @@ def cmd_eval_predictor(cfg, args, out: Path) -> None:
            "spearman_local": report.spearman_local,
            "mse": report.mse, "seed": seed}
     emit_report([row], out / "fidelity.csv", columns=FIDELITY_COLUMNS)
-    _write_manifest(out, "eval-predictor", cfg, seed, args.workers,
-                    [ckpt, pred_path, corpus])
+    return inputs + [pred_path]
 
 
-def cmd_sweep(cfg, args, out: Path) -> None:
-    seed = _seed(cfg, args)
-    kind = _criterion(cfg)
+def cmd_sweep(cfg, seed: int, workers: int, out: Path) -> list[Path]:
+    """perplexity across sparsities"""
     specs = _prune_specs(cfg)
-    ckpt = _input_path(cfg, "checkpoint")
-    corpus, stream = _load_corpus(cfg)
-    model = load_checkpoint(ckpt)
+    model, stream, inputs = _model_io(cfg)
     eval_tokens = _eval_tokens(cfg, stream)
-    inputs = [ckpt, corpus]
     if cfg["predictor_path"]:
         pred_path = _input_path(cfg, "predictor_path")
         predictor = load_predictor(pred_path)
@@ -376,107 +411,84 @@ def cmd_sweep(cfg, args, out: Path) -> None:
         inputs.append(pred_path)
     else:
         prompts = _corpus_prompts(stream, cfg, seed)
-        source = collect_criteria(model, prompts, kind, aggregate=True,
-                                  loss_on=cfg["loss_on"], workers=args.workers)
+        source = collect_criteria(model, prompts, cfg["criterion"],
+                                  aggregate=True, loss_on=cfg["loss_on"],
+                                  workers=workers)
         topology = "static"
-        criterion = kind.value
+        criterion = cfg["criterion"]
     records = sparsity_sweep(model, source, specs, eval_tokens,
                              window=cfg["eval"]["window"],
                              criterion=criterion, topology=topology, seed=seed)
     emit_report(records, out / "sweep.csv", columns=SWEEP_COLUMNS)
-    _write_manifest(out, "sweep", cfg, seed, args.workers, inputs)
+    return inputs
 
 
-def cmd_rank_variance(cfg, args, out: Path) -> None:
-    seed = _seed(cfg, args)
-    kind = _criterion(cfg)
-    ckpt = _input_path(cfg, "checkpoint")
-    corpus, stream = _load_corpus(cfg)
-    model = load_checkpoint(ckpt)
+def cmd_rank_variance(cfg, seed: int, workers: int, out: Path) -> list[Path]:
+    """head rank stability across prompts"""
+    criterion = cfg["criterion"]
+    model, stream, inputs = _model_io(cfg)
     prompts = _corpus_prompts(stream, cfg, seed)
-    table = rank_variance(model, prompts, criterion=kind.value,
-                          workers=args.workers)
+    table = rank_variance(model, prompts, criterion=criterion, workers=workers)
     rows = [{"layer": layer, "head": head, "mean_rank": mean,
              "rank_variance": var} for layer, head, mean, var in table.rows]
     emit_report(rows, out / "rank_variance.csv",
                 columns=RANK_VARIANCE_COLUMNS)
     _write_json(out / "rank_variance_layers.json",
-                {"per_layer": table.per_layer, "criterion": kind.value,
+                {"per_layer": table.per_layer, "criterion": criterion,
                  "n_prompts": len(prompts), "seed": seed})
-    _write_manifest(out, "rank-variance", cfg, seed, args.workers,
-                    [ckpt, corpus])
+    return inputs
 
 
-def cmd_fewshot(cfg, args, out: Path) -> None:
-    seed = _seed(cfg, args)
-    kind = _criterion(cfg)
+def cmd_fewshot(cfg, seed: int, workers: int, out: Path) -> list[Path]:
+    """criterion quality vs shot count"""
     specs = _prune_specs(cfg)
     section = cfg["fewshot"]
-    for task in section["tasks"]:
-        if task not in TEMPLATES:
-            raise ConfigError(
-                f"field 'fewshot.tasks': unknown template {task!r}")
-    ckpt = _input_path(cfg, "checkpoint")
-    corpus, stream = _load_corpus(cfg)
-    model = load_checkpoint(ckpt)
+    model, stream, inputs = _model_io(cfg)
     eval_tokens = _eval_tokens(cfg, stream)
-    records = fewshot_study(model, section["tasks"],
-                            [int(s) for s in section["shots"]], kind.value,
-                            specs, eval_tokens, n_prompts=int(section["n"]),
-                            seed=seed, window=cfg["eval"]["window"],
-                            workers=args.workers, loss_on=cfg["loss_on"])
+    records = fewshot_study(model, section["tasks"], section["shots"],
+                            cfg["criterion"], specs, eval_tokens,
+                            n_prompts=section["n"], seed=seed,
+                            window=cfg["eval"]["window"], workers=workers,
+                            loss_on=cfg["loss_on"])
     emit_report(records, out / "fewshot.csv", columns=FEWSHOT_COLUMNS)
-    _write_manifest(out, "fewshot", cfg, seed, args.workers, [ckpt, corpus])
+    return inputs
 
 
-def cmd_flops(cfg, args, out: Path | None) -> None:
-    seed = _seed(cfg, args)
+def cmd_flops(cfg, seed: int, workers: int, out: Path | None) -> list[Path]:
+    """analytical predictor cost"""
     section = cfg["flops"]
     preset = section["preset"]
-    if preset is not None:
-        if preset not in MODEL_PRESETS:
-            raise ConfigError(
-                f"field 'flops.preset': unknown preset {preset!r}; "
-                f"known: {sorted(MODEL_PRESETS)}")
-        dims = preset
-    elif cfg["model"]:
-        dims = _model_config(cfg)
-    else:
+    if preset is None and not cfg["model"]:
         raise ConfigError("field 'flops.preset': required "
                           "(pass --model-preset or a model config)")
+    dims = preset if preset is not None else _model_config(cfg)
     topology = section["topology"]
-    if topology not in TOPOLOGIES:
-        raise ConfigError(
-            f"field 'flops.topology': unknown topology {topology!r}")
-    report = predictor_flops(dims, topology, p1=int(section["p1"]))
+    report = predictor_flops(dims, topology, p1=section["p1"])
     name = preset if preset is not None else "custom model"
     print(f"{name} {topology} predictor: {report.flops} FLOPs/token, "
           f"{100.0 * report.reduction_vs_dejavu:.2f}% reduction vs dejavu")
     if out is not None:
         _write_json(out / "flops.json", {
-            "preset": preset, "topology": topology, "p1": int(section["p1"]),
+            "preset": preset, "topology": topology, "p1": section["p1"],
             "flops": report.flops, "dejavu_flops": report.dejavu_flops,
             "reduction_vs_dejavu": report.reduction_vs_dejavu,
         })
-        _write_manifest(out, "flops", cfg, seed, args.workers, [])
+    return []
 
 
-def cmd_oracle(cfg, args, out: Path) -> None:
-    seed = _seed(cfg, args)
+def cmd_oracle(cfg, seed: int, workers: int, out: Path) -> list[Path]:
+    """true single-unit ablation deltas"""
     section = cfg["oracle"]
-    ckpt = _input_path(cfg, "checkpoint")
-    corpus, stream = _load_corpus(cfg)
-    model = load_checkpoint(ckpt)
+    model, stream, inputs = _model_io(cfg)
     eval_tokens = _eval_tokens(cfg, stream)
     results = oracle_ablation(model, eval_tokens, scope=section["scope"],
-                              max_units=int(section["max_units"]),
-                              window=cfg["eval"]["window"],
-                              workers=args.workers)
+                              max_units=section["max_units"],
+                              window=cfg["eval"]["window"], workers=workers)
     write_oracle_csv(results, out / "oracle.csv")
-    _write_manifest(out, "oracle", cfg, seed, args.workers, [ckpt, corpus])
+    return inputs
 
 
-_HANDLERS = {
+_COMMANDS = {
     "train-lm": cmd_train_lm,
     "collect": cmd_collect,
     "train-predictor": cmd_train_predictor,
@@ -498,83 +510,21 @@ def _parser() -> argparse.ArgumentParser:
         prog="shlm",
         description="Contextual-sparsity laboratory for toy decoder LMs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, handler in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="overrides the config seed list")
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", help="output directory")
-        return p
-
-    p = common(sub.add_parser("train-lm", help="train a toy LM on a corpus"))
-    p.add_argument("--corpus")
-    p.add_argument("--tokenizer", choices=("byte", "word"))
-    p.add_argument("--steps", type=int)
-
-    p = common(sub.add_parser("collect", help="score units with a criterion"))
-    p.add_argument("--checkpoint")
-    p.add_argument("--corpus")
-    p.add_argument("--criterion")
-    p.add_argument("--contextual", action="store_true",
-                   help="per-example scores instead of the aggregate")
-    p.add_argument("--n-prompts", dest="n_prompts", type=int)
-    p.add_argument("--prompt-len", dest="prompt_len", type=int)
-
-    p = common(sub.add_parser("train-predictor",
-                              help="fit a sparsity predictor to a criterion"))
-    p.add_argument("--checkpoint")
-    p.add_argument("--corpus")
-    p.add_argument("--criterion")
-    p.add_argument("--topology", choices=TOPOLOGIES)
-    p.add_argument("--n-prompts", dest="n_prompts", type=int)
-
-    p = common(sub.add_parser("eval-predictor",
-                              help="fidelity of a trained predictor"))
-    p.add_argument("--checkpoint")
-    p.add_argument("--predictor")
-    p.add_argument("--corpus")
-    p.add_argument("--n-prompts", dest="n_prompts", type=int)
-
-    p = common(sub.add_parser("sweep", help="perplexity across sparsities"))
-    p.add_argument("--checkpoint")
-    p.add_argument("--corpus")
-    p.add_argument("--criterion")
-    p.add_argument("--predictor", help="contextual masks from this predictor")
-    p.add_argument("--strategy", choices=("local", "global", "both"))
-    p.add_argument("--sparsity", dest="sparsity", type=float, nargs="+")
-    p.add_argument("--window", type=int)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int)
-
-    p = common(sub.add_parser("rank-variance",
-                              help="head rank stability across prompts"))
-    p.add_argument("--checkpoint")
-    p.add_argument("--corpus")
-    p.add_argument("--criterion")
-    p.add_argument("--n-prompts", dest="n_prompts", type=int)
-
-    p = common(sub.add_parser("fewshot",
-                              help="criterion quality vs shot count"))
-    p.add_argument("--checkpoint")
-    p.add_argument("--corpus")
-    p.add_argument("--criterion")
-    p.add_argument("--tasks", nargs="+")
-    p.add_argument("--shots", type=int, nargs="+")
-    p.add_argument("--max-tokens", dest="max_tokens", type=int)
-
-    p = common(sub.add_parser("flops", help="analytical predictor cost"))
-    p.add_argument("--model-preset", dest="model_preset",
-                   choices=sorted(MODEL_PRESETS))
-    p.add_argument("--topology", choices=TOPOLOGIES)
-    p.add_argument("--p1", type=int)
-
-    p = common(sub.add_parser("oracle",
-                              help="true single-unit ablation deltas"))
-    p.add_argument("--checkpoint")
-    p.add_argument("--corpus")
-    p.add_argument("--max-units", dest="max_units", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int)
-
+        for opt in _OPTIONS:
+            if command not in opt.commands:
+                continue
+            if opt.type is bool:
+                kwargs = {"action": "store_true", "default": None}
+            else:
+                kwargs = {"type": opt.type, "choices": opt.choices,
+                          "nargs": "+" if opt.many else None}
+            p.add_argument(opt.flag, dest=opt.field, help=opt.help, **kwargs)
     return parser
 
 
@@ -590,6 +540,7 @@ def main(argv=None) -> int:
     _setup_logging()
     try:
         cfg = _resolve_config(args)
+        seed = _seed(cfg, args)
         # flops only prints unless an output directory is requested
         out = Path(args.out) if args.out else None
         if out is None and args.command != "flops":
@@ -598,10 +549,9 @@ def main(argv=None) -> int:
             raise ConfigError("field 'workers': must be >= 1")
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-        # flag override for the predictor topology lives under 'predictor'
-        if args.command == "flops" and getattr(args, "topology", None):
-            cfg["flops"]["topology"] = args.topology
-        _HANDLERS[args.command](cfg, args, out)
+        inputs = _COMMANDS[args.command](cfg, seed, args.workers, out)
+        if out is not None:
+            _write_manifest(out, args.command, cfg, seed, args.workers, inputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

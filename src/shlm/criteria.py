@@ -64,6 +64,7 @@ class CriterionKind(str, Enum):
 AGGREGATE_ONLY = (CriterionKind.JACOV, CriterionKind.EPENAS)
 CONTEXTUAL_KINDS = tuple(k for k in CriterionKind if k not in AGGREGATE_ONLY)
 ACTIVATION_ONLY = (CriterionKind.L2NORM, CriterionKind.NWOT)
+LOSS_ON = ("all", "target")
 
 
 def needs_grads(kind: CriterionKind) -> bool:
@@ -366,7 +367,7 @@ def collect_criteria(model: TransformerModel, prompts, kind,
         )
     if not prompts:
         raise BatchTooSmallError("collect_criteria: no prompts given")
-    if loss_on not in ("all", "target"):
+    if loss_on not in LOSS_ON:
         raise ValueError(f"loss_on must be 'all' or 'target', got {loss_on!r}")
 
     parts = [_prompt_parts(p, loss_on) for p in prompts]

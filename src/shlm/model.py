@@ -209,7 +209,6 @@ class ForwardResult:
     neuron_grads: list[np.ndarray] | None = None
     up_weights: list[np.ndarray] | None = None     # per layer (E, F)
     up_grads: list[np.ndarray] | None = None
-    head_offset_grads: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -449,8 +448,6 @@ class TransformerModel:
             result.neuron_grads = [self._grad_of(t) for t in taps.neuron_acts]
             result.up_grads = [self._grad_of(p[f"h{i}.w_up"])
                                for i in range(cfg.num_layers)]
-            if head_offsets is not None:
-                result.head_offset_grads = [self._grad_of(t) for t in head_offsets]
         return result
 
     def _unit_factors(self, mask: MaskSet | None, scales: np.ndarray | None,

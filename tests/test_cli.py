@@ -152,6 +152,94 @@ def test_bad_sparsity_is_config_error(tmp_path, pipeline, capsys):
     assert "prune" in capsys.readouterr().err
 
 
+def _run_bad(pipeline, tmp_path, command, patch, flags):
+    """Run ``command`` on real inputs with TOY_CONFIG plus ``patch``
+    (merged one section deep) and the given flags."""
+    cfg = {**TOY_CONFIG}
+    for key, value in patch.items():
+        cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    corpus = ["--corpus", str(pipeline / "corpus.txt")]
+    inputs = {"train-lm": corpus, "flops": ["--model-preset", "opt-1.3b"]}.get(
+        command, ["--checkpoint", str(pipeline / "lm" / "model.bin"), *corpus])
+    return main([command, "--config", str(path), *inputs, *flags,
+                 "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("command,patch,field", [
+    ("collect", {"loss_on": "bogus"}, "loss_on"),
+    ("oracle", {"oracle": {"scope": "bogus"}}, "oracle.scope"),
+    ("train-lm", {"tokenizer": "bogus"}, "tokenizer"),
+    # checked in a section the command does not read, too
+    ("flops", {"oracle": {"scope": "bogus"}}, "oracle.scope"),
+])
+def test_config_enum_value_gets_flag_check(pipeline, tmp_path, capsys,
+                                           command, patch, field):
+    assert _run_bad(pipeline, tmp_path, command, patch, []) == 2
+    assert f"config error: field '{field}': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,patch,flags,field", [
+    ("sweep", {}, ["--window", "1"], "eval.window"),
+    ("oracle", {}, ["--window", "1"], "eval.window"),
+    ("oracle", {"eval": {"window": "abc"}}, [], "eval.window"),
+    ("sweep", {}, ["--max-tokens", "-5"], "eval.max_tokens"),
+    ("fewshot", {}, ["--shots", "-1"], "fewshot.shots"),
+    ("fewshot", {"fewshot": {"n": 0}}, [], "fewshot.n"),
+    ("train-lm", {"train": {"batch_size": 0}}, [], "train.batch_size"),
+    ("train-lm", {"train": {"steps": "abc"}}, [], "train.steps"),
+    ("train-lm", {"train": {"steps": True}}, [], "train.steps"),
+    ("collect", {}, ["--prompt-len", "0"], "prompts.length"),
+    ("flops", {}, ["--p1", "0"], "flops.p1"),
+])
+def test_numeric_field_gets_type_and_minimum(pipeline, tmp_path, capsys,
+                                             command, patch, flags, field):
+    assert _run_bad(pipeline, tmp_path, command, patch, flags) == 2
+    assert f"config error: field '{field}': " in capsys.readouterr().err
+
+
+def test_absent_contextual_flag_keeps_config_value(tmp_path, capsys):
+    cfg = tmp_path / "ctx.json"
+    cfg.write_text(json.dumps({"contextual": True}), encoding="utf-8")
+    assert main(["collect", "--config", str(cfg), "--criterion", "jacov",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "jacov is aggregate-only" in capsys.readouterr().err
+
+
+def test_flops_manifest_records_topology_under_flops(tmp_path):
+    out = tmp_path / "d"
+    assert main(["flops", "--model-preset", "opt-1.3b", "--topology", "dejavu",
+                 "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["flops"]["topology"] == "dejavu"
+    assert config["predictor"] == {}
+
+
+def test_option_table_is_consistent(capsys):
+    from shlm.cli import _COMMANDS, _FREEFORM, _OPTIONS, DEFAULTS
+    for opt in _OPTIONS:
+        # flags bypass _merge, so a misspelt field would pass silently
+        section, *rest = opt.field.split(".")
+        if section in _FREEFORM:
+            assert len(rest) == 1, opt.field
+        else:
+            node = DEFAULTS
+            for part in opt.field.split("."):
+                assert isinstance(node, dict) and part in node, opt.field
+                node = node[part]
+            assert not isinstance(node, dict), opt.field
+        assert set(opt.commands) <= set(_COMMANDS), opt.field
+        assert (opt.flag is None) == (not opt.commands), opt.field
+    for command in _COMMANDS:
+        flags = [o.flag for o in _OPTIONS if command in o.commands]
+        assert len(flags) == len(set(flags)), command
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0, command
+        assert "--out" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
