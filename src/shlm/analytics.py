@@ -13,7 +13,7 @@ import numpy as np
 
 from .criteria import collect_criteria
 from .errors import DegenerateError, LengthMismatchError
-from .model import TransformerModel, num_head_units
+from .model import TransformerModel, unit_blocks
 
 
 @dataclass
@@ -113,24 +113,16 @@ def rank_variance(model: TransformerModel, prompts, criterion: str = "gradnorm",
     """
     cfg = model.cfg
     vectors = collect_criteria(model, prompts, criterion, workers=workers)
-    n_heads = num_head_units(cfg)
-    ranks = np.zeros((len(vectors), n_heads))
-    for i, vec in enumerate(vectors):
-        head_scores = vec.values[:n_heads].astype(np.float64)
-        order = np.argsort(-head_scores, kind="stable")
-        r = np.empty(n_heads)
-        r[order] = np.arange(1, n_heads + 1)
-        ranks[i] = r
+    ranks = np.zeros((len(vectors), cfg.num_layers, cfg.num_heads))
+    for rank, vec in zip(ranks, vectors):
+        head_scores = unit_blocks(cfg, vec.values)[0].astype(np.float64)
+        order = np.argsort(-head_scores, axis=None, kind="stable")
+        rank.flat[order] = np.arange(1, order.size + 1)
     mean_rank = ranks.mean(axis=0)
     variance = ranks.var(axis=0)
-    rows = []
-    for flat in range(n_heads):
-        layer, head = divmod(flat, cfg.num_heads)
-        rows.append((layer, head, float(mean_rank[flat]), float(variance[flat])))
-    per_layer = [
-        float(variance[layer * cfg.num_heads:(layer + 1) * cfg.num_heads].mean())
-        for layer in range(cfg.num_layers)
-    ]
+    rows = [(layer, head, float(mean_rank[layer, head]), float(variance[layer, head]))
+            for layer, head in np.ndindex(variance.shape)]
+    per_layer = [float(v.mean()) for v in variance]
     return RankVarianceTable(rows=rows, per_layer=per_layer)
 
 

@@ -216,13 +216,20 @@ def _seed(cfg: dict, args) -> int:
 
 
 def _model_config(cfg: dict, vocab_size: int | None = None) -> ModelConfig:
+    """The model section; ``vocab_size`` is the word vocabulary's size,
+    the default and the least ``model.vocab_size`` may be."""
     overrides = dict(cfg["model"])
-    if vocab_size is not None and "vocab_size" not in overrides:
-        overrides["vocab_size"] = vocab_size
+    if vocab_size is not None:
+        overrides.setdefault("vocab_size", vocab_size)
     try:
-        return ModelConfig(**overrides)
+        mcfg = ModelConfig(**overrides)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'model': {exc}") from None
+    if vocab_size is not None and mcfg.vocab_size < vocab_size:
+        raise ConfigError(
+            f"field 'model.vocab_size': {mcfg.vocab_size} is smaller than the"
+            f" word vocabulary of {vocab_size} tokens")
+    return mcfg
 
 
 def _predictor_config(cfg: dict) -> PredictorConfig:

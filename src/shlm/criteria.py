@@ -6,7 +6,9 @@ of examples (aggregate-only): jacov and epenas. Aggregation for the
 contextual seven is the elementwise mean of per-example scores.
 l2norm, gradnorm, plainact and fisher are rows of one reduction table.
 snip is plainact on this model family: its |x| * |dL/dx| equals
-|x * dL/dx| bit for bit.
+|x * dL/dx| bit for bit. jacov and epenas are computed per layer block,
+one gradient stack, correlation and eigvalsh call for all of a layer's
+heads or neurons; the scores equal the per-unit computation bit for bit.
 
 For a head the activation is its attention output ``A`` (heads, T,
 head_dim) before masking; for an FFN neuron the activation is its
@@ -39,9 +41,8 @@ from .model import (
     ForwardResult,
     ModelConfig,
     TransformerModel,
-    UnitKind,
+    _flat_scores,
     _Replicas,
-    num_units,
     unit_at,
 )
 
@@ -92,10 +93,6 @@ class ScoreVector:
             raise ValueError("ScoreVector values/covered must be matching 1-D arrays")
 
 
-def _flat_scores(cfg: ModelConfig, heads: np.ndarray, neurons: np.ndarray) -> np.ndarray:
-    return np.concatenate([heads.reshape(-1), neurons.reshape(-1)]).astype(np.float64)
-
-
 def _require(capture: ForwardResult, attr: str, kind: CriterionKind) -> list:
     value = getattr(capture, attr)
     if value is None:
@@ -136,7 +133,7 @@ def _table_score(capture: ForwardResult, kind: CriterionKind) -> np.ndarray:
             per_layer.append(reduce(elementwise(x), axis=axis))
         stacked = np.stack(per_layer)
         parts.append(stacked if final is None else final(stacked))
-    return _flat_scores(capture.cfg, *parts)
+    return _flat_scores(*parts)
 
 
 def score_l2norm(capture: ForwardResult) -> np.ndarray:
@@ -181,7 +178,7 @@ def score_nwot(capture: ForwardResult) -> np.ndarray:
         col = hidden[layer].astype(np.float64)                    # (T, F)
         ms_n = np.square(1.0 - col).mean(axis=0)
         neurons[layer] = np.where(ms_n > 0.0, np.log(np.maximum(ms_n, 1e-300)), NEG_INF)
-    return _flat_scores(cfg, heads, neurons)
+    return _flat_scores(heads, neurons)
 
 
 def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
@@ -196,86 +193,63 @@ def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
         capture = None
     if capture is None or capture.head_grads is None:
         capture = model.forward(tokens, capture=CAPTURE_GRADS, loss_from=loss_from)
-    cfg = model.cfg
-    t_len = len(tokens)
-    h_shape = (cfg.num_heads, t_len, cfg.head_dim)
-    u_shape = (cfg.embed_dim, cfg.ffn_dim)
+    n_layers = model.cfg.num_layers
+    # one probe per unit kind: (forward offset, its gradient, the factor
+    # the Hessian-gradient product is multiplied by, the reduced axes)
+    probes = (("head_offsets", capture.head_grads, capture.head_acts, (1, 2)),
+              ("up_offsets", capture.up_grads, capture.up_weights, 0))
+    parts = []
+    for name, grads, factors, axis in probes:
+        shape, size = grads[0].shape, grads[0].size
+        g = np.concatenate([x.reshape(-1) for x in grads]).astype(np.float64)
 
-    def split(flat: T.Tensor, shape) -> list[T.Tensor]:
-        size = int(np.prod(shape))
-        return [
-            T.reshape(T.slice_rows(flat, i * size, (i + 1) * size), shape)
-            for i in range(cfg.num_layers)
-        ]
+        def loss(flat, name=name, shape=shape, size=size):
+            offsets = [T.reshape(T.slice_rows(flat, i * size, (i + 1) * size), shape)
+                       for i in range(n_layers)]
+            return model.forward(tokens, loss_from=loss_from,
+                                 **{name: offsets}).loss_tensor
 
-    # heads: Hessian w.r.t. head activations, probed along their gradient
-    g_heads = np.concatenate([g.reshape(-1) for g in capture.head_grads]).astype(np.float64)
-    zero_h = T.Tensor(np.zeros_like(g_heads), dtype=np.float64)
-
-    def loss_h(flat):
-        res = model.forward(tokens, head_offsets=split(flat, h_shape),
-                            loss_from=loss_from)
-        return res.loss_tensor
-
-    hv_heads = T.hessian_vector_product(loss_h, zero_h, T.Tensor(g_heads), eps=eps).data
-
-    # neurons: Hessian w.r.t. up-projection weights, probed along their gradient
-    g_ups = np.concatenate([g.reshape(-1) for g in capture.up_grads]).astype(np.float64)
-    zero_u = T.Tensor(np.zeros_like(g_ups), dtype=np.float64)
-
-    def loss_u(flat):
-        res = model.forward(tokens, up_offsets=split(flat, u_shape),
-                            loss_from=loss_from)
-        return res.loss_tensor
-
-    hv_ups = T.hessian_vector_product(loss_u, zero_u, T.Tensor(g_ups), eps=eps).data
-
-    heads = np.zeros((cfg.num_layers, cfg.num_heads))
-    neurons = np.zeros((cfg.num_layers, cfg.ffn_dim))
-    h_size = int(np.prod(h_shape))
-    u_size = int(np.prod(u_shape))
-    for layer in range(cfg.num_layers):
-        hg = hv_heads[layer * h_size:(layer + 1) * h_size].reshape(h_shape)
-        heads[layer] = np.abs(-hg * capture.head_acts[layer]).sum(axis=(1, 2))
-        ug = hv_ups[layer * u_size:(layer + 1) * u_size].reshape(u_shape)
-        neurons[layer] = np.abs(-ug * capture.up_weights[layer]).sum(axis=0)
-    return _flat_scores(cfg, heads, neurons)
+        zero = T.Tensor(np.zeros_like(g), dtype=np.float64)
+        hv = T.hessian_vector_product(loss, zero, T.Tensor(g), eps=eps).data
+        parts.append(np.stack([np.abs(-h.reshape(shape) * f).sum(axis=axis)
+                               for h, f in zip(np.split(hv, n_layers), factors)]))
+    return _flat_scores(*parts)
 
 
 # ---------------------------------------------------------------------------
 # aggregate-only criteria
 
 
-def _unit_grad_matrix(captures: list[ForwardResult], flat: int) -> np.ndarray:
-    """Per-example gradient vectors for one unit, stacked as rows.
+def _grad_blocks(captures: list[ForwardResult]):
+    """Per-example gradient vectors, one (units, examples, dim) float64
+    block per (kind, layer), in canonical unit order.
 
     Heads use the position-mean of the activation gradient (length
     head_dim, well-defined across prompts of different lengths); neurons
-    use the up-projection column gradient (length embed_dim).
+    use the up-projection column gradient (length embed_dim). Blocks are
+    C-contiguous so each row reduces in the same order as on its own.
     """
-    cfg = captures[0].cfg
-    uid = unit_at(cfg, flat)
-    rows = []
-    for cap in captures:
-        if uid.kind == UnitKind.HEAD:
-            rows.append(cap.head_grads[uid.layer][uid.index].mean(axis=0))
-        else:
-            rows.append(cap.up_grads[uid.layer][:, uid.index])
-    return np.stack(rows).astype(np.float64)
+    for layer in range(captures[0].cfg.num_layers):
+        yield np.stack([c.head_grads[layer].mean(axis=1) for c in captures],
+                       axis=1).astype(np.float64)
+    for layer in range(captures[0].cfg.num_layers):
+        yield np.ascontiguousarray(
+            np.stack([c.up_grads[layer].T for c in captures], axis=1),
+            dtype=np.float64)
 
 
 def _corrcoef_rows(m: np.ndarray) -> np.ndarray:
-    """Row correlation matrix; zero-variance rows correlate with nothing
-    but themselves."""
-    x = m - m.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(x, axis=1)
+    """Row correlation matrix of each (rows, dim) matrix in a stack;
+    zero-variance rows correlate with nothing but themselves."""
+    x = m - m.mean(axis=-1, keepdims=True)
+    norms = np.linalg.norm(x, axis=-1)
     ok = norms > 0
     safe = np.where(ok, norms, 1.0)
-    xn = x / safe[:, None]
-    c = xn @ xn.T
-    c[~ok, :] = 0.0
-    c[:, ~ok] = 0.0
-    np.fill_diagonal(c, 1.0)
+    xn = x / safe[..., None]
+    c = xn @ np.swapaxes(xn, -1, -2)
+    c[~(ok[..., :, None] & ok[..., None, :])] = 0.0
+    diag = np.arange(c.shape[-1])
+    c[..., diag, diag] = 1.0
     return np.clip(c, -1.0, 1.0)
 
 
@@ -283,13 +257,11 @@ def score_jacov(captures: list[ForwardResult], k: float = _JACOV_K) -> np.ndarra
     """Jacobian-covariance diversity score per unit across a batch."""
     if len(captures) < 2:
         raise BatchTooSmallError("jacov needs at least 2 examples")
-    cfg = captures[0].cfg
-    out = np.zeros(num_units(cfg))
-    for flat in range(num_units(cfg)):
-        c = _corrcoef_rows(_unit_grad_matrix(captures, flat))
-        lam = np.linalg.eigvalsh(c)
-        out[flat] = float(-(np.log(lam + k) + 1.0 / (lam + k)).sum())
-    return out
+    out = []
+    for block in _grad_blocks(captures):
+        lam = np.linalg.eigvalsh(_corrcoef_rows(block))
+        out.append(-(np.log(lam + k) + 1.0 / (lam + k)).sum(axis=-1))
+    return np.concatenate(out)
 
 
 def score_epenas(captures: list[ForwardResult], labels) -> np.ndarray:
@@ -301,18 +273,17 @@ def score_epenas(captures: list[ForwardResult], labels) -> np.ndarray:
         raise ValueError("epenas: one label per example required")
     if np.unique(labels).size < 2:
         raise SingleClassError("epenas needs at least 2 distinct classes")
-    cfg = captures[0].cfg
-    b = len(captures)
-    iu, ju = np.triu_indices(b, k=1)
+    iu, ju = np.triu_indices(len(captures), k=1)
     same = labels[iu] == labels[ju]
-    out = np.zeros(num_units(cfg))
-    for flat in range(num_units(cfg)):
-        c = _corrcoef_rows(_unit_grad_matrix(captures, flat))
-        pair_corr = c[iu, ju]
-        intra = float(pair_corr[same].mean()) if same.any() else 0.0
-        inter = float(pair_corr[~same].mean()) if (~same).any() else 0.0
-        out[flat] = intra - inter
-    return out
+    out = []
+    for block in _grad_blocks(captures):
+        pair_corr = _corrcoef_rows(block)[:, iu, ju]
+        # the fancy-indexed pairs are not C-contiguous; a contiguous copy
+        # sums each unit's row in the order a lone row would be summed
+        intra, inter = (np.ascontiguousarray(pair_corr[:, sel]).mean(axis=-1)
+                        if sel.any() else 0.0 for sel in (same, ~same))
+        out.append(intra - inter)
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +308,7 @@ def _prompt_parts(prompt, loss_on: str):
 def score_contextual(capture: ForwardResult, kind: CriterionKind,
                      model: TransformerModel | None = None,
                      tokens: np.ndarray | None = None,
-                     loss_from: int = 1, grasp_eps: float = 1e-4) -> np.ndarray:
+                     loss_from: int = 1) -> np.ndarray:
     kind = CriterionKind(kind)
     if kind in AGGREGATE_ONLY:
         raise ContextualUnsupportedError(f"{kind.value} is aggregate-only")
@@ -347,13 +318,12 @@ def score_contextual(capture: ForwardResult, kind: CriterionKind,
         return score_nwot(capture)
     if model is None or tokens is None:
         raise MissingCaptureError("grasp scoring needs the model and tokens")
-    return score_grasp(model, tokens, loss_from=loss_from, eps=grasp_eps,
-                       capture=capture)
+    return score_grasp(model, tokens, loss_from=loss_from, capture=capture)
 
 
 def collect_criteria(model: TransformerModel, prompts, kind,
                      aggregate: bool = False, loss_on: str = "all",
-                     workers: int = 1, grasp_eps: float = 1e-4):
+                     workers: int = 1):
     """Score every unit on each prompt.
 
     Returns a list of per-example ScoreVectors, or a single aggregated
@@ -394,7 +364,7 @@ def collect_criteria(model: TransformerModel, prompts, kind,
     def score_one(m: TransformerModel, idx_part):
         idx, (tokens, loss_from, _) = idx_part
         return score_contextual(captures[idx], kind, model=m, tokens=tokens,
-                                loss_from=loss_from, grasp_eps=grasp_eps)
+                                loss_from=loss_from)
 
     if kind == CriterionKind.GRASP:
         raw = replicas.run(list(enumerate(parts)), score_one)

@@ -117,6 +117,19 @@ def all_units(cfg: ModelConfig) -> list[UnitId]:
     return [unit_at(cfg, i) for i in range(num_units(cfg))]
 
 
+def unit_blocks(cfg: ModelConfig, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views (heads (L, H), neurons (L, F)) into a canonical flat unit
+    vector; a write through a block lands in ``flat``."""
+    n_heads = num_head_units(cfg)
+    return (flat[:n_heads].reshape(cfg.num_layers, cfg.num_heads),
+            flat[n_heads:].reshape(cfg.num_layers, cfg.ffn_dim))
+
+
+def _flat_scores(heads: np.ndarray, neurons: np.ndarray) -> np.ndarray:
+    """The inverse of ``unit_blocks``: one float64 vector in canonical order."""
+    return np.concatenate([heads.reshape(-1), neurons.reshape(-1)]).astype(np.float64)
+
+
 class MaskSet:
     """Boolean keep-masks per layer: heads (N, H) and neurons (N, F)."""
 

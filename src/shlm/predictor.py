@@ -25,7 +25,7 @@ from .errors import (ConfigMismatchError, ContextualUnsupportedError,
                      EmptyPromptError, FeatureShapeMismatchError,
                      NoCoveredUnitsError)
 from .model import (MaskSet, ModelConfig, Taps, TransformerModel,
-                    num_head_units, num_units)
+                    num_units, unit_blocks)
 from .pruning import PruneSpec, build_mask
 from .train import AdamW, cosine_lr
 
@@ -161,21 +161,10 @@ def covered_layers(cfg: ModelConfig, topology: str) -> list[int]:
 
 def covered_units(cfg: ModelConfig, topology: str) -> np.ndarray:
     """Canonical-order bool mask of units the topology can score."""
-    layers = set(covered_layers(cfg, topology))
     cov = np.zeros(num_units(cfg), dtype=bool)
-    heads = cov[: num_head_units(cfg)].reshape(cfg.num_layers, cfg.num_heads)
-    neurons = cov[num_head_units(cfg):].reshape(cfg.num_layers, cfg.ffn_dim)
-    for l in layers:
-        heads[l, :] = True
-        neurons[l, :] = True
+    for block in unit_blocks(cfg, cov):
+        block[covered_layers(cfg, topology)] = True
     return cov
-
-
-def _layer_slices(cfg: ModelConfig, layer: int) -> tuple[slice, slice]:
-    """(head slice, neuron slice) into the canonical flat unit order."""
-    hb = num_head_units(cfg)
-    return (slice(layer * cfg.num_heads, (layer + 1) * cfg.num_heads),
-            slice(hb + layer * cfg.ffn_dim, hb + (layer + 1) * cfg.ffn_dim))
 
 
 def _nets(cfg: ModelConfig, covered: np.ndarray, topology: str,
@@ -190,9 +179,8 @@ def _nets(cfg: ModelConfig, covered: np.ndarray, topology: str,
     nets = []
     for row, host in enumerate(dejavu_hosts(cfg, stride)):
         window = np.zeros_like(covered)
-        for layer in dejavu_window(cfg, host, stride):
-            for sl in _layer_slices(cfg, layer):
-                window[sl] = True
+        for block in unit_blocks(cfg, window):
+            block[dejavu_window(cfg, host, stride)] = True
         cols = np.flatnonzero(covered & window)
         if cols.size:
             nets.append((f"host{host}.", row, host, cols))
@@ -254,59 +242,35 @@ def _check_feature(feature: np.ndarray, expected: tuple, topology: str):
 # target normalization
 
 
-def _normalize_slice(raw: np.ndarray, scheme: str) -> tuple[np.ndarray, tuple]:
-    """Map one layer's scores to training targets; params invert the map."""
+def _normalize_slice(raw: np.ndarray, scheme: str) -> np.ndarray:
+    """Map one layer's scores of one kind to training targets."""
     raw = np.asarray(raw, dtype=np.float64)
     if scheme == "none":
-        return raw.copy(), (0.0, 1.0)
+        return raw.copy()
     if scheme == "minmax":
         lo, hi = float(raw.min()), float(raw.max())
         span = hi - lo
         if span <= 0.0:
-            return np.full(raw.shape, 0.5), (lo, 0.0)
-        return (raw - lo) / span, (lo, span)
+            return np.full(raw.shape, 0.5)
+        return (raw - lo) / span
     mean = float(raw.mean())
     std = float(raw.std())
     if std <= 0.0:
-        return np.zeros(raw.shape), (mean, 0.0)
-    return (raw - mean) / std, (mean, std)
-
-
-def _denormalize_slice(norm: np.ndarray, scheme: str, params: tuple) -> np.ndarray:
-    a, b = params
-    if scheme == "none":
-        return np.asarray(norm, dtype=np.float64).copy()
-    # degenerate slices store b=0 and collapse back to the constant a
-    return np.asarray(norm, dtype=np.float64) * b + a
+        return np.zeros(raw.shape)
+    return (raw - mean) / std
 
 
 def normalize_scores(cfg: ModelConfig, scores: ScoreVector,
-                     scheme: str) -> tuple[np.ndarray, dict]:
+                     scheme: str) -> np.ndarray:
     """Per-layer, per-kind normalization over covered units only."""
     out = np.zeros(num_units(cfg), dtype=np.float64)
-    params: dict[tuple[int, str], tuple] = {}
-    for layer in range(cfg.num_layers):
-        for kind, sl in zip(("head", "neuron"), _layer_slices(cfg, layer)):
-            covered = scores.covered[sl]
-            if not covered.any():
-                continue
-            vals, p = _normalize_slice(
-                scores.values[sl][covered].astype(np.float64), scheme)
-            seg = out[sl]
-            seg[covered] = vals
-            params[(layer, kind)] = p
-    return out, params
-
-
-def denormalize_scores(cfg: ModelConfig, normalized: np.ndarray,
-                       covered: np.ndarray, scheme: str,
-                       params: dict) -> np.ndarray:
-    out = np.zeros(num_units(cfg), dtype=np.float64)
-    for (layer, kind), p in params.items():
-        sl = _layer_slices(cfg, layer)[0 if kind == "head" else 1]
-        cov = covered[sl]
-        seg = out[sl]
-        seg[cov] = _denormalize_slice(normalized[sl][cov], scheme, p)
+    for dst, values, covered in zip(unit_blocks(cfg, out),
+                                    unit_blocks(cfg, scores.values),
+                                    unit_blocks(cfg, scores.covered)):
+        for layer, cov in enumerate(covered):
+            if cov.any():
+                dst[layer, cov] = _normalize_slice(
+                    values[layer, cov].astype(np.float64), scheme)
     return out
 
 
@@ -317,7 +281,7 @@ def denormalize_scores(cfg: ModelConfig, normalized: np.ndarray,
 @dataclass
 class CriteriaDataset:
     """Per-example (feature, normalized target) pairs plus everything
-    needed to recover raw scores and redo the train/held-out split."""
+    needed to redo the train/held-out split."""
 
     model_config: ModelConfig
     topology: str
@@ -327,8 +291,6 @@ class CriteriaDataset:
     features: list
     targets: np.ndarray            # (n, num_units) f64, normalized
     covered: np.ndarray            # canonical bool mask, shared
-    norm_params: list[dict]        # per example {(layer, kind): (a, b)}
-    shots: int | None = None
     train_idx: np.ndarray = field(default=None)
     heldout_idx: np.ndarray = field(default=None)
 
@@ -342,17 +304,11 @@ class CriteriaDataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    def raw_scores(self, i: int) -> np.ndarray:
-        return denormalize_scores(self.model_config, self.targets[i],
-                                  self.covered, self.normalization,
-                                  self.norm_params[i])
-
 
 def build_dataset(model: TransformerModel, prompts, criterion,
                   topology: str = "shadow", normalization: str = "minmax",
-                  shots: int | None = None, stride: int = 2,
-                  loss_on: str = "all", workers: int = 1,
-                  grasp_eps: float = 1e-4) -> CriteriaDataset:
+                  stride: int = 2, loss_on: str = "all",
+                  workers: int = 1) -> CriteriaDataset:
     """Score each prompt with a contextual criterion and pair those
     targets with predictor features from the same dense forward."""
     from .criteria import collect_criteria
@@ -372,25 +328,21 @@ def build_dataset(model: TransformerModel, prompts, criterion,
             raise EmptyPromptError("dataset prompts must be non-empty")
 
     per_example = collect_criteria(model, prompts, kind, aggregate=False,
-                                   loss_on=loss_on, workers=workers,
-                                   grasp_eps=grasp_eps)
+                                   loss_on=loss_on, workers=workers)
     topo_cov = covered_units(model.cfg, topology)
-    features, targets, all_params = [], [], []
+    features, targets = [], []
     covered = None
     for prompt, sv in zip(prompts, per_example):
         cov = sv.covered & topo_cov
         if covered is None:
             covered = cov
         masked = ScoreVector(sv.values, sv.criterion, sv.example_id, cov)
-        norm, params = normalize_scores(model.cfg, masked, normalization)
         features.append(extract_features(model, prompt, topology, stride))
-        targets.append(norm)
-        all_params.append(params)
+        targets.append(normalize_scores(model.cfg, masked, normalization))
     return CriteriaDataset(
         model_config=model.cfg, topology=topology, criterion=kind.value,
         normalization=normalization, stride=stride, features=features,
-        targets=np.asarray(targets, dtype=np.float64), covered=covered,
-        norm_params=all_params, shots=shots)
+        targets=np.asarray(targets, dtype=np.float64), covered=covered)
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +633,10 @@ def predictor_fidelity(predictor, dataset: CriteriaDataset,
         raise EmptyHeldoutError(f"dataset has no '{split}' examples")
     mcfg = dataset.model_config
     covered = dataset.covered
+    cov_blocks = unit_blocks(mcfg, covered)
     layer_rhos: dict[int, list[float]] = {
         l: [] for l in range(mcfg.num_layers)
-        if any(covered[s].any() for s in _layer_slices(mcfg, l))}
+        if any(cov[l].any() for cov in cov_blocks)}
     globals_, sq_errs = [], []
     degenerate = 0
     for i in idx:
@@ -702,9 +655,8 @@ def predictor_fidelity(predictor, dataset: CriteriaDataset,
         sq_errs.append(float(np.mean((p - t) ** 2)))
         for l in layer_rhos:
             sel = np.zeros_like(covered)
-            for s in _layer_slices(mcfg, l):
-                sel[s] = True
-            sel &= covered
+            for block, cov in zip(unit_blocks(mcfg, sel), cov_blocks):
+                block[l] = cov[l]
             rho_l, bad_l = _safe_spearman(pred_vals[sel], target[sel])
             layer_rhos[l].append(rho_l)
             degenerate += bad_l

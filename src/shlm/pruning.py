@@ -28,9 +28,9 @@ from .model import (
     UnitKind,
     _nll_from_logits,
     _Replicas,
-    num_head_units,
     num_units,
     unit_at,
+    unit_blocks,
 )
 
 STRATEGIES = ("local", "global")
@@ -51,28 +51,16 @@ class PruneSpec:
             raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
 
 
-def _kind_block(cfg: ModelConfig, scores: ScoreVector, kind: UnitKind):
-    """(values, covered) reshaped (layers, width) for one unit kind."""
-    n_heads = num_head_units(cfg)
-    if kind == UnitKind.HEAD:
-        shape = (cfg.num_layers, cfg.num_heads)
-        return (scores.values[:n_heads].astype(np.float64).reshape(shape),
-                scores.covered[:n_heads].reshape(shape))
-    shape = (cfg.num_layers, cfg.ffn_dim)
-    return (scores.values[n_heads:].astype(np.float64).reshape(shape),
-            scores.covered[n_heads:].reshape(shape))
-
-
-def _prune_kind(cfg: ModelConfig, scores: ScoreVector, spec: PruneSpec,
-                kind: UnitKind, keep: np.ndarray) -> None:
-    values, covered = _kind_block(cfg, scores, kind)
+def _prune_kind(spec: PruneSpec, values: np.ndarray, covered: np.ndarray,
+                keep: np.ndarray) -> None:
+    """Clear ``keep`` for one kind's victims; all three are (layers, width)."""
     width = values.shape[1]
     eligible = covered.copy()
     if spec.protect_first_layer:
         eligible[0, :] = False
 
     if spec.strategy == "local":
-        for layer in range(cfg.num_layers):
+        for layer in range(len(values)):
             pool = np.flatnonzero(eligible[layer])
             if pool.size == 0:
                 continue
@@ -106,10 +94,12 @@ def build_mask(cfg: ModelConfig, scores: ScoreVector, spec: PruneSpec) -> MaskSe
             f"score vector length {scores.values.shape} does not match model"
         )
     mask = MaskSet.ones(cfg)
-    if spec.scope in ("heads", "both"):
-        _prune_kind(cfg, scores, spec, UnitKind.HEAD, mask.heads)
-    if spec.scope in ("neurons", "both"):
-        _prune_kind(cfg, scores, spec, UnitKind.NEURON, mask.neurons)
+    blocks = zip(("heads", "neurons"),
+                 unit_blocks(cfg, scores.values.astype(np.float64)),
+                 unit_blocks(cfg, scores.covered), (mask.heads, mask.neurons))
+    for kind, values, covered, keep in blocks:
+        if spec.scope in (kind, "both"):
+            _prune_kind(spec, values, covered, keep)
     return mask
 
 

@@ -207,6 +207,21 @@ def test_absent_contextual_flag_keeps_config_value(tmp_path, capsys):
     assert "jacov is aggregate-only" in capsys.readouterr().err
 
 
+def test_model_vocab_below_word_vocab_is_config_error(tmp_path, capsys):
+    corpus = tmp_path / "words.txt"
+    corpus.write_text(" ".join(f"w{i}" for i in range(400)) + "\n",
+                      encoding="utf-8")   # 400 words plus <unk>
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": TOY_CONFIG["model"],
+                               "train": {"steps": 1, "seq_len": 8}}),
+                   encoding="utf-8")
+    assert main(["train-lm", "--config", str(cfg), "--corpus", str(corpus),
+                 "--tokenizer", "word", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: field 'model.vocab_size': 256 " in err
+    assert "401" in err
+
+
 def test_flops_manifest_records_topology_under_flops(tmp_path):
     out = tmp_path / "d"
     assert main(["flops", "--model-preset", "opt-1.3b", "--topology", "dejavu",

@@ -38,6 +38,7 @@ from shlm.model import (
     MaskSet,
     num_head_units,
     num_units,
+    unit_at,
     unit_index,
 )
 from shlm.text import make_fewshot_prompts
@@ -231,6 +232,53 @@ def test_epenas_separable_classes():
     got = score_epenas(captures, labels=[0, 0, 1, 1])
     idx = unit_index(cfg, UnitId(0, UnitKind.HEAD, 0))
     assert got[idx] == pytest.approx(1.0, abs=1e-9)
+
+
+def _per_unit_grads(captures, flat):
+    """One unit's gradient rows, built unit by unit as the reference."""
+    uid = unit_at(captures[0].cfg, flat)
+    rows = []
+    for cap in captures:
+        if uid.kind == UnitKind.HEAD:
+            rows.append(cap.head_grads[uid.layer][uid.index].mean(axis=0))
+        else:
+            rows.append(cap.up_grads[uid.layer][:, uid.index])
+    return np.stack(rows).astype(np.float64)
+
+
+def _per_unit_corrcoef(m):
+    x = m - m.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(x, axis=1)
+    ok = norms > 0
+    xn = x / np.where(ok, norms, 1.0)[:, None]
+    c = xn @ xn.T
+    c[~ok, :] = 0.0
+    c[:, ~ok] = 0.0
+    np.fill_diagonal(c, 1.0)
+    return np.clip(c, -1.0, 1.0)
+
+
+def test_jacov_epenas_blocks_equal_per_unit_reference(trained_model):
+    rng = np.random.default_rng(12)
+    captures = [trained_model.forward(rng.integers(0, 256, size=12),
+                                      capture=CAPTURE_GRADS) for _ in range(5)]
+    for cap in captures:   # one zero-variance head and neuron
+        cap.head_grads[1][2][:] = 0.0
+        cap.up_grads[0][:, 5] = 0.0
+    labels = np.array([0, 1, 0, 2, 1])   # same- and cross-class pairs
+    iu, ju = np.triu_indices(len(captures), k=1)
+    same = labels[iu] == labels[ju]
+    k = 1e-5
+    want_jacov = np.zeros(num_units(TINY))
+    want_epenas = np.zeros(num_units(TINY))
+    for flat in range(num_units(TINY)):
+        c = _per_unit_corrcoef(_per_unit_grads(captures, flat))
+        lam = np.linalg.eigvalsh(c)
+        want_jacov[flat] = float(-(np.log(lam + k) + 1.0 / (lam + k)).sum())
+        pairs = c[iu, ju]
+        want_epenas[flat] = float(pairs[same].mean()) - float(pairs[~same].mean())
+    assert np.array_equal(score_jacov(captures), want_jacov)
+    assert np.array_equal(score_epenas(captures, labels), want_epenas)
 
 
 def test_epenas_errors():

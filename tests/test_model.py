@@ -20,9 +20,11 @@ from shlm.model import (
     TransformerModel,
     UnitId,
     UnitKind,
+    _flat_scores,
     all_units,
     num_units,
     unit_at,
+    unit_blocks,
     unit_index,
 )
 
@@ -47,6 +49,20 @@ def test_config_validation():
 def test_param_count_matches_closed_form():
     model = TransformerModel(TINY, seed=0)
     assert model.param_count() == TransformerModel.expected_param_count(TINY)
+
+
+def test_unit_blocks_are_views_in_canonical_order():
+    flat = np.random.default_rng(2).standard_normal(num_units(TINY))
+    before = flat.copy()
+    blocks = dict(zip((UnitKind.HEAD, UnitKind.NEURON), unit_blocks(TINY, flat)))
+    assert blocks[UnitKind.HEAD].shape == (TINY.num_layers, TINY.num_heads)
+    assert blocks[UnitKind.NEURON].shape == (TINY.num_layers, TINY.ffn_dim)
+    for uid in all_units(TINY):
+        i = unit_index(TINY, uid)
+        assert blocks[uid.kind][uid.layer, uid.index] == flat[i]
+        blocks[uid.kind][uid.layer, uid.index] = -1.0 - i
+        assert flat[i] == -1.0 - i
+    assert np.array_equal(_flat_scores(*unit_blocks(TINY, before)), before)
 
 
 def test_unit_indexing_roundtrip():

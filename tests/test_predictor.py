@@ -9,11 +9,12 @@ from shlm.errors import (ConfigMismatchError, ContextualUnsupportedError,
                          DatasetTooSmallError, EmptyHeldoutError,
                          EmptyPromptError, FeatureShapeMismatchError,
                          NoCoveredUnitsError)
-from shlm.model import CAPTURE_ACTIVATIONS, ModelConfig, TransformerModel
+from shlm.model import (CAPTURE_ACTIVATIONS, ModelConfig, TransformerModel,
+                        unit_blocks)
 from shlm.predictor import (MODEL_PRESETS, CriteriaDataset, PredictorConfig,
                             build_dataset, contextual_mask_source,
                             covered_units, dejavu_hosts, dejavu_window,
-                            denormalize_scores, extract_features,
+                            extract_features,
                             load_predictor, normalize_scores,
                             predict_scores, predictor_fidelity,
                             predictor_flops, save_predictor, train_predictor)
@@ -208,7 +209,7 @@ def _score_vector(cfg, rng):
 def test_minmax_spans_unit_interval():
     rng = np.random.default_rng(3)
     sv = _score_vector(TINY, rng)
-    norm, params = normalize_scores(TINY, sv, "minmax")
+    norm = normalize_scores(TINY, sv, "minmax")
     heads = norm[: TINY.num_layers * TINY.num_heads].reshape(
         TINY.num_layers, TINY.num_heads)
     for layer in range(TINY.num_layers):
@@ -222,28 +223,41 @@ def test_minmax_degenerate_layer_maps_to_half():
                     dtype=np.float32)
     vals[:] = 4.25
     sv = ScoreVector(vals, "l2norm")
-    norm, params = normalize_scores(TINY, sv, "minmax")
+    norm = normalize_scores(TINY, sv, "minmax")
     assert (norm == 0.5).all()
-    back = denormalize_scores(TINY, norm, sv.covered, "minmax", params)
-    np.testing.assert_allclose(back, 4.25, atol=1e-6)
+
+
+_CLOSED_FORMS = {
+    "minmax": lambda x: (x - x.min()) / (x.max() - x.min()),
+    "zscore": lambda x: (x - x.mean()) / x.std(),
+    "none": lambda x: x,
+}
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1),
-       st.sampled_from(["minmax", "zscore", "none"]))
-def test_normalization_round_trip(seed, scheme):
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(sorted(_CLOSED_FORMS)))
+def test_normalization_closed_form(seed, scheme):
     rng = np.random.default_rng(seed)
     sv = _score_vector(TINY, rng)
-    norm, params = normalize_scores(TINY, sv, scheme)
-    back = denormalize_scores(TINY, norm, sv.covered, scheme, params)
-    np.testing.assert_allclose(back, sv.values.astype(np.float64),
-                               atol=1e-6, rtol=1e-6)
+    for block in unit_blocks(TINY, sv.covered):   # drop whole (layer, kind)s
+        block[rng.random(len(block)) < 0.3] = False
+    norm = normalize_scores(TINY, sv, scheme)
+    for got, raw, cov in zip(unit_blocks(TINY, norm),
+                             unit_blocks(TINY, sv.values.astype(np.float64)),
+                             unit_blocks(TINY, sv.covered)):
+        for layer in range(TINY.num_layers):
+            if not cov[layer].any():
+                assert (got[layer] == 0.0).all()
+                continue
+            np.testing.assert_allclose(got[layer],
+                                       _CLOSED_FORMS[scheme](raw[layer]),
+                                       atol=1e-12, rtol=1e-12)
 
 
 def test_normalization_none_is_identity():
     rng = np.random.default_rng(5)
     sv = _score_vector(TINY, rng)
-    norm, _ = normalize_scores(TINY, sv, "none")
+    norm = normalize_scores(TINY, sv, "none")
     np.testing.assert_array_equal(norm, sv.values.astype(np.float64))
 
 
@@ -273,15 +287,15 @@ def test_dataset_targets_normalized_per_layer(shadow_dataset):
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
 
-def test_dataset_raw_scores_recoverable(trained_model, shadow_dataset):
+def test_dataset_targets_are_own_normalized_scores(trained_model,
+                                                   shadow_dataset):
     rng = np.random.default_rng(11)
     prompt = np.asarray(rng.integers(0, TINY.vocab_size, size=16),
                         dtype=np.int64)
     raw = collect_criteria(trained_model, [prompt], "plainact")[0]
-    rec = shadow_dataset.raw_scores(0)
-    cov = shadow_dataset.covered
-    np.testing.assert_allclose(rec[cov], raw.values.astype(np.float64)[cov],
-                               atol=1e-6, rtol=1e-5)
+    raw.covered = shadow_dataset.covered
+    want = normalize_scores(TINY, raw, shadow_dataset.normalization)
+    np.testing.assert_array_equal(shadow_dataset.targets[0], want)
 
 
 def test_dataset_rejects_aggregate_only_criteria(trained_model):
@@ -346,8 +360,7 @@ def test_constant_targets_drive_mse_to_zero(shadow_dataset):
         stride=shadow_dataset.stride,
         features=shadow_dataset.features,
         targets=np.full_like(shadow_dataset.targets, 0.5),
-        covered=shadow_dataset.covered,
-        norm_params=shadow_dataset.norm_params)
+        covered=shadow_dataset.covered)
     # AdamW's normalized steps move params by about lr per step, so the
     # 0.5 offset needs the faster rate to be reachable in 400 epochs
     cfg = PredictorConfig(epochs=400, batch=8, lr=1e-2, weight_decay=0.0)
