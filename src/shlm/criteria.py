@@ -31,6 +31,7 @@ import numpy as np
 from . import tensor as T
 from .errors import (
     BatchTooSmallError,
+    CaptureMismatchError,
     ContextualUnsupportedError,
     MissingCaptureError,
     SingleClassError,
@@ -43,7 +44,7 @@ from .model import (
     TransformerModel,
     _flat_scores,
     _Replicas,
-    unit_at,
+    all_units,
 )
 
 NEG_INF = float("-inf")  # sentinel for log-of-zero nwot scores
@@ -186,8 +187,22 @@ def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
     """Hessian-gradient probe: L1 norm of -(H g) elementwise-times the
     activation (heads) or up-projection column (neurons).
 
-    Runs its own float64 captures; a float32 model is widened first.
+    Runs in float64; a float32 model is widened first and captures its
+    own gradients. Three taped passes per prompt: the gradient capture,
+    which is both the Hessian's direction and its base gradient, then one
+    step pass per probe (head offsets, up-projection offsets). A passed
+    ``capture`` must come from a float64 ``CAPTURE_GRADS`` forward of this
+    model on these ``tokens`` with this ``loss_from``; one whose logit
+    rows or predicted count disagree raises ``CaptureMismatchError``.
     """
+    if capture is not None:
+        for what, got, want in (("logit rows", capture.logits.shape[0], len(tokens)),
+                                ("n_predicted", capture.n_predicted,
+                                 len(tokens) - loss_from)):
+            if got != want:
+                raise CaptureMismatchError(
+                    f"grasp: capture has {what} {got}, expected {want}"
+                    f" for {len(tokens)} tokens from loss_from {loss_from}")
     if model.dtype != np.float64:
         model = model.to_dtype(np.float64)
         capture = None
@@ -210,7 +225,7 @@ def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
                                  **{name: offsets}).loss_tensor
 
         zero = T.Tensor(np.zeros_like(g), dtype=np.float64)
-        hv = T.hessian_vector_product(loss, zero, T.Tensor(g), eps=eps).data
+        hv = T.hessian_vector_product(loss, zero, T.Tensor(g), eps=eps, grad0=g).data
         parts.append(np.stack([np.abs(-h.reshape(shape) * f).sum(axis=axis)
                                for h, f in zip(np.split(hv, n_layers), factors)]))
     return _flat_scores(*parts)
@@ -392,14 +407,12 @@ def write_scores_csv(scores, cfg: ModelConfig, csv_path, meta: dict | None = Non
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["example_id", "layer", "kind", "index", "score"])
+        units = [(u.layer, u.kind.value, u.index) for u in all_units(cfg)]
         for vec in scores:
             example = "aggregate" if vec.example_id is None else vec.example_id
-            for flat in range(len(vec.values)):
-                if not vec.covered[flat]:
-                    continue
-                uid = unit_at(cfg, flat)
-                writer.writerow([example, uid.layer, uid.kind.value, uid.index,
-                                 repr(float(vec.values[flat]))])
+            values = vec.values.tolist()
+            writer.writerows([example, *units[flat], repr(values[flat])]
+                             for flat in np.flatnonzero(vec.covered).tolist())
     if sidecar_path is not None:
         Path(sidecar_path).write_text(
             json.dumps(meta or {}, sort_keys=True, indent=2), encoding="utf-8"

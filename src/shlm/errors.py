@@ -80,6 +80,10 @@ class SingleClassError(ShlmError):
     pass
 
 
+class CaptureMismatchError(ShlmError):
+    pass
+
+
 # pruning
 class BudgetExceedsUnitsError(ShlmError):
     pass

@@ -456,7 +456,7 @@ class TransformerModel:
                     "forward: gradient capture needs at least 2 tokens past loss_from"
                 )
             self.zero_grads()
-            T.backward(loss_t)
+            T.backward(loss_t, keep=taps.head_acts + taps.neuron_acts)
             result.head_grads = [self._grad_of(t) for t in taps.head_acts]
             result.neuron_grads = [self._grad_of(t) for t in taps.neuron_acts]
             result.up_grads = [self._grad_of(p[f"h{i}.w_up"])

@@ -2,9 +2,11 @@
 
 Each op records its parents and a vector-Jacobian closure on a dynamic
 tape. ``backward`` walks the tape once in reverse topological order,
-propagating a fresh seed of 1.0 and adding the resulting adjoints into
-``grad`` buffers, so repeated calls accumulate. float32 is the working
-precision for training; float64 is used by verification paths.
+propagating a fresh seed of 1.0, and adds the resulting adjoints into
+the ``grad`` buffers of leaves and of the intermediates it is asked to
+keep; every other intermediate's ``grad`` stays None. Repeated calls
+accumulate. float32 is the working precision for training; float64 is
+used by verification paths.
 
 Inside ``with no_grad():`` ops compute the same values but record no
 parents or closures, so an evaluation pass builds no tape and frees each
@@ -392,9 +394,11 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # backward pass
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/dt into ``t.grad`` for every reachable tensor
-    with ``requires_grad``. Repeated calls without resetting grads add up.
+def backward(loss: Tensor, keep=()) -> None:
+    """Accumulate d(loss)/dt into ``t.grad`` for every reachable leaf
+    with ``requires_grad`` and for each intermediate in ``keep``; no
+    other intermediate gets a ``grad`` buffer. Repeated calls without
+    resetting grads add up.
     """
     if loss.size != 1:
         raise NotScalarError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -417,6 +421,7 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited and (p.requires_grad or p._parents):
                 stack.append((p, False))
 
+    kept = {id(t) for t in keep}
     adjoint: dict[int, np.ndarray] = {
         id(loss): np.ones_like(loss.data, dtype=loss.data.dtype)
     }
@@ -424,7 +429,7 @@ def backward(loss: Tensor) -> None:
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if node.requires_grad and (not node._parents or id(node) in kept):
             node._accumulate(g)
         if node._vjp is None:
             continue
@@ -443,16 +448,23 @@ def backward(loss: Tensor) -> None:
 # Hessian-vector products
 
 
-def hessian_vector_product(loss_fn, a: Tensor, v: Tensor, eps: float = 1e-4) -> Tensor:
+def hessian_vector_product(loss_fn, a: Tensor, v: Tensor, eps: float = 1e-4,
+                           grad0=None) -> Tensor:
     """Finite difference of gradients along ``v``: H(a) @ v.
 
     ``loss_fn`` maps a tensor shaped like ``a`` to a scalar loss. The
     direction is normalized internally, so ``eps`` is an absolute step.
+    ``grad0``, when given, is the gradient of ``loss_fn`` at ``a`` that
+    the caller already holds; it replaces the first of the two taped
+    gradient passes, so the product costs one.
     """
     if eps <= 0:
         raise DomainError("hessian_vector_product: eps must be positive")
     if v.shape != a.shape:
         raise ShapeMismatchError(f"hessian_vector_product: v {v.shape} vs a {a.shape}")
+    if grad0 is not None and np.shape(grad0) != a.shape:
+        raise ShapeMismatchError(
+            f"hessian_vector_product: grad0 {np.shape(grad0)} vs a {a.shape}")
     norm = float(np.linalg.norm(v.data))
     if norm == 0.0:
         raise ZeroVectorError("hessian_vector_product: direction has zero norm")
@@ -467,7 +479,10 @@ def hessian_vector_product(loss_fn, a: Tensor, v: Tensor, eps: float = 1e-4) -> 
 
     base = np.asarray(a.data, dtype=np.float64)
     step = eps * np.asarray(v.data, dtype=np.float64) / norm
-    g0 = grad_at(base.astype(a.dtype))
+    if grad0 is None:
+        g0 = grad_at(base.astype(a.dtype))
+    else:
+        g0 = np.asarray(grad0, dtype=np.float64)
     g1 = grad_at((base + step).astype(a.dtype))
     hv = (g1 - g0) * (norm / eps)
     _check_finite(hv, "hessian_vector_product")

@@ -1,9 +1,7 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from shlm.analytics import perplexity

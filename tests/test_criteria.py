@@ -1,12 +1,13 @@
 """Criterion scores: hand oracles, invariances, and the collection driver."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from shlm import tensor as T
 from shlm.criteria import (
     AGGREGATE_ONLY,
-    CONTEXTUAL_KINDS,
-    CriterionKind,
     NEG_INF,
     ScoreVector,
     collect_criteria,
@@ -23,19 +24,19 @@ from shlm.criteria import (
 )
 from shlm.errors import (
     BatchTooSmallError,
+    CaptureMismatchError,
     ContextualUnsupportedError,
     MissingCaptureError,
     SingleClassError,
 )
 from shlm.model import (
-    CAPTURE_ACTIVATIONS,
     CAPTURE_GRADS,
     ForwardResult,
     ModelConfig,
-    TransformerModel,
     UnitId,
     UnitKind,
     MaskSet,
+    _flat_scores,
     num_head_units,
     num_units,
     unit_at,
@@ -374,6 +375,80 @@ def test_grasp_runs_and_is_finite(trained_model):
     assert np.array_equal(scores, again)
 
 
+def _grasp_five_pass(model, tokens, loss_from=1, eps=1e-4, capture=None):
+    """GraSP as two full finite-difference HVPs, each taking its own
+    base gradient: five taped passes per prompt."""
+    if model.dtype != np.float64:
+        model = model.to_dtype(np.float64)
+        capture = None
+    if capture is None:
+        capture = model.forward(tokens, capture=CAPTURE_GRADS, loss_from=loss_from)
+    n_layers = model.cfg.num_layers
+    parts = []
+    for name, grads, factors, axis in (
+            ("head_offsets", capture.head_grads, capture.head_acts, (1, 2)),
+            ("up_offsets", capture.up_grads, capture.up_weights, 0)):
+        shape, size = grads[0].shape, grads[0].size
+        g = np.concatenate([x.reshape(-1) for x in grads]).astype(np.float64)
+
+        def loss(flat, name=name, shape=shape, size=size):
+            offsets = [T.reshape(T.slice_rows(flat, i * size, (i + 1) * size), shape)
+                       for i in range(n_layers)]
+            return model.forward(tokens, loss_from=loss_from,
+                                 **{name: offsets}).loss_tensor
+
+        zero = T.Tensor(np.zeros_like(g), dtype=np.float64)
+        hv = T.hessian_vector_product(loss, zero, T.Tensor(g), eps=eps).data
+        parts.append(np.stack([np.abs(-h.reshape(shape) * f).sum(axis=axis)
+                               for h, f in zip(np.split(hv, n_layers), factors)]))
+    return _flat_scores(*parts)
+
+
+def test_grasp_equals_five_pass_reference(trained_model):
+    # float32 fixture: both sides widen it and capture their own gradients
+    toks = np.arange(14) % 256
+    assert np.array_equal(score_grasp(trained_model, toks),
+                          _grasp_five_pass(trained_model, toks))
+    # float64 model with a passed capture
+    model = trained_model.to_dtype(np.float64)
+    toks = np.frombuffer(b"Q:abc A:abc\nQ:de A:", dtype=np.uint8).astype(np.int64)
+    cap = model.forward(toks, capture=CAPTURE_GRADS)
+    assert np.array_equal(score_grasp(model, toks, capture=cap),
+                          _grasp_five_pass(model, toks, capture=cap))
+    # a (head, tail) prompt scored on its target only
+    head, tail = make_fewshot_prompts("copy", shots=1, n=1, seed=2)[0]
+    assert len(head) > 1
+    vec, = collect_criteria(trained_model, [(head, tail)], "grasp", loss_on="target")
+    want = _grasp_five_pass(trained_model, np.concatenate([head, tail]),
+                            loss_from=len(head))
+    assert np.array_equal(vec.values, want.astype(np.float32))
+
+
+def test_grasp_rejects_mismatched_capture(trained_model):
+    model = trained_model.to_dtype(np.float64)
+    toks = np.arange(10) % 256
+    cap = model.forward(toks, capture=CAPTURE_GRADS)
+    with pytest.raises(CaptureMismatchError, match="logit rows 10, expected 9"):
+        score_grasp(model, toks[:9], capture=cap)
+    with pytest.raises(CaptureMismatchError, match="n_predicted 9, expected 7"):
+        score_grasp(model, toks, loss_from=3, capture=cap)
+
+
+def test_grasp_collect_runs_three_backward_passes_per_prompt(trained_model,
+                                                             monkeypatch):
+    calls = []
+    real = T.backward
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(T, "backward", counting)
+    prompts = make_fewshot_prompts("copy", shots=1, n=2, seed=4)
+    collect_criteria(trained_model, prompts, "grasp")
+    assert len(calls) == 3 * len(prompts)
+
+
 def test_write_scores_csv(tmp_path, trained_model):
     prompts = make_fewshot_prompts("copy", shots=1, n=2, seed=1)
     vecs = collect_criteria(trained_model, prompts, "l2norm")
@@ -388,3 +463,37 @@ def test_write_scores_csv(tmp_path, trained_model):
     assert sidecar.exists()
     first = lines[1].split(",")
     assert first[:4] == ["0", "0", "head", "0"]
+
+
+def _per_unit_scores_csv(scores, cfg, csv_path):
+    """One ``unit_at`` and one ``repr(float)`` per covered unit."""
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["example_id", "layer", "kind", "index", "score"])
+        for vec in scores:
+            example = "aggregate" if vec.example_id is None else vec.example_id
+            for flat in range(len(vec.values)):
+                if vec.covered[flat]:
+                    uid = unit_at(cfg, flat)
+                    writer.writerow([example, uid.layer, uid.kind.value, uid.index,
+                                     repr(float(vec.values[flat]))])
+
+
+def test_write_scores_csv_equals_per_unit_reference(tmp_path):
+    rng = np.random.default_rng(12)
+    n = num_units(TINY)
+    vecs = []
+    for example in (0, 7, "x", None):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-9, 9, size=n)
+        values[:3] = (NEG_INF, -0.0, 0.0)
+        covered = rng.random(n) < 0.6
+        covered[num_head_units(TINY) - 1:num_head_units(TINY) + 1] = (False, True)
+        vecs.append(ScoreVector(values, "nwot", example_id=example, covered=covered))
+    vecs.append(ScoreVector(np.ones(n), "nwot", example_id=9,
+                            covered=np.zeros(n, dtype=bool)))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_scores_csv(vecs, TINY, got)
+    _per_unit_scores_csv(vecs, TINY, want)
+    assert got.read_bytes() == want.read_bytes()
+    rows = got.read_text().splitlines()
+    assert len(rows) == 1 + sum(int(v.covered.sum()) for v in vecs)

@@ -230,6 +230,41 @@ def test_model_grads_match_finite_differences():
     assert res.loss is not None
 
 
+def _tape_nodes(loss):
+    """Every tensor the tape reaches from ``loss``."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_backward_fills_grads_only_on_leaves_and_kept_tensors():
+    model = TransformerModel(TINY, seed=3)
+    res = model.forward(_tokens(12, seed=4), capture=CAPTURE_GRADS)
+    nodes = _tape_nodes(res.loss_tensor)
+    leaves = [t for t in nodes if not t._parents and t.requires_grad]
+    inner = [t for t in nodes if t._parents]
+    assert len(leaves) == len(model.params)
+    # the capture kept its head and neuron taps, one of each per layer
+    assert sum(t.grad is not None for t in inner) == 2 * TINY.num_layers
+
+    def leaf_grads(keep):
+        for t in nodes:
+            t.grad = None
+        T.backward(res.loss_tensor, keep=keep)
+        return [t.grad.copy() for t in leaves]
+
+    lean = leaf_grads(())
+    assert all(t.grad is None for t in inner)
+    full = leaf_grads(inner)
+    assert all(t.grad is not None for t in inner)
+    for a, b in zip(lean, full):
+        assert np.array_equal(a, b)
+
+
 def test_loss_from_restricts_positions():
     model = TransformerModel(_SMALL, seed=0, dtype=np.float64)
     toks = _tokens(7, vocab=_SMALL.vocab_size, seed=8)

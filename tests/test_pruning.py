@@ -22,7 +22,6 @@ from shlm.model import (
     UnitKind,
     num_head_units,
     num_units,
-    unit_index,
 )
 from shlm.predictor import (
     PredictorConfig,

@@ -162,6 +162,28 @@ def test_hvp_matches_quadratic():
         assert relative_error(hv.data, q @ v) <= 1e-3, f"seed {seed}"
 
 
+def test_hvp_with_base_gradient_is_bit_identical():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = 8
+        a = rng.standard_normal((n, n))
+        qc = T.constant((a + a.T) / 2.0, dtype=np.float64)
+
+        def loss_fn(x):
+            row = T.reshape(x, (1, n))
+            return T.scale(T.tsum(T.mul(T.matmul(row, qc), row)), 0.5)
+
+        point = T.Tensor(rng.standard_normal(n), dtype=np.float64)
+        v = T.Tensor(rng.standard_normal(n), dtype=np.float64)
+        x = T.Tensor(point.data, requires_grad=True, dtype=np.float64)
+        T.backward(loss_fn(x))
+        want = T.hessian_vector_product(loss_fn, point, v)
+        got = T.hessian_vector_product(loss_fn, point, v, grad0=x.grad)
+        assert np.array_equal(got.data, want.data), f"seed {seed}"
+    with pytest.raises(ShapeMismatchError):
+        T.hessian_vector_product(loss_fn, point, v, grad0=np.zeros(n + 1))
+
+
 def test_hvp_rejects_zero_direction():
     def loss_fn(x):
         return T.tsum(T.square(x))
