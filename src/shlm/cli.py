@@ -32,7 +32,7 @@ from .model import ModelConfig, TransformerModel
 from .predictor import (MODEL_PRESETS, TOPOLOGIES, PredictorConfig,
                         build_dataset, contextual_mask_source, load_predictor,
                         predictor_fidelity, predictor_flops, save_predictor,
-                        train_predictor)
+                        split_indices, train_predictor)
 from .pruning import (SCOPES, STRATEGIES, PruneSpec, oracle_ablation,
                       sparsity_sweep, write_oracle_csv)
 from .text import BYTE, TEMPLATES, WORD, ingest_corpus, save_vocab
@@ -115,7 +115,7 @@ _OPTIONS = (
     _Option("train.weight_decay", type=float),
     _Option("prompts.n", "--n-prompts",
             ("collect", "train-predictor", "eval-predictor", "rank-variance"),
-            type=int),
+            type=int, minimum=1),
     _Option("prompts.length", "--prompt-len", ("collect",), type=int, minimum=1),
     _Option("predictor.topology", "--topology", ("train-predictor",),
             choices=TOPOLOGIES),
@@ -268,6 +268,10 @@ def _eval_tokens(cfg: dict, stream) -> np.ndarray:
 
 def _corpus_prompts(stream, cfg: dict, seed: int) -> list[np.ndarray]:
     """Deterministic random windows drawn from the validation split."""
+    if cfg["loss_on"] == "target":
+        log.warning("field 'loss_on': plain corpus windows have no target and"
+                    " are scored from their second token, so 'target' changes"
+                    " nothing here")
     n, length = cfg["prompts"]["n"], cfg["prompts"]["length"]
     data = stream.val if len(stream.val) > length else stream.train
     if len(data) <= length:
@@ -356,9 +360,7 @@ def cmd_collect(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     return inputs
 
 
-def _dataset_for(cfg, model, stream, criterion: str, pcfg, seed: int,
-                 workers: int):
-    prompts = _corpus_prompts(stream, cfg, seed)
+def _dataset_for(cfg, model, prompts, criterion: str, pcfg, workers: int):
     return build_dataset(model, prompts, criterion, topology=pcfg.topology,
                          normalization=pcfg.normalization,
                          stride=pcfg.dejavu_stride, loss_on=cfg["loss_on"],
@@ -369,8 +371,8 @@ def cmd_train_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """fit a sparsity predictor to a criterion"""
     pcfg = _predictor_config(cfg)
     model, stream, inputs = _model_io(cfg)
-    dataset = _dataset_for(cfg, model, stream, cfg["criterion"], pcfg, seed,
-                           workers)
+    dataset = _dataset_for(cfg, model, _corpus_prompts(stream, cfg, seed),
+                           cfg["criterion"], pcfg, workers)
     predictor, plog = train_predictor(dataset, pcfg, seed=seed)
     save_predictor(predictor, out / "predictor.bin")
     _write_json(out / "predictor_log.json",
@@ -384,9 +386,13 @@ def cmd_eval_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     model, stream, inputs = _model_io(cfg)
     pred_path = _input_path(cfg, "predictor_path")
     predictor = load_predictor(pred_path)
-    dataset = _dataset_for(cfg, model, stream, predictor.criterion,
-                           predictor.config, seed, workers)
-    report = predictor_fidelity(predictor, dataset)
+    # Fidelity reads only the held-out examples, and each example depends
+    # on its own prompt alone, so only the held-out prompts are scored.
+    prompts = _corpus_prompts(stream, cfg, seed)
+    _, heldout = split_indices(len(prompts))
+    dataset = _dataset_for(cfg, model, [prompts[i] for i in heldout],
+                           predictor.criterion, predictor.config, workers)
+    report = predictor_fidelity(predictor, dataset, split="all")
     _write_json(out / "fidelity.json", {
         "spearman_global": report.spearman_global,
         "spearman_local": report.spearman_local,

@@ -409,6 +409,10 @@ class TransformerModel:
         float factors (masking is the 0/1 special case). ``head_offsets``
         and ``up_offsets`` are taped per-layer additive perturbations used
         by curvature probes.
+        A ``CAPTURE_GRADS`` forward back-propagates only to what the
+        criteria read: afterwards the per-layer ``w_up`` parameters are
+        the only parameters with a ``.grad``, and the head and neuron
+        taps the only intermediates.
         """
         cfg = self.cfg
         if capture not in _CAPTURE_MODES:
@@ -456,11 +460,11 @@ class TransformerModel:
                     "forward: gradient capture needs at least 2 tokens past loss_from"
                 )
             self.zero_grads()
-            T.backward(loss_t, keep=taps.head_acts + taps.neuron_acts)
+            up = [p[f"h{i}.w_up"] for i in range(cfg.num_layers)]
+            T.backward(loss_t, keep=taps.head_acts + taps.neuron_acts, wrt=up)
             result.head_grads = [self._grad_of(t) for t in taps.head_acts]
             result.neuron_grads = [self._grad_of(t) for t in taps.neuron_acts]
-            result.up_grads = [self._grad_of(p[f"h{i}.w_up"])
-                               for i in range(cfg.num_layers)]
+            result.up_grads = [self._grad_of(t) for t in up]
         return result
 
     def _unit_factors(self, mask: MaskSet | None, scales: np.ndarray | None,

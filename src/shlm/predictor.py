@@ -278,6 +278,13 @@ def normalize_scores(cfg: ModelConfig, scores: ScoreVector,
 # dataset
 
 
+def split_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The train and held-out example indices of an n-example dataset:
+    the first ~90% train, the rest held out (at least one when n >= 1)."""
+    n_train = min(max(1, (9 * n) // 10), n - 1) if n > 1 else 0
+    return np.arange(n_train), np.arange(n_train, n)
+
+
 @dataclass
 class CriteriaDataset:
     """Per-example (feature, normalized target) pairs plus everything
@@ -295,11 +302,8 @@ class CriteriaDataset:
     heldout_idx: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        n = len(self.features)
         if self.train_idx is None:
-            n_train = min(max(1, (9 * n) // 10), n - 1) if n > 1 else 0
-            self.train_idx = np.arange(n_train)
-            self.heldout_idx = np.arange(n_train, n)
+            self.train_idx, self.heldout_idx = split_indices(len(self.features))
 
     def __len__(self) -> int:
         return len(self.features)

@@ -8,6 +8,15 @@ keep; every other intermediate's ``grad`` stays None. Repeated calls
 accumulate. float32 is the working precision for training; float64 is
 used by verification paths.
 
+``backward(..., wrt=leaves)`` differentiates only the nodes on a path
+from the kept tensors and the listed leaves to the loss. A VJP closure
+is called as ``vjp(g, need)``: ``need`` holds one flag per parent, or is
+None when every parent is wanted, and a closure may return None for a
+parent whose flag is off (``matmul`` does; the other ops ignore the
+flags). Every child of a differentiated node is itself differentiated,
+so each adjoint that is still computed sums the same terms in the same
+order and comes out bit-identical to a full pass.
+
 Inside ``with no_grad():`` ops compute the same values but record no
 parents or closures, so an evaluation pass builds no tape and frees each
 intermediate as soon as nothing reads it. Every op still checks its
@@ -18,6 +27,7 @@ thread leaves the tape on in every other.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 
 import numpy as np
@@ -147,7 +157,7 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
 
-    def vjp(g):
+    def vjp(g, need):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _from_op(a.data + b.data, (a, b), "add", vjp)
@@ -156,7 +166,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "sub")
 
-    def vjp(g):
+    def vjp(g, need):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _from_op(a.data - b.data, (a, b), "sub", vjp)
@@ -165,7 +175,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
 
-    def vjp(g):
+    def vjp(g, need):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _from_op(a.data * b.data, (a, b), "mul", vjp)
@@ -174,7 +184,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
-    def vjp(g):
+    def vjp(g, need):
         return (g * c,)
 
     return _from_op(a.data * c, (a,), "scale", vjp)
@@ -183,7 +193,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
 
-    def vjp(g):
+    def vjp(g, need):
         return (g * keep,)
 
     out = np.where(keep, a.data, 0.0).astype(a.dtype, copy=False)
@@ -191,7 +201,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    def vjp(g):
+    def vjp(g, need):
         return (g * (2.0 * a.data),)
 
     return _from_op(a.data * a.data, (a,), "square", vjp)
@@ -201,7 +211,7 @@ def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise DomainError("log: all inputs must be strictly positive")
 
-    def vjp(g):
+    def vjp(g, need):
         return (g / a.data,)
 
     return _from_op(np.log(a.data), (a,), "log", vjp)
@@ -218,7 +228,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     except ValueError as exc:
         raise ShapeMismatchError(f"reshape: {a.shape} -> {shape}") from exc
 
-    def vjp(g):
+    def vjp(g, need):
         return (g.reshape(a.shape),)
 
     return _from_op(data, (a,), "reshape", vjp)
@@ -230,7 +240,7 @@ def transpose(a: Tensor, axes) -> Tensor:
         raise ShapeMismatchError(f"transpose: axes {axes} invalid for rank {a.data.ndim}")
     inverse = tuple(np.argsort(axes))
 
-    def vjp(g):
+    def vjp(g, need):
         return (g.transpose(inverse),)
 
     return _from_op(a.data.transpose(axes), (a,), "transpose", vjp)
@@ -241,7 +251,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= a.shape[0]):
         raise ShapeMismatchError(f"slice_rows: [{start}:{stop}] outside length {a.shape[0]}")
 
-    def vjp(g):
+    def vjp(g, need):
         full = np.zeros_like(a.data)
         full[start:stop] = g
         return (full,)
@@ -250,7 +260,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def tsum(a: Tensor) -> Tensor:
-    def vjp(g):
+    def vjp(g, need):
         return (np.broadcast_to(g, a.shape).astype(a.dtype),)
 
     return _from_op(np.asarray(a.data.sum(), dtype=a.dtype), (a,), "tsum", vjp)
@@ -262,7 +272,7 @@ def mean_rows(a: Tensor) -> Tensor:
         raise ShapeMismatchError(f"mean_rows: need a non-empty leading axis, got {a.shape}")
     n = a.shape[0]
 
-    def vjp(g):
+    def vjp(g, need):
         return (np.broadcast_to(g / n, a.shape).astype(a.dtype),)
 
     return _from_op(a.data.mean(axis=0), (a,), "mean_rows", vjp)
@@ -277,7 +287,7 @@ def stack_rows(tensors: list[Tensor]) -> Tensor:
         if t.shape != shape:
             raise ShapeMismatchError(f"stack_rows: mixed shapes {shape} and {t.shape}")
 
-    def vjp(g):
+    def vjp(g, need):
         return tuple(g[i] for i in range(len(tensors)))
 
     return _from_op(np.stack([t.data for t in tensors]), tuple(tensors), "stack_rows", vjp)
@@ -297,10 +307,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ShapeMismatchError(f"matmul: batch dims differ, {a.shape} @ {b.shape}") from exc
 
-    def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+    def vjp(g, need):
+        ga = gb = None
+        if need is None or need[0]:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if need is None or need[1]:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return _from_op(data, (a, b), "matmul", vjp)
 
@@ -311,7 +324,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
+    def vjp(g, need):
         inner = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - inner),)
 
@@ -330,7 +343,7 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     y = (a.data - mu) * inv
 
-    def vjp(g):
+    def vjp(g, need):
         lead = tuple(range(g.ndim - 1))
         dbeta = g.sum(axis=lead) if lead else g
         dgamma = (g * y).sum(axis=lead) if lead else g * y
@@ -354,7 +367,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise InvalidTokenIdError(f"embedding_lookup: ids outside [0, {vocab})")
 
-    def vjp(g):
+    def vjp(g, need):
         full = np.zeros_like(table.data)
         np.add.at(full, ids, g)
         return (full,)
@@ -382,7 +395,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     picked = logits.data[np.arange(t_len), targets]
     nll = (lse - picked).mean()
 
-    def vjp(g):
+    def vjp(g, need):
         d = probs.copy()
         d[np.arange(t_len), targets] -= 1.0
         return (d * (g / t_len),)
@@ -393,17 +406,29 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward pass
 
+# the need flags of a pass that wants every parent
+_EVERY_PARENT = itertools.repeat(True)
 
-def backward(loss: Tensor, keep=()) -> None:
-    """Accumulate d(loss)/dt into ``t.grad`` for every reachable leaf
-    with ``requires_grad`` and for each intermediate in ``keep``; no
-    other intermediate gets a ``grad`` buffer. Repeated calls without
-    resetting grads add up.
+
+def backward(loss: Tensor, keep=(), wrt=None) -> None:
+    """Accumulate d(loss)/dt into ``t.grad`` for each leaf in ``wrt``
+    (None: every reachable leaf with ``requires_grad``) and for each
+    intermediate in ``keep``; no other tensor gets a ``grad`` buffer.
+    Repeated calls without resetting grads add up.
+
+    With ``wrt`` given, only *needed* nodes are differentiated: a node
+    is needed if it is kept, is a leaf in ``wrt``, or has a needed
+    parent. A node that is not needed gets no VJP call, and each VJP is
+    told which of its parents are needed, so ``matmul`` skips the
+    product for the others. The result is bit-identical to ``wrt=None``:
+    every child of a needed node is needed, so each needed adjoint sums
+    the same terms in the same order.
     """
     if loss.size != 1:
         raise NotScalarError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss._parents and not loss.requires_grad:
         raise EmptyTapeError("backward: loss is not connected to any tape")
+    wanted = None if wrt is None else {id(t) for t in wrt}
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -422,6 +447,15 @@ def backward(loss: Tensor, keep=()) -> None:
                 stack.append((p, False))
 
     kept = {id(t) for t in keep}
+    needed = None
+    if wanted is not None:
+        needed = set()
+        for node in topo:  # parents come before children
+            if (id(node) in kept or id(node) in wanted
+                    or any(id(p) in needed for p in node._parents)):
+                needed.add(id(node))
+        if id(loss) not in needed:
+            return
     adjoint: dict[int, np.ndarray] = {
         id(loss): np.ones_like(loss.data, dtype=loss.data.dtype)
     }
@@ -433,9 +467,14 @@ def backward(loss: Tensor, keep=()) -> None:
             node._accumulate(g)
         if node._vjp is None:
             continue
-        parent_grads = node._vjp(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if not (parent.requires_grad or parent._parents):
+        need = None
+        if needed is not None:
+            need = tuple(id(p) in needed for p in node._parents)
+            if not any(need):
+                continue
+        for parent, pg, want in zip(node._parents, node._vjp(g, need),
+                                    need or _EVERY_PARENT):
+            if not want or not (parent.requires_grad or parent._parents):
                 continue
             key = id(parent)
             if key in adjoint:
@@ -456,7 +495,9 @@ def hessian_vector_product(loss_fn, a: Tensor, v: Tensor, eps: float = 1e-4,
     direction is normalized internally, so ``eps`` is an absolute step.
     ``grad0``, when given, is the gradient of ``loss_fn`` at ``a`` that
     the caller already holds; it replaces the first of the two taped
-    gradient passes, so the product costs one.
+    gradient passes, so the product costs one. Each gradient pass
+    differentiates only its argument: tensors that ``loss_fn`` closes
+    over, such as model parameters, get no ``grad``.
     """
     if eps <= 0:
         raise DomainError("hessian_vector_product: eps must be positive")
@@ -472,7 +513,7 @@ def hessian_vector_product(loss_fn, a: Tensor, v: Tensor, eps: float = 1e-4,
     def grad_at(point: np.ndarray) -> np.ndarray:
         x = Tensor(point, requires_grad=True, dtype=a.dtype)
         out = loss_fn(x)
-        backward(out)
+        backward(out, wrt=(x,))
         if x.grad is None:
             return np.zeros_like(point)
         return np.asarray(x.grad, dtype=np.float64)

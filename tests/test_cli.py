@@ -6,7 +6,9 @@ import pytest
 
 from shlm.analytics import perplexity
 from shlm.checkpoint import load_checkpoint
-from shlm.cli import main
+from shlm.cli import _corpus_prompts, main
+from shlm.model import CAPTURE_GRADS, TransformerModel
+from shlm.predictor import build_dataset, load_predictor, predictor_fidelity
 from shlm.text import ingest_corpus
 
 from .conftest import toy_text
@@ -190,6 +192,8 @@ def test_config_enum_value_gets_flag_check(pipeline, tmp_path, capsys,
     ("train-lm", {"train": {"steps": True}}, [], "train.steps"),
     ("collect", {}, ["--prompt-len", "0"], "prompts.length"),
     ("flops", {}, ["--p1", "0"], "flops.p1"),
+    ("collect", {}, ["--n-prompts", "0"], "prompts.n"),
+    ("eval-predictor", {}, ["--n-prompts", "-1"], "prompts.n"),
 ])
 def test_numeric_field_gets_type_and_minimum(pipeline, tmp_path, capsys,
                                              command, patch, flags, field):
@@ -306,6 +310,77 @@ def test_predictor_covering_no_unit_is_runtime_error(tmp_path, workdir, capsys):
                "--out", str(tmp_path / "pred")])
     assert rc == 1
     assert "no unit to score" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("topology", ["shadow", "dejavu"])
+def test_eval_predictor_captures_only_heldout_prompts(pipeline, tmp_path,
+                                                      monkeypatch, topology):
+    cfg = str(pipeline / "cfg.json")
+    corpus = str(pipeline / "corpus.txt")
+    ckpt = str(pipeline / "lm" / "model.bin")
+    pred = pipeline / "pred" / "predictor.bin"
+    if topology != "shadow":
+        pred = tmp_path / "pred" / "predictor.bin"
+        assert main(["train-predictor", "--config", cfg, "--checkpoint", ckpt,
+                     "--corpus", corpus, "--topology", topology,
+                     "--out", str(pred.parent)]) == 0
+    captures, forward = [], TransformerModel.forward
+
+    def counting(self, tokens, *args, **kwargs):
+        if kwargs.get("capture") == CAPTURE_GRADS:
+            captures.append(len(tokens))
+        return forward(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(TransformerModel, "forward", counting)
+    assert main(["eval-predictor", "--config", cfg, "--checkpoint", ckpt,
+                 "--predictor", str(pred), "--corpus", corpus,
+                 "--out", str(tmp_path / "fid")]) == 0
+    assert len(captures) == 2   # 12 prompts, 2 held out
+    monkeypatch.undo()
+
+    # reference: the dataset of all 12 prompts, scored on its held-out split
+    predictor = load_predictor(pred)
+    stream = ingest_corpus(pipeline / "corpus.txt")
+    prompts = _corpus_prompts(stream, {**TOY_CONFIG, "loss_on": "all"}, 0)
+    assert len(prompts) == 12
+    ds = build_dataset(load_checkpoint(ckpt), prompts, predictor.criterion,
+                       topology=predictor.topology,
+                       normalization=predictor.config.normalization,
+                       stride=predictor.config.dejavu_stride)
+    ref = predictor_fidelity(predictor, ds)
+    fid = json.loads((tmp_path / "fid" / "fidelity.json").read_text())
+    assert fid == {
+        "spearman_global": ref.spearman_global,
+        "spearman_local": ref.spearman_local,
+        "spearman_per_layer": {str(k): v for k, v in ref.spearman_per_layer.items()},
+        "mse": ref.mse, "degenerate_count": ref.degenerate_count,
+        "n_examples": ref.n_examples}
+
+
+def test_loss_on_target_warns_for_corpus_windows(pipeline, tmp_path, capsys):
+    """Plain corpus windows have no target, so ``target`` scores them
+    like ``all``, and says so; fewshot prompts have one and stay quiet."""
+    def run(command, loss_on, flags=()):
+        path = tmp_path / f"{command}_{loss_on}.json"
+        path.write_text(json.dumps({**TOY_CONFIG, "loss_on": loss_on}),
+                        encoding="utf-8")
+        out = tmp_path / f"{command}_{loss_on}"
+        assert main([command, "--config", str(path),
+                     "--checkpoint", str(pipeline / "lm" / "model.bin"),
+                     "--corpus", str(pipeline / "corpus.txt"), *flags,
+                     "--out", str(out)]) == 0
+        return out, capsys.readouterr().err
+
+    flags = ["--criterion", "grasp", "--contextual", "--n-prompts", "3"]
+    target, err = run("collect", "target", flags)
+    assert err.count("field 'loss_on'") == 1
+    assert "second token" in err
+    plain, err = run("collect", "all", flags)
+    assert "loss_on" not in err
+    assert (target / "scores.csv").read_bytes() == \
+        (plain / "scores.csv").read_bytes()
+    _, err = run("fewshot", "target")
+    assert "loss_on" not in err
 
 
 def test_sweep_zero_sparsity_matches_dense_eval(pipeline):

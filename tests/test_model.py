@@ -210,7 +210,10 @@ def test_capture_exposes_expected_shapes(trained_model):
 def test_model_grads_match_finite_differences():
     model = TransformerModel(_SMALL, seed=4, dtype=np.float64)
     toks = _tokens(6, vocab=_SMALL.vocab_size, seed=5)
-    res = model.forward(toks, capture=CAPTURE_GRADS)
+    # a full backward: a grad capture fills only w_up among the parameters
+    res = model.forward(toks)
+    model.zero_grads()
+    T.backward(res.loss_tensor)
     rng = np.random.default_rng(6)
     h = 1e-5
     for name in ("tok_emb", "h0.wq", "h0.w_up", "h1.wo", "h1.ln2_g", "lnf_b"):
@@ -263,6 +266,61 @@ def test_backward_fills_grads_only_on_leaves_and_kept_tensors():
     assert all(t.grad is not None for t in inner)
     for a, b in zip(lean, full):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grad_capture_equals_full_backward(monkeypatch, dtype):
+    model = TransformerModel(TINY, seed=5, dtype=dtype)
+    toks = _tokens(10, seed=6)
+    rng = np.random.default_rng(7)
+    mask = MaskSet(rng.random((TINY.num_layers, TINY.num_heads)) < 0.7,
+                   rng.random((TINY.num_layers, TINY.ffn_dim)) < 0.7)
+
+    def offsets(shape):
+        return [T.Tensor(0.01 * rng.standard_normal(shape), requires_grad=True,
+                         dtype=dtype) for _ in range(TINY.num_layers)]
+
+    head_off = offsets((TINY.num_heads, len(toks), TINY.head_dim))
+    up_off = offsets((TINY.embed_dim, TINY.ffn_dim))
+    seen, real = {}, T.backward
+
+    def spy(loss, keep=(), wrt=None):
+        seen.update(loss=loss, keep=list(keep))
+        real(loss, keep=keep, wrt=wrt)
+
+    monkeypatch.setattr(T, "backward", spy)
+    res = model.forward(toks, mask=mask, capture=CAPTURE_GRADS,
+                        head_offsets=head_off, up_offsets=up_off)
+    for name, t in model.params.items():
+        assert (t.grad is not None) == name.endswith(".w_up"), name
+    assert all(t.grad is None for t in head_off + up_off)
+
+    # the same tape, differentiated in full with the taps kept
+    for t in _tape_nodes(seen["loss"]):
+        t.grad = None
+    real(seen["loss"], keep=seen["keep"])
+    n = TINY.num_layers
+    want = {"head_grads": [t.grad for t in seen["keep"][:n]],
+            "neuron_grads": [t.grad for t in seen["keep"][n:]],
+            "up_grads": [model.params[f"h{i}.w_up"].grad for i in range(n)]}
+    for field, grads in want.items():
+        for got, ref in zip(getattr(res, field), grads):
+            assert got.dtype == ref.dtype == dtype, field
+            assert np.array_equal(got, ref), field
+
+
+def test_grad_capture_accumulates_only_what_it_returns(monkeypatch):
+    model = TransformerModel(TINY, seed=5)
+    calls, real = [], T.Tensor._accumulate
+
+    def counting(self, g):
+        calls.append(self)
+        real(self, g)
+
+    monkeypatch.setattr(T.Tensor, "_accumulate", counting)
+    model.forward(_tokens(10, seed=6), capture=CAPTURE_GRADS)
+    # one head tap, one neuron tap and one w_up per layer
+    assert len(calls) == 3 * TINY.num_layers
 
 
 def test_loss_from_restricts_positions():

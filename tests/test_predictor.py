@@ -17,7 +17,8 @@ from shlm.predictor import (MODEL_PRESETS, CriteriaDataset, PredictorConfig,
                             extract_features,
                             load_predictor, normalize_scores,
                             predict_scores, predictor_fidelity,
-                            predictor_flops, save_predictor, train_predictor)
+                            predictor_flops, save_predictor, split_indices,
+                            train_predictor)
 from shlm.pruning import PruneSpec
 
 from .conftest import TINY
@@ -278,6 +279,21 @@ def test_dataset_split_is_deterministic(shadow_dataset):
     assert len(shadow_dataset) == 20
     np.testing.assert_array_equal(shadow_dataset.train_idx, np.arange(18))
     np.testing.assert_array_equal(shadow_dataset.heldout_idx, [18, 19])
+
+
+def test_split_indices_reproduce_the_dataset_split():
+    for n in range(41):
+        train, heldout = split_indices(n)
+        ds = CriteriaDataset(model_config=TINY, topology="shadow",
+                             criterion="plainact", normalization="minmax",
+                             stride=2, features=[None] * n,
+                             targets=np.zeros((n, 1)), covered=np.ones(1, bool))
+        np.testing.assert_array_equal(ds.train_idx, train)
+        np.testing.assert_array_equal(ds.heldout_idx, heldout)
+        # about 90% train, and at least one held out whenever n >= 1
+        n_train = min(max(1, (9 * n) // 10), n - 1) if n > 1 else 0
+        np.testing.assert_array_equal(train, np.arange(n_train))
+        np.testing.assert_array_equal(heldout, np.arange(n_train, n))
 
 
 def test_dataset_targets_normalized_per_layer(shadow_dataset):

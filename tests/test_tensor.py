@@ -61,6 +61,33 @@ def test_shared_subexpression_grads():
     assert np.allclose(x.grad, 4.0 * x.data)
 
 
+_LEAVES = ("x", "w1", "gamma", "beta", "w2")
+
+
+def _two_layer_loss(dtype):
+    """A small net touching matmul, layernorm and elementwise ops; returns
+    (leaves by name, scalar loss)."""
+    rng = np.random.default_rng(7)
+    shapes = {"x": (4, 6), "w1": (6, 5), "gamma": (5,), "beta": (5,), "w2": (5, 3)}
+    p = {n: T.Tensor(rng.standard_normal(shapes[n]), requires_grad=True, dtype=dtype)
+         for n in _LEAVES}
+    h = T.relu(T.layernorm(T.matmul(p["x"], p["w1"]), p["gamma"], p["beta"]))
+    out = T.add(T.matmul(h, p["w2"]), T.constant(rng.standard_normal(3), dtype=dtype))
+    return p, T.tsum(T.mul(out, out))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", _LEAVES)
+def test_backward_wrt_one_leaf_is_bit_exact(dtype, name):
+    full, loss = _two_layer_loss(dtype)
+    T.backward(loss)
+    lean, loss = _two_layer_loss(dtype)
+    T.backward(loss, wrt=[lean[name]])
+    assert lean[name].grad.dtype == full[name].grad.dtype
+    assert np.array_equal(lean[name].grad, full[name].grad)
+    assert all(lean[n].grad is None for n in _LEAVES if n != name)
+
+
 def test_backward_requires_scalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(NotScalarError):
