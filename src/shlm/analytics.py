@@ -1,13 +1,11 @@
-"""Rank statistics, perplexity evaluation, and report emission."""
+"""Rank statistics, perplexity evaluation, and CSV report emission."""
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,9 +22,6 @@ class EvalRecord:
     topology: str
     perplexity: float
     seed: int
-    spearman_global: float | None = None
-    spearman_local: float | None = None
-    predictor_flops: float | None = None
 
 
 SWEEP_COLUMNS = ("strategy", "sparsity", "criterion", "topology", "perplexity", "seed")
@@ -189,23 +184,12 @@ def _record_dict(record) -> dict:
     return dict(record)
 
 
-def emit_report(records, path, fmt: str = "csv", columns=None) -> None:
-    """Write records as CSV (stable column order) or JSON (list of dicts)."""
-    dicts = [_record_dict(r) for r in records]
-    path = Path(path)
-    if fmt == "json":
-        path.write_text(json.dumps(dicts, indent=2), encoding="utf-8")
-        return
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
-    if columns is None:
-        if not dicts:
-            raise ValueError("cannot infer columns from an empty report")
-        columns = list(dicts[0].keys())
+def emit_report(records, path, columns) -> None:
+    """Write records (dataclasses or dicts) as CSV in ``columns`` order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for d in dicts:
+        for d in map(_record_dict, records):
             row = []
             for col in columns:
                 value = d.get(col)
@@ -216,7 +200,3 @@ def emit_report(records, path, fmt: str = "csv", columns=None) -> None:
                 else:
                     row.append(value)
             writer.writerow(row)
-
-
-def read_report_json(path) -> list[dict]:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +255,8 @@ def _load_corpus(cfg: dict):
 
 
 def _model_io(cfg: dict):
-    """The checkpoint's model, the corpus stream, and both input paths."""
+    """The checkpoint's model, the corpus stream, and both input paths
+    (checkpoint, corpus)."""
     ckpt = _input_path(cfg, "checkpoint")
     corpus, stream = _load_corpus(cfg)
     return load_checkpoint(ckpt), stream, [ckpt, corpus]
@@ -282,6 +283,27 @@ def _corpus_prompts(stream, cfg: dict, seed: int) -> list[np.ndarray]:
     return [data[s:s + length].copy() for s in starts]
 
 
+def _prompt_draw(cfg: dict, seed: int, corpus: Path) -> dict:
+    """Everything that decides which prompts ``_corpus_prompts`` draws,
+    keyed by config field (the corpus by its sha256)."""
+    return {"corpus": _sha256(corpus), "tokenizer": cfg["tokenizer"],
+            "seed": seed, "prompts.n": cfg["prompts"]["n"],
+            "prompts.length": cfg["prompts"]["length"]}
+
+
+def _check_draw(trained: dict | None, draw: dict) -> None:
+    """Held-out prompts are held out only if this run draws the prompts
+    the predictor was trained on."""
+    if trained is None:
+        raise ConfigError("field 'predictor_path': no record of the training"
+                          " prompts; retrain it with train-predictor")
+    for field, value in draw.items():
+        if trained.get(field) != value:
+            raise ConfigError(
+                f"field '{field}': {value!r} here but {trained.get(field)!r}"
+                " in training, so held-out prompts would be training prompts")
+
+
 def _prune_specs(cfg: dict) -> list[PruneSpec]:
     section = cfg["prune"]
     for s in section["sparsities"]:
@@ -299,6 +321,10 @@ def _prune_specs(cfg: dict) -> list[PruneSpec]:
 # artifacts
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
@@ -312,8 +338,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed: int,
         "seed": seed,
         "workers": workers,
         "config": cfg,
-        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
-                   for p in inputs},
+        "inputs": {str(p): _sha256(p) for p in inputs},
     })
 
 
@@ -374,6 +399,7 @@ def cmd_train_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     dataset = _dataset_for(cfg, model, _corpus_prompts(stream, cfg, seed),
                            cfg["criterion"], pcfg, workers)
     predictor, plog = train_predictor(dataset, pcfg, seed=seed)
+    predictor = replace(predictor, draw=_prompt_draw(cfg, seed, inputs[1]))
     save_predictor(predictor, out / "predictor.bin")
     _write_json(out / "predictor_log.json",
                 {"train_mse": plog.train_mse, "heldout_mse": plog.heldout_mse,
@@ -386,6 +412,7 @@ def cmd_eval_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     model, stream, inputs = _model_io(cfg)
     pred_path = _input_path(cfg, "predictor_path")
     predictor = load_predictor(pred_path)
+    _check_draw(predictor.draw, _prompt_draw(cfg, seed, inputs[1]))
     # Fidelity reads only the held-out examples, and each example depends
     # on its own prompt alone, so only the held-out prompts are scored.
     prompts = _corpus_prompts(stream, cfg, seed)

@@ -48,7 +48,8 @@ from .model import (
 )
 
 NEG_INF = float("-inf")  # sentinel for log-of-zero nwot scores
-_JACOV_K = 1e-5
+_GRASP_EPS = 1e-4   # absolute step of the Hessian-vector finite difference
+_JACOV_K = 1e-5     # eigenvalue offset inside jacov's log and reciprocal
 
 
 class CriterionKind(str, Enum):
@@ -64,7 +65,6 @@ class CriterionKind(str, Enum):
 
 
 AGGREGATE_ONLY = (CriterionKind.JACOV, CriterionKind.EPENAS)
-CONTEXTUAL_KINDS = tuple(k for k in CriterionKind if k not in AGGREGATE_ONLY)
 ACTIVATION_ONLY = (CriterionKind.L2NORM, CriterionKind.NWOT)
 LOSS_ON = ("all", "target")
 
@@ -183,7 +183,7 @@ def score_nwot(capture: ForwardResult) -> np.ndarray:
 
 
 def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
-                eps: float = 1e-4, capture: ForwardResult | None = None) -> np.ndarray:
+                capture: ForwardResult | None = None) -> np.ndarray:
     """Hessian-gradient probe: L1 norm of -(H g) elementwise-times the
     activation (heads) or up-projection column (neurons).
 
@@ -225,7 +225,8 @@ def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
                                  **{name: offsets}).loss_tensor
 
         zero = T.Tensor(np.zeros_like(g), dtype=np.float64)
-        hv = T.hessian_vector_product(loss, zero, T.Tensor(g), eps=eps, grad0=g).data
+        hv = T.hessian_vector_product(loss, zero, T.Tensor(g), eps=_GRASP_EPS,
+                                      grad0=g).data
         parts.append(np.stack([np.abs(-h.reshape(shape) * f).sum(axis=axis)
                                for h, f in zip(np.split(hv, n_layers), factors)]))
     return _flat_scores(*parts)
@@ -268,14 +269,14 @@ def _corrcoef_rows(m: np.ndarray) -> np.ndarray:
     return np.clip(c, -1.0, 1.0)
 
 
-def score_jacov(captures: list[ForwardResult], k: float = _JACOV_K) -> np.ndarray:
+def score_jacov(captures: list[ForwardResult]) -> np.ndarray:
     """Jacobian-covariance diversity score per unit across a batch."""
     if len(captures) < 2:
         raise BatchTooSmallError("jacov needs at least 2 examples")
     out = []
     for block in _grad_blocks(captures):
-        lam = np.linalg.eigvalsh(_corrcoef_rows(block))
-        out.append(-(np.log(lam + k) + 1.0 / (lam + k)).sum(axis=-1))
+        lam = np.linalg.eigvalsh(_corrcoef_rows(block)) + _JACOV_K
+        out.append(-(np.log(lam) + 1.0 / lam).sum(axis=-1))
     return np.concatenate(out)
 
 
@@ -305,19 +306,20 @@ def score_epenas(captures: list[ForwardResult], labels) -> np.ndarray:
 # collection driver
 
 
+def _prompt_tokens(prompt) -> np.ndarray:
+    """A prompt's int64 tokens: a plain token window, or a ``(prompt,
+    target)`` pair joined in that order."""
+    parts = prompt if isinstance(prompt, tuple) else (prompt,)
+    return np.concatenate([np.asarray(p, dtype=np.int64) for p in parts])
+
+
 def _prompt_parts(prompt, loss_on: str):
     """Normalize a prompt into (tokens, loss_from, class label)."""
-    if isinstance(prompt, tuple):
-        head, tail = prompt
-        tokens = np.concatenate([np.asarray(head, dtype=np.int64),
-                                 np.asarray(tail, dtype=np.int64)])
-        loss_from = len(head) if loss_on == "target" else 1
-        label = int(np.asarray(tail)[0])
-    else:
-        tokens = np.asarray(prompt, dtype=np.int64)
-        loss_from = 1
-        label = int(tokens[-1])
-    return tokens, loss_from, label
+    tokens = _prompt_tokens(prompt)
+    if not isinstance(prompt, tuple):
+        return tokens, 1, int(tokens[-1])
+    head = len(prompt[0])
+    return tokens, head if loss_on == "target" else 1, int(tokens[head])
 
 
 def score_contextual(capture: ForwardResult, kind: CriterionKind,

@@ -159,10 +159,6 @@ class MaskSet:
                 f" model {want_h}/{want_n}"
             )
 
-    @property
-    def all_ones(self) -> bool:
-        return bool(self.heads.all() and self.neurons.all())
-
     def without(self, units) -> "MaskSet":
         out = MaskSet(self.heads, self.neurons)
         for uid in units:
@@ -176,19 +172,6 @@ class MaskSet:
         if self.heads.shape != other.heads.shape or self.neurons.shape != other.neurons.shape:
             raise MaskShapeMismatchError("cannot intersect masks of different shapes")
         return MaskSet(self.heads & other.heads, self.neurons & other.neurons)
-
-    def surviving_units(self) -> list[UnitId]:
-        out = []
-        n_layers, n_heads = self.heads.shape
-        for l in range(n_layers):
-            for h in range(n_heads):
-                if self.heads[l, h]:
-                    out.append(UnitId(l, UnitKind.HEAD, h))
-        for l in range(n_layers):
-            for k in range(self.neurons.shape[1]):
-                if self.neurons[l, k]:
-                    out.append(UnitId(l, UnitKind.NEURON, k))
-        return out
 
     def __eq__(self, other):
         return (
@@ -461,7 +444,7 @@ class TransformerModel:
                 )
             self.zero_grads()
             up = [p[f"h{i}.w_up"] for i in range(cfg.num_layers)]
-            T.backward(loss_t, keep=taps.head_acts + taps.neuron_acts, wrt=up)
+            T.backward(loss_t, wrt=taps.head_acts + taps.neuron_acts + up)
             result.head_grads = [self._grad_of(t) for t in taps.head_acts]
             result.neuron_grads = [self._grad_of(t) for t in taps.neuron_acts]
             result.up_grads = [self._grad_of(t) for t in up]

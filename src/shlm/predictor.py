@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import read_container, write_container
-from .criteria import AGGREGATE_ONLY, CriterionKind, ScoreVector
+from .criteria import AGGREGATE_ONLY, CriterionKind, ScoreVector, _prompt_tokens
 from .errors import (ConfigMismatchError, ContextualUnsupportedError,
                      DatasetTooSmallError, EmptyHeldoutError,
                      EmptyPromptError, FeatureShapeMismatchError,
@@ -191,22 +191,29 @@ def _nets(cfg: ModelConfig, covered: np.ndarray, topology: str,
 # features
 
 
+def _feature_shape(cfg: ModelConfig, topology: str, stride: int) -> tuple:
+    """The shape of a topology's predictor feature; a None dimension is a
+    sequence length of at least 1."""
+    if topology == "shadow":
+        return (cfg.embed_dim,)
+    if topology == "fullseq":
+        return (None, cfg.embed_dim)
+    return (len(dejavu_hosts(cfg, stride)), cfg.embed_dim)
+
+
 def extract_features(model: TransformerModel, prompt, topology: str,
                      stride: int = 2):
     """Predictor input for one prompt, from a dense forward pass run
-    without a tape and only as far as the feature's last layer.
+    without a tape and only as far as the feature's last layer; its shape
+    is ``_feature_shape``.
 
-    shadow: layer-0 attention output at the last position, shape (E,).
-    dejavu: stacked post-host-layer last-token states, (n_hosts, E).
-    fullseq: the embedded token sequence, (T, E).
+    shadow: layer-0 attention output at the last position.
+    dejavu: stacked post-host-layer last-token states, one row per host.
+    fullseq: the embedded token sequence.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
-    tokens = prompt[0] if isinstance(prompt, tuple) else prompt
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if isinstance(prompt, tuple):
-        tokens = np.concatenate(
-            [tokens, np.asarray(prompt[1], dtype=np.int64)])
+    tokens = _prompt_tokens(prompt)
     if tokens.size == 0:
         raise EmptyPromptError("cannot extract features from an empty prompt")
     with T.no_grad():
@@ -224,18 +231,6 @@ def extract_features(model: TransformerModel, prompt, topology: str,
             if i in hosts:
                 rows.append(x.data[-1])
     return np.stack(rows).astype(np.float32)
-
-
-def _check_feature(feature: np.ndarray, expected: tuple, topology: str):
-    feature = np.asarray(feature, dtype=np.float32)
-    ok = (feature.ndim == len(expected)
-          and all(exp is None or dim == exp
-                  for dim, exp in zip(feature.shape, expected)))
-    if not ok:
-        raise FeatureShapeMismatchError(
-            f"{topology} feature has shape {feature.shape}, "
-            f"expected {expected} (None = any)")
-    return feature
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +321,8 @@ def build_dataset(model: TransformerModel, prompts, criterion,
         raise ValueError(f"unknown topology {topology!r}")
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
-    for p in prompts:
-        length = (len(p[0]) + len(p[1])) if isinstance(p, tuple) else len(p)
-        if length == 0:
-            raise EmptyPromptError("dataset prompts must be non-empty")
+    if any(_prompt_tokens(p).size == 0 for p in prompts):
+        raise EmptyPromptError("dataset prompts must be non-empty")
 
     per_example = collect_criteria(model, prompts, kind, aggregate=False,
                                    loss_on=loss_on, workers=workers)
@@ -355,13 +348,16 @@ def build_dataset(model: TransformerModel, prompts, criterion,
 
 @dataclass
 class Predictor:
-    """Immutable after training; safe for concurrent predict calls."""
+    """Immutable after training; safe for concurrent predict calls.
+    ``draw`` records how the training prompts were drawn, when known, so
+    an evaluation can tell whether its held-out prompts are held out."""
 
     config: PredictorConfig
     model_config: ModelConfig
     criterion: str
     params: dict[str, np.ndarray]
     covered: np.ndarray
+    draw: dict | None = None
 
     @property
     def topology(self) -> str:
@@ -483,8 +479,9 @@ def _train_net(arrays: dict, cfg: PredictorConfig, embed_dim: int, features,
         if len(heldout_idx) == 0:
             heldout_curve.append(float("nan"))
             continue
-        pred = _forward_batch(p, cfg, embed_dim,
-                              [features[i] for i in heldout_idx], prefix)
+        with T.no_grad():
+            pred = _forward_batch(p, cfg, embed_dim,
+                                  [features[i] for i in heldout_idx], prefix)
         err = pred.data.astype(np.float64) - targets[heldout_idx]
         heldout_curve.append(float(np.mean(err * err)))
     return {n: t.data for n, t in p.items()}, train_curve, heldout_curve
@@ -557,32 +554,24 @@ def train_predictor(dataset: CriteriaDataset, config: PredictorConfig,
 # prediction
 
 
-def predict_scores(predictor: Predictor, feature, host: int | None = None) -> ScoreVector:
-    """Scores for one feature. shadow/fullseq cover all their layers at
-    once; dejavu covers one host's window when ``host`` is given, or
-    unions every host when fed the stacked (n_hosts, E) feature."""
+def predict_scores(predictor: Predictor, feature) -> ScoreVector:
+    """Scores for one ``extract_features`` feature. shadow/fullseq cover
+    all their layers at once; dejavu unions the windows of every host."""
     mcfg = predictor.model_config
     e = mcfg.embed_dim
     cfg = predictor.config
-    nets = _nets(mcfg, predictor.covered, cfg.topology, cfg.dejavu_stride)
-    if cfg.topology == "shadow":
-        feature = _check_feature(feature, (e,), "shadow")
-    elif cfg.topology == "fullseq":
-        feature = _check_feature(feature, (None, e), "fullseq")
-        if feature.shape[0] == 0:
-            raise FeatureShapeMismatchError("fullseq feature has no positions")
-    elif host is not None:
-        if host not in dejavu_hosts(mcfg, cfg.dejavu_stride):
-            raise FeatureShapeMismatchError(f"layer {host} hosts no predictor")
-        feature = _check_feature(feature, (e,), "dejavu")
-        nets = [(prefix, None, h, cols) for prefix, _, h, cols in nets
-                if h == host]
-    else:
-        n_hosts = len(dejavu_hosts(mcfg, cfg.dejavu_stride))
-        feature = _check_feature(feature, (n_hosts, e), "dejavu")
+    expected = _feature_shape(mcfg, cfg.topology, cfg.dejavu_stride)
+    feature = np.asarray(feature, dtype=np.float32)
+    if feature.ndim != len(expected) or any(
+            dim < 1 if exp is None else dim != exp
+            for dim, exp in zip(feature.shape, expected)):
+        raise FeatureShapeMismatchError(
+            f"{cfg.topology} feature has shape {feature.shape}, "
+            f"expected {expected} (None = at least 1)")
     values = np.zeros(num_units(mcfg), dtype=np.float64)
     covered = np.zeros_like(predictor.covered)
-    for prefix, row, _, cols in nets:
+    for prefix, row, _, cols in _nets(mcfg, predictor.covered, cfg.topology,
+                                      cfg.dejavu_stride):
         p = {n: T.constant(a) for n, a in predictor.params.items()
              if n.startswith(prefix)}
         x = feature if row is None else feature[row]
@@ -706,7 +695,8 @@ def save_predictor(predictor: Predictor, path) -> None:
     config = {"kind": "predictor",
               "criterion": predictor.criterion,
               "predictor_config": predictor.config.to_dict(),
-              "model_config": predictor.model_config.to_dict()}
+              "model_config": predictor.model_config.to_dict(),
+              "draw": predictor.draw}
     tensors = dict(predictor.params)
     tensors["covered"] = predictor.covered.astype(np.float32)
     write_container(path, config, tensors)
@@ -725,4 +715,5 @@ def load_predictor(path) -> Predictor:
     return Predictor(config=cfg, model_config=mcfg,
                      criterion=config["criterion"],
                      params={n: a.astype(np.float32) for n, a in tensors.items()},
-                     covered=covered_arr.astype(bool))
+                     covered=covered_arr.astype(bool),
+                     draw=config.get("draw"))

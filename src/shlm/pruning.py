@@ -10,10 +10,8 @@ pool with no floor. Ties prune the lower canonical index first.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from .model import (
     ModelConfig,
     TransformerModel,
     UnitId,
-    UnitKind,
     _nll_from_logits,
     _Replicas,
     num_units,
@@ -103,27 +100,6 @@ def build_mask(cfg: ModelConfig, scores: ScoreVector, spec: PruneSpec) -> MaskSe
     return mask
 
 
-def save_mask(mask: MaskSet, path) -> None:
-    """JSON array of surviving units."""
-    units = [
-        {"layer": u.layer, "kind": u.kind.value, "index": u.index}
-        for u in mask.surviving_units()
-    ]
-    Path(path).write_text(json.dumps(units, indent=0), encoding="utf-8")
-
-
-def load_mask(cfg: ModelConfig, path) -> MaskSet:
-    units = json.loads(Path(path).read_text(encoding="utf-8"))
-    heads = np.zeros((cfg.num_layers, cfg.num_heads), dtype=bool)
-    neurons = np.zeros((cfg.num_layers, cfg.ffn_dim), dtype=bool)
-    for u in units:
-        if u["kind"] == UnitKind.HEAD.value:
-            heads[u["layer"], u["index"]] = True
-        else:
-            neurons[u["layer"], u["index"]] = True
-    return MaskSet(heads, neurons)
-
-
 # ---------------------------------------------------------------------------
 # shared dense pass
 
@@ -180,14 +156,10 @@ def oracle_ablation(model: TransformerModel, eval_tokens, scope: str = "both",
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     cfg = model.cfg
-    flats = []
-    for flat in range(num_units(cfg)):
-        kind = unit_at(cfg, flat).kind
-        if scope == "heads" and kind != UnitKind.HEAD:
-            continue
-        if scope == "neurons" and kind != UnitKind.NEURON:
-            continue
-        flats.append(flat)
+    every = np.arange(num_units(cfg))
+    heads, neurons = unit_blocks(cfg, every)
+    flats = {"heads": heads, "neurons": neurons,
+             "both": every}[scope].reshape(-1).tolist()
     if len(flats) > max_units:
         raise TooManyUnitsError(
             f"{len(flats)} units exceed the cap of {max_units};"

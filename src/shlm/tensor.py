@@ -3,13 +3,13 @@
 Each op records its parents and a vector-Jacobian closure on a dynamic
 tape. ``backward`` walks the tape once in reverse topological order,
 propagating a fresh seed of 1.0, and adds the resulting adjoints into
-the ``grad`` buffers of leaves and of the intermediates it is asked to
-keep; every other intermediate's ``grad`` stays None. Repeated calls
-accumulate. float32 is the working precision for training; float64 is
-used by verification paths.
+the ``grad`` buffers of every leaf, or of the tensors it is asked for;
+every other tensor's ``grad`` stays None. Repeated calls accumulate.
+float32 is the working precision for training; float64 is used by
+verification paths.
 
-``backward(..., wrt=leaves)`` differentiates only the nodes on a path
-from the kept tensors and the listed leaves to the loss. A VJP closure
+``backward(..., wrt=tensors)`` differentiates only the nodes on a path
+from the listed tensors to the loss. A VJP closure
 is called as ``vjp(g, need)``: ``need`` holds one flag per parent, or is
 None when every parent is wanted, and a closure may return None for a
 parent whose flag is off (``matmul`` does; the other ops ignore the
@@ -207,16 +207,6 @@ def square(a: Tensor) -> Tensor:
     return _from_op(a.data * a.data, (a,), "square", vjp)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise DomainError("log: all inputs must be strictly positive")
-
-    def vjp(g, need):
-        return (g / a.data,)
-
-    return _from_op(np.log(a.data), (a,), "log", vjp)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -410,25 +400,24 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 _EVERY_PARENT = itertools.repeat(True)
 
 
-def backward(loss: Tensor, keep=(), wrt=None) -> None:
-    """Accumulate d(loss)/dt into ``t.grad`` for each leaf in ``wrt``
-    (None: every reachable leaf with ``requires_grad``) and for each
-    intermediate in ``keep``; no other tensor gets a ``grad`` buffer.
+def backward(loss: Tensor, wrt=None) -> None:
+    """Accumulate d(loss)/dt into ``t.grad`` for each tensor in ``wrt``,
+    leaf or intermediate (None: every reachable leaf with
+    ``requires_grad``); no other tensor gets a ``grad`` buffer.
     Repeated calls without resetting grads add up.
 
     With ``wrt`` given, only *needed* nodes are differentiated: a node
-    is needed if it is kept, is a leaf in ``wrt``, or has a needed
-    parent. A node that is not needed gets no VJP call, and each VJP is
-    told which of its parents are needed, so ``matmul`` skips the
-    product for the others. The result is bit-identical to ``wrt=None``:
-    every child of a needed node is needed, so each needed adjoint sums
-    the same terms in the same order.
+    is needed if it is in ``wrt`` or has a needed parent. A node that is
+    not needed gets no VJP call, and each VJP is told which of its
+    parents are needed, so ``matmul`` skips the product for the others.
+    The result is bit-identical to a full pass: every child of a needed
+    node is needed, so each needed adjoint sums the same terms in the
+    same order.
     """
     if loss.size != 1:
         raise NotScalarError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss._parents and not loss.requires_grad:
         raise EmptyTapeError("backward: loss is not connected to any tape")
-    wanted = None if wrt is None else {id(t) for t in wrt}
 
     topo: list[Tensor] = []
     visited: set[int] = set()
@@ -446,12 +435,12 @@ def backward(loss: Tensor, keep=(), wrt=None) -> None:
             if id(p) not in visited and (p.requires_grad or p._parents):
                 stack.append((p, False))
 
-    kept = {id(t) for t in keep}
-    needed = None
-    if wanted is not None:
+    wanted = needed = None
+    if wrt is not None:
+        wanted = {id(t) for t in wrt}
         needed = set()
         for node in topo:  # parents come before children
-            if (id(node) in kept or id(node) in wanted
+            if (id(node) in wanted
                     or any(id(p) in needed for p in node._parents)):
                 needed.add(id(node))
         if id(loss) not in needed:
@@ -463,7 +452,8 @@ def backward(loss: Tensor, keep=(), wrt=None) -> None:
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and (not node._parents or id(node) in kept):
+        if node.requires_grad and (not node._parents if wanted is None
+                                   else id(node) in wanted):
             node._accumulate(g)
         if node._vjp is None:
             continue

@@ -13,6 +13,7 @@ from .errors import EmptyCorpusError, UnknownTemplateError
 BYTE = "byte"
 WORD = "word"
 UNK_TOKEN = "<unk>"
+TRAIN_FRACTION = 0.9   # the rest of the stream is the validation split
 
 
 @dataclass
@@ -50,8 +51,8 @@ def encode(text: str, tokenizer: str, vocab: dict[str, int] | None = None) -> np
     raise ValueError(f"unknown tokenizer {tokenizer!r}")
 
 
-def ingest_corpus(path, tokenizer: str = BYTE, split=(0.9, 0.1)) -> TokenStream:
-    """Tokenize a text file and cut one contiguous train/val split."""
+def ingest_corpus(path, tokenizer: str = BYTE) -> TokenStream:
+    """Tokenize a text file and cut one contiguous 90/10 train/val split."""
     text = Path(path).read_text(encoding="utf-8")
     if tokenizer == BYTE:
         vocab = byte_vocab()
@@ -62,9 +63,7 @@ def ingest_corpus(path, tokenizer: str = BYTE, split=(0.9, 0.1)) -> TokenStream:
     ids = encode(text, tokenizer, vocab)
     if ids.size == 0:
         raise EmptyCorpusError(f"corpus {path} produced no tokens")
-    if len(split) != 2 or abs(split[0] + split[1] - 1.0) > 1e-9 or split[0] <= 0:
-        raise ValueError(f"split must be two fractions summing to 1, got {split}")
-    n_train = int(ids.size * split[0])
+    n_train = int(ids.size * TRAIN_FRACTION)
     return TokenStream(
         train=ids[:n_train].copy(),
         val=ids[n_train:].copy(),

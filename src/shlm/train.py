@@ -62,16 +62,6 @@ class TrainingLog:
     losses: list[float] = field(default_factory=list)
     settings: dict = field(default_factory=dict)
 
-    def chunk_means(self, n_chunks: int) -> list[float]:
-        """Mean loss over ``n_chunks`` equal consecutive slices."""
-        if not self.losses or n_chunks < 1:
-            return []
-        size = max(1, len(self.losses) // n_chunks)
-        return [
-            float(np.mean(self.losses[i:i + size]))
-            for i in range(0, size * n_chunks, size)
-        ]
-
 
 def train_lm(model: TransformerModel, train_tokens: np.ndarray, steps: int,
              lr: float, seed: int, batch_size: int = 8,

@@ -61,12 +61,6 @@ def case_square(rng):
     return [a], lambda ta: proj(T.square(ta))
 
 
-def case_log(rng):
-    a = rng.uniform(0.5, 2.0, size=(3, 5))
-    proj = _projector(rng, (3, 5))
-    return [a], lambda ta: proj(T.log(ta))
-
-
 def case_matmul(rng):
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 5))
@@ -157,7 +151,6 @@ ALL_CASES = [
     ("scale", case_scale),
     ("relu", case_relu),
     ("square", case_square),
-    ("log", case_log),
     ("matmul", case_matmul),
     ("matmul_batched", case_matmul_batched),
     ("reshape_transpose", case_reshape_transpose),

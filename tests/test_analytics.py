@@ -16,7 +16,6 @@ from shlm.analytics import (
     fewshot_study,
     perplexity,
     rank_variance,
-    read_report_json,
     spearman,
 )
 from shlm.errors import DegenerateError, EmptyStreamError, LengthMismatchError
@@ -128,34 +127,17 @@ def test_perplexity_empty_stream():
         perplexity(model, None, np.array([7]))
 
 
-def test_emit_report_csv_and_json_roundtrip(tmp_path):
+def test_emit_report_csv_rows(tmp_path):
     records = [
         EvalRecord("global", 0.5, "plainact", "static", 12.5, 0),
-        EvalRecord("local", 0.25, "plainact", "static", 11.0, 1,
-                   spearman_global=0.7),
+        {"strategy": "local", "sparsity": 0.1 + 0.2, "seed": 1},
     ]
     csv_path = tmp_path / "sweep.csv"
-    emit_report(records, csv_path, fmt="csv", columns=list(SWEEP_COLUMNS))
+    emit_report(records, csv_path, SWEEP_COLUMNS)
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "strategy,sparsity,criterion,topology,perplexity,seed"
-    assert lines[1] == "global,0.5,plainact,static,12.5,0"
-
-    json_path = tmp_path / "sweep.json"
-    emit_report(records, json_path, fmt="json")
-    loaded = read_report_json(json_path)
-    assert loaded[1]["spearman_global"] == 0.7
-    assert loaded[0]["spearman_global"] is None
-    assert [r["strategy"] for r in loaded] == ["global", "local"]
-
-
-def test_emit_report_full_columns_default(tmp_path):
-    record = EvalRecord("global", 0.5, "plainact", "shadow", 9.0, 3,
-                        predictor_flops=123.0)
-    path = tmp_path / "full.csv"
-    emit_report([record], path)
-    header = path.read_text().splitlines()[0]
-    assert header == ("strategy,sparsity,criterion,topology,perplexity,seed,"
-                      "spearman_global,spearman_local,predictor_flops")
+    assert lines == ["strategy,sparsity,criterion,topology,perplexity,seed",
+                     "global,0.5,plainact,static,12.5,0",
+                     "local,0.30000000000000004,,,,1"]
 
 
 def test_fidelity_columns_schema():

@@ -11,7 +11,7 @@ from shlm.checkpoint import (
     write_container,
 )
 from shlm.errors import ConfigMismatchError, FormatError
-from shlm.model import ModelConfig, TransformerModel
+from shlm.model import TransformerModel
 
 from .conftest import TINY
 
@@ -70,16 +70,6 @@ def test_wrong_kind_rejected(tmp_path):
     write_container(path, {"kind": "predictor"}, {"w": np.zeros(2, dtype=np.float32)})
     with pytest.raises(ConfigMismatchError):
         load_checkpoint(path)
-
-
-def test_expected_config_mismatch(tmp_path):
-    model = TransformerModel(TINY, seed=0)
-    path = tmp_path / "m.shlm"
-    save_checkpoint(model, path)
-    other = ModelConfig(num_layers=3, embed_dim=32, num_heads=4, head_dim=8,
-                        ffn_dim=32, vocab_size=256, max_seq_len=64)
-    with pytest.raises(ConfigMismatchError):
-        load_checkpoint(path, expected=other)
 
 
 def test_tensor_config_mismatch(tmp_path):

@@ -1,6 +1,9 @@
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,8 @@ from shlm.analytics import perplexity
 from shlm.checkpoint import load_checkpoint
 from shlm.cli import _corpus_prompts, main
 from shlm.model import CAPTURE_GRADS, TransformerModel
-from shlm.predictor import build_dataset, load_predictor, predictor_fidelity
+from shlm.predictor import (build_dataset, load_predictor, predictor_fidelity,
+                            save_predictor)
 from shlm.text import ingest_corpus
 
 from .conftest import toy_text
@@ -293,6 +297,10 @@ def test_predictor_artifacts(pipeline):
     rows = (pipeline / "fid" / "fidelity.csv").read_text().splitlines()
     assert rows[0] == "topology,criterion,spearman_global,spearman_local,mse,seed"
     assert rows[1].startswith("shadow,plainact,")
+    corpus = (pipeline / "corpus.txt").read_bytes()
+    assert load_predictor(pipeline / "pred" / "predictor.bin").draw == {
+        "corpus": hashlib.sha256(corpus).hexdigest(), "tokenizer": "byte",
+        "seed": 0, "prompts.n": 12, "prompts.length": 16}
 
 
 def test_predictor_covering_no_unit_is_runtime_error(tmp_path, workdir, capsys):
@@ -355,6 +363,36 @@ def test_eval_predictor_captures_only_heldout_prompts(pipeline, tmp_path,
         "spearman_per_layer": {str(k): v for k, v in ref.spearman_per_layer.items()},
         "mse": ref.mse, "degenerate_count": ref.degenerate_count,
         "n_examples": ref.n_examples}
+
+
+@pytest.mark.parametrize("field", ["prompts.n", "seed", "corpus",
+                                   "predictor_path"])
+def test_eval_predictor_rejects_another_prompt_draw(pipeline, tmp_path, capsys,
+                                                    field):
+    # the predictor was trained on 12 prompts drawn with seed 0
+    pred, corpus, flags = (pipeline / "pred" / "predictor.bin",
+                           pipeline / "corpus.txt", [])
+    if field == "prompts.n":
+        flags = ["--n-prompts", "8"]
+    elif field == "seed":
+        flags = ["--seed", "1"]
+    elif field == "corpus":
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(toy_text() + "one more line\n", encoding="utf-8")
+    else:
+        unrecorded = dataclasses.replace(load_predictor(pred), draw=None)
+        pred = tmp_path / "predictor.bin"
+        save_predictor(unrecorded, pred)
+    out = tmp_path / "fid"
+    assert main(["eval-predictor", "--config", str(pipeline / "cfg.json"),
+                 "--checkpoint", str(pipeline / "lm" / "model.bin"),
+                 "--predictor", str(pred), "--corpus", str(corpus),
+                 "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: field '{field}': " in err
+    if field == "predictor_path":
+        assert "retrain it with train-predictor" in err
+    assert not (out / "fidelity.json").exists()
 
 
 def test_loss_on_target_warns_for_corpus_windows(pipeline, tmp_path, capsys):
@@ -486,3 +524,49 @@ def test_seed_flag_overrides_config(pipeline, tmp_path):
     assert manifest["seed"] == 9
     assert (out / "model.bin").read_bytes() != \
         (pipeline / "lm" / "model.bin").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's use of shlm
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def test_benchmark_checks_and_tracer_run_on_toy_pipeline(pipeline, tmp_path,
+                                                         monkeypatch):
+    """benchmarks/checks.py and tracer.py pass on the toy pipeline, so a
+    change that breaks what they use of shlm fails here first."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import checks
+    import tracer
+
+    from shlm import cli
+
+    model = load_checkpoint(pipeline / "lm" / "model.bin")
+    val = ingest_corpus(pipeline / "corpus.txt").val
+    out = tmp_path / "sweep_contextual"
+    tr = tracer.Tracer()
+    with tr.patched():
+        # looked up on the module, so the traced main runs
+        assert cli.main([
+            "sweep", "--config", str(pipeline / "cfg.json"),
+            "--checkpoint", str(pipeline / "lm" / "model.bin"),
+            "--corpus", str(pipeline / "corpus.txt"),
+            "--predictor", str(pipeline / "pred" / "predictor.bin"),
+            "--sparsity", "0.0", "0.5", "--window", "16",
+            "--max-tokens", "64", "--out", str(out)]) == 0
+    names = {s.name for s in tr.spans}
+    assert {"cli.main", "checkpoint.load_checkpoint", "text.ingest_corpus",
+            "predictor.extract_features", "predictor.predict_scores",
+            "pruning.build_mask"} <= names
+    results = [
+        *checks.check_reference_forward(model, [val[:64], val[:16]]),
+        *checks.check_static_dense(pipeline / "sweep" / "sweep.csv", model,
+                                   val[:1024]),
+        *checks.check_contextual_dense(out / "sweep.csv", model, val[:64],
+                                       16),
+        *checks.check_oracle(pipeline / "oracle" / "oracle.csv", model,
+                             val[:1024], seed=0),
+    ]
+    assert len(results) == 4 + 2 + 2 + checks.ORACLE_SAMPLES
+    assert [r for r in results if not r[1]] == []

@@ -251,18 +251,18 @@ def test_backward_fills_grads_only_on_leaves_and_kept_tensors():
     leaves = [t for t in nodes if not t._parents and t.requires_grad]
     inner = [t for t in nodes if t._parents]
     assert len(leaves) == len(model.params)
-    # the capture kept its head and neuron taps, one of each per layer
+    # the capture asked for its head and neuron taps, one of each per layer
     assert sum(t.grad is not None for t in inner) == 2 * TINY.num_layers
 
-    def leaf_grads(keep):
+    def leaf_grads(wrt):
         for t in nodes:
             t.grad = None
-        T.backward(res.loss_tensor, keep=keep)
+        T.backward(res.loss_tensor, wrt=wrt)
         return [t.grad.copy() for t in leaves]
 
-    lean = leaf_grads(())
+    lean = leaf_grads(None)
     assert all(t.grad is None for t in inner)
-    full = leaf_grads(inner)
+    full = leaf_grads(leaves + inner)
     assert all(t.grad is not None for t in inner)
     for a, b in zip(lean, full):
         assert np.array_equal(a, b)
@@ -284,9 +284,9 @@ def test_grad_capture_equals_full_backward(monkeypatch, dtype):
     up_off = offsets((TINY.embed_dim, TINY.ffn_dim))
     seen, real = {}, T.backward
 
-    def spy(loss, keep=(), wrt=None):
-        seen.update(loss=loss, keep=list(keep))
-        real(loss, keep=keep, wrt=wrt)
+    def spy(loss, wrt=None):
+        seen.update(loss=loss, wrt=list(wrt))
+        real(loss, wrt=wrt)
 
     monkeypatch.setattr(T, "backward", spy)
     res = model.forward(toks, mask=mask, capture=CAPTURE_GRADS,
@@ -295,13 +295,16 @@ def test_grad_capture_equals_full_backward(monkeypatch, dtype):
         assert (t.grad is not None) == name.endswith(".w_up"), name
     assert all(t.grad is None for t in head_off + up_off)
 
-    # the same tape, differentiated in full with the taps kept
-    for t in _tape_nodes(seen["loss"]):
+    # the same tape, differentiated in full: every leaf and the taps
+    nodes = _tape_nodes(seen["loss"])
+    for t in nodes:
         t.grad = None
-    real(seen["loss"], keep=seen["keep"])
     n = TINY.num_layers
-    want = {"head_grads": [t.grad for t in seen["keep"][:n]],
-            "neuron_grads": [t.grad for t in seen["keep"][n:]],
+    taps = seen["wrt"][:2 * n]
+    real(seen["loss"], wrt=taps + [t for t in nodes
+                                   if not t._parents and t.requires_grad])
+    want = {"head_grads": [t.grad for t in taps[:n]],
+            "neuron_grads": [t.grad for t in taps[n:]],
             "up_grads": [model.params[f"h{i}.w_up"].grad for i in range(n)]}
     for field, grads in want.items():
         for got, ref in zip(getattr(res, field), grads):

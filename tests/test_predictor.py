@@ -19,6 +19,7 @@ from shlm.predictor import (MODEL_PRESETS, CriteriaDataset, PredictorConfig,
                             predict_scores, predictor_fidelity,
                             predictor_flops, save_predictor, split_indices,
                             train_predictor)
+from shlm.predictor import _nets
 from shlm.pruning import PruneSpec
 
 from .conftest import TINY
@@ -131,6 +132,23 @@ def test_dejavu_host_wiring():
     assert dejavu_window(cfg, 2, 2) == [3]
     assert dejavu_hosts(cfg, 3) == [0, 3]
     assert dejavu_window(cfg, 3, 3) == []
+
+
+def test_dejavu_nets_partition_covered_units():
+    cfg = ModelConfig(num_layers=5, embed_dim=32, num_heads=4, head_dim=8,
+                      ffn_dim=16, vocab_size=64, max_seq_len=32)
+    full = covered_units(cfg, "dejavu")
+    partial = full & (np.random.default_rng(4).random(full.size) < 0.5)
+    for stride in (1, 2, 3):
+        hosts = dejavu_hosts(cfg, stride)
+        for covered in (full, partial):
+            union = np.zeros_like(covered)
+            for prefix, row, host, cols in _nets(cfg, covered, "dejavu",
+                                                 stride):
+                assert (prefix, row) == (f"host{host}.", hosts.index(host))
+                assert cols.size and not union[cols].any()
+                union[cols] = True
+            np.testing.assert_array_equal(union, covered)
 
 
 # ---------------------------------------------------------------------------
@@ -441,30 +459,31 @@ def test_dejavu_roundtrip_and_host_windows(trained_model):
     union = predict_scores(pred, ds.features[0])
     np.testing.assert_array_equal(union.covered, ds.covered)
     with pytest.raises(FeatureShapeMismatchError):
-        predict_scores(pred, ds.features[0][0], host=1)
+        predict_scores(pred, ds.features[0][0])
 
 
-def test_dejavu_per_host_prediction_matches_stacked():
+@pytest.mark.parametrize("topology", ["shadow", "fullseq", "dejavu"])
+def test_predict_accepts_exactly_the_extracted_feature_shape(topology):
     cfg = ModelConfig(num_layers=4, embed_dim=32, num_heads=4, head_dim=8,
                       ffn_dim=16, vocab_size=256, max_seq_len=32)
     model = TransformerModel(cfg, seed=2)
     rng = np.random.default_rng(22)
     prompts = [np.asarray(rng.integers(0, cfg.vocab_size, size=10),
                           dtype=np.int64) for _ in range(12)]
-    ds = build_dataset(model, prompts, "l2norm", topology="dejavu")
+    ds = build_dataset(model, prompts, "l2norm", topology=topology)
     pred, _ = train_predictor(
-        ds, PredictorConfig(topology="dejavu", epochs=2, batch=4), seed=0)
-    feature = ds.features[0]
-    stacked = predict_scores(pred, feature)
-    union = np.zeros_like(pred.covered)
-    for row, host in enumerate(dejavu_hosts(cfg, 2)):
-        one = predict_scores(pred, feature[row], host=host)
-        assert one.covered.any()
-        np.testing.assert_array_equal(one.values[one.covered],
-                                      stacked.values[one.covered])
-        assert not (union & one.covered).any()
-        union |= one.covered
-    np.testing.assert_array_equal(union, pred.covered)
+        ds, PredictorConfig(topology=topology, epochs=1, batch=4), seed=0)
+    for prompt in (prompts[0], prompts[1][:3], (prompts[2][:2], prompts[3])):
+        feature = extract_features(model, prompt, topology)
+        np.testing.assert_array_equal(
+            predict_scores(pred, feature).covered, ds.covered)
+    e, n_hosts = cfg.embed_dim, len(dejavu_hosts(cfg, 2))
+    wrong = {"shadow": [(), (1, e), (e - 1,)],
+             "fullseq": [(0, e), (10, e + 1), (e,), (1, 10, e)],
+             "dejavu": [(e,), (1, e), (n_hosts + 1, e), (n_hosts, e - 1)]}
+    for shape in wrong[topology]:
+        with pytest.raises(FeatureShapeMismatchError):
+            predict_scores(pred, np.zeros(shape, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------

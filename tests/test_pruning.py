@@ -20,6 +20,7 @@ from shlm.model import (
     TransformerModel,
     UnitId,
     UnitKind,
+    all_units,
     num_head_units,
     num_units,
 )
@@ -32,9 +33,7 @@ from shlm.predictor import (
 from shlm.pruning import (
     PruneSpec,
     build_mask,
-    load_mask,
     oracle_ablation,
-    save_mask,
     sparsity_sweep,
     write_oracle_csv,
 )
@@ -151,16 +150,8 @@ def test_zero_sparsity_is_identity():
     rng = np.random.default_rng(0)
     scores = ScoreVector(rng.standard_normal(num_units(_CFG)), "test")
     for strategy in ("local", "global"):
-        assert build_mask(_CFG, scores, PruneSpec(strategy, 0.0)).all_ones
-
-
-def test_mask_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    scores = ScoreVector(rng.standard_normal(num_units(_CFG)), "test")
-    mask = build_mask(_CFG, scores, PruneSpec("global", 0.4))
-    path = tmp_path / "mask.json"
-    save_mask(mask, path)
-    assert load_mask(_CFG, path) == mask
+        assert build_mask(_CFG, scores,
+                          PruneSpec(strategy, 0.0)) == MaskSet.ones(_CFG)
 
 
 def test_oracle_ablation_shape_and_cap(trained_model, stream):
@@ -169,6 +160,10 @@ def test_oracle_ablation_shape_and_cap(trained_model, stream):
     assert len(results) == num_head_units(TINY)
     assert results[0][0] == UnitId(0, UnitKind.HEAD, 0)
     assert all(np.isfinite(d) for _, d in results)
+    units, n_heads = all_units(TINY), num_head_units(TINY)
+    assert [u for u, _ in results] == units[:n_heads]
+    neurons = oracle_ablation(trained_model, eval_tokens[:64], scope="neurons")
+    assert [u for u, _ in neurons] == units[n_heads:]
     with pytest.raises(TooManyUnitsError):
         oracle_ablation(trained_model, eval_tokens, scope="both", max_units=10)
 

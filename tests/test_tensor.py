@@ -115,11 +115,6 @@ def test_layernorm_normalizes_rows():
     assert np.max(np.abs(y.var(axis=-1) - 1.0)) <= 1e-4
 
 
-def test_log_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        T.log(T.Tensor([1.0, 0.0]))
-
-
 def test_matmul_shape_errors():
     a = T.Tensor(np.zeros((3, 4)))
     with pytest.raises(ShapeMismatchError):

@@ -31,7 +31,7 @@ def test_word_vocab_first_occurrence_and_unk():
 def test_ingest_split_is_contiguous(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("x" * 1000, encoding="utf-8")
-    stream = ingest_corpus(path, tokenizer=BYTE, split=(0.9, 0.1))
+    stream = ingest_corpus(path, tokenizer=BYTE)
     assert len(stream.train) == 900
     assert len(stream.val) == 100
     assert stream.vocab_size == 256
@@ -42,13 +42,6 @@ def test_ingest_rejects_empty(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(EmptyCorpusError):
         ingest_corpus(path)
-
-
-def test_ingest_rejects_bad_split(tmp_path):
-    path = tmp_path / "c.txt"
-    path.write_text("abc", encoding="utf-8")
-    with pytest.raises(ValueError):
-        ingest_corpus(path, split=(0.5, 0.1))
 
 
 def test_vocab_roundtrip(tmp_path):
