@@ -163,14 +163,8 @@ def fewshot_study(model: TransformerModel, templates, shots_list, criterion: str
                                loss_on=loss_on, workers=workers)
         for rec in sparsity_sweep(model, agg, specs, eval_tokens,
                                   window=window):
-            records.append(FewshotRecord(
-                shots=shots,
-                strategy=rec.strategy,
-                sparsity=rec.sparsity,
-                criterion=criterion,
-                perplexity=rec.perplexity,
-                seed=seed,
-            ))
+            records.append(FewshotRecord(shots, rec.strategy, rec.sparsity,
+                                         criterion, rec.perplexity, seed))
     return records
 
 
@@ -178,25 +172,14 @@ def fewshot_study(model: TransformerModel, templates, shots_list, criterion: str
 # report emission
 
 
-def _record_dict(record) -> dict:
-    if dataclasses.is_dataclass(record) and not isinstance(record, type):
-        return dataclasses.asdict(record)
-    return dict(record)
-
-
 def emit_report(records, path, columns) -> None:
     """Write records (dataclasses or dicts) as CSV in ``columns`` order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for d in map(_record_dict, records):
-            row = []
-            for col in columns:
-                value = d.get(col)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(value)
-            writer.writerow(row)
+        for record in records:
+            d = (dataclasses.asdict(record) if dataclasses.is_dataclass(record)
+                 else dict(record))
+            writer.writerow(["" if value is None else repr(value)
+                             if isinstance(value, float) else value
+                             for value in map(d.get, columns)])

@@ -9,6 +9,8 @@ data). Tensors are read until EOF; any truncation is a format error.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -46,56 +48,50 @@ def write_container(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
+    """A container file, read in order; reading past its end raises."""
 
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.left = os.fstat(fh.fileno()).st_size
 
     def take(self, n: int) -> bytes:
-        if self.remaining < n:
+        if self.left < n:
             raise FormatError(f"{self.path}: truncated container")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self.left -= n
+        return self.fh.read(n)
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
+    def config(self) -> dict:
+        """The magic, the version and the config block."""
+        if self.take(4) != MAGIC:
+            raise FormatError(f"{self.path}: bad magic, not a checkpoint container")
+        (version,) = self.unpack("<I")
+        if version != VERSION:
+            raise FormatError(f"{self.path}: unsupported container version {version}")
+        try:
+            return json.loads(self.take(self.unpack("<I")[0]).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{self.path}: malformed config block") from exc
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    reader = _Reader(Path(path).read_bytes(), path)
-    if reader.take(4) != MAGIC:
-        raise FormatError(f"{path}: bad magic, not a checkpoint container")
-    version = reader.u32()
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
-    cfg_len = reader.u32()
-    try:
-        config = json.loads(reader.take(cfg_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: malformed config block") from exc
-    tensors: dict[str, np.ndarray] = {}
-    while reader.remaining:
-        name = reader.take(reader.u32()).decode("utf-8")
-        rank = reader.u32()
-        dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank)) if rank else ()
-        tag = reader.u8()
-        if tag not in _DTYPE_FOR_TAG:
-            raise FormatError(f"{path}: unknown dtype tag {tag} for {name!r}")
-        dtype = _DTYPE_FOR_TAG[tag]
-        count = 1
-        for d in dims:
-            count *= d
-        raw = reader.take(count * dtype.itemsize)
-        arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
-        tensors[name] = arr.astype(dtype.newbyteorder("="))
+    with open(path, "rb") as fh:
+        reader = _Reader(fh, path)
+        config = reader.config()
+        tensors: dict[str, np.ndarray] = {}
+        while reader.left:
+            name = reader.take(reader.unpack("<I")[0]).decode("utf-8")
+            (rank,) = reader.unpack("<I")
+            dims = reader.unpack(f"<{rank}Q")
+            (tag,) = reader.unpack("<B")
+            if tag not in _DTYPE_FOR_TAG:
+                raise FormatError(f"{path}: unknown dtype tag {tag} for {name!r}")
+            dtype = _DTYPE_FOR_TAG[tag]
+            raw = reader.take(math.prod(dims) * dtype.itemsize)
+            arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+            tensors[name] = arr.astype(dtype.newbyteorder("="))
     return config, tensors
 
 
@@ -103,9 +99,19 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 # model checkpoints
 
 
-def save_checkpoint(model: TransformerModel, path) -> None:
+def save_checkpoint(model: TransformerModel, path,
+                    vocab: dict[str, int] | None = None) -> None:
+    """``vocab``, a word model's vocabulary, goes into the config block."""
     config = {"kind": "model", "config": model.cfg.to_dict()}
+    if vocab is not None:
+        config["vocab"] = vocab
     write_container(path, config, {n: t.data for n, t in model.params.items()})
+
+
+def checkpoint_vocab(path) -> dict[str, int] | None:
+    """A word model's vocabulary, read from the config block; None for bytes."""
+    with open(path, "rb") as fh:
+        return _Reader(fh, path).config().get("vocab")
 
 
 def load_checkpoint(path) -> TransformerModel:

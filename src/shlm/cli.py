@@ -24,7 +24,7 @@ from . import __version__
 from .analytics import (FIDELITY_COLUMNS, FEWSHOT_COLUMNS, RANK_VARIANCE_COLUMNS,
                         SWEEP_COLUMNS, emit_report, fewshot_study,
                         rank_variance)
-from .checkpoint import load_checkpoint
+from .checkpoint import checkpoint_vocab, load_checkpoint, save_checkpoint
 from .criteria import (AGGREGATE_ONLY, LOSS_ON, CriterionKind,
                        collect_criteria, write_scores_csv)
 from .errors import ConfigError, ShlmError
@@ -35,7 +35,7 @@ from .predictor import (MODEL_PRESETS, TOPOLOGIES, PredictorConfig,
                         split_indices, train_predictor)
 from .pruning import (SCOPES, STRATEGIES, PruneSpec, oracle_ablation,
                       sparsity_sweep, write_oracle_csv)
-from .text import BYTE, TEMPLATES, WORD, ingest_corpus, save_vocab
+from .text import BYTE, TEMPLATES, WORD, ingest_corpus
 from .train import train_lm
 
 log = logging.getLogger("shlm")
@@ -249,16 +249,22 @@ def _input_path(cfg: dict, field: str) -> Path:
     return path
 
 
-def _load_corpus(cfg: dict):
+def _load_corpus(cfg: dict, vocab: dict[str, int] | None = None):
+    """The corpus stream; ``vocab``, a word model's, decides the word ids."""
     path = _input_path(cfg, "corpus")
-    return path, ingest_corpus(path, tokenizer=cfg["tokenizer"])
+    return path, ingest_corpus(path, cfg["tokenizer"], vocab)
 
 
 def _model_io(cfg: dict):
-    """The checkpoint's model, the corpus stream, and both input paths
-    (checkpoint, corpus)."""
+    """The checkpoint's model, the corpus stream encoded with the
+    checkpoint's vocabulary, and both input paths (checkpoint, corpus)."""
     ckpt = _input_path(cfg, "checkpoint")
-    corpus, stream = _load_corpus(cfg)
+    vocab = checkpoint_vocab(ckpt)
+    if (vocab is not None) != (cfg["tokenizer"] == WORD):
+        raise ConfigError(
+            f"field 'tokenizer': the checkpoint holds {'a' if vocab else 'no'} word"
+            f" vocabulary, so the tokenizer must be {WORD if vocab else BYTE}")
+    corpus, stream = _load_corpus(cfg, vocab)
     return load_checkpoint(ckpt), stream, [ckpt, corpus]
 
 
@@ -356,10 +362,9 @@ def cmd_train_lm(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     t = cfg["train"]
     tlog = train_lm(model, stream.train, steps=t["steps"], lr=float(t["lr"]),
                     seed=seed, batch_size=t["batch_size"],
-                    seq_len=t["seq_len"], weight_decay=float(t["weight_decay"]),
-                    checkpoint_path=out / "model.bin")
-    if cfg["tokenizer"] == WORD:
-        save_vocab(stream.vocab, out / "vocab.json")
+                    seq_len=t["seq_len"], weight_decay=float(t["weight_decay"]))
+    save_checkpoint(model, out / "model.bin",
+                    vocab=stream.vocab if cfg["tokenizer"] == WORD else None)
     _write_json(out / "train_log.json",
                 {"losses": tlog.losses, "settings": tlog.settings})
     log.info("trained %d steps, final loss %.4f", len(tlog.losses),

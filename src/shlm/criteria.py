@@ -107,7 +107,10 @@ def _require(capture: ForwardResult, attr: str, kind: CriterionKind) -> list:
 
 # criterion -> (head fields, neuron fields, elementwise map, reduction,
 # final map). The fields are multiplied in float64; heads then reduce over
-# (T, head_dim) and neurons over their column.
+# (T, head_dim) and neurons over their column. Per unit: l2norm is the L2
+# norm of the activation, gradnorm that of the loss gradient, plainact the
+# L1 norm of activation times gradient and fisher that product's mean
+# square.
 _REDUCTIONS = {
     CriterionKind.L2NORM: (("head_acts",), ("neuron_acts",),
                            np.square, np.sum, np.sqrt),
@@ -135,29 +138,6 @@ def _table_score(capture: ForwardResult, kind: CriterionKind) -> np.ndarray:
         stacked = np.stack(per_layer)
         parts.append(stacked if final is None else final(stacked))
     return _flat_scores(*parts)
-
-
-def score_l2norm(capture: ForwardResult) -> np.ndarray:
-    """L2 norm of the activation, per unit."""
-    return _table_score(capture, CriterionKind.L2NORM)
-
-
-def score_gradnorm(capture: ForwardResult) -> np.ndarray:
-    """L2 norm of the loss gradient, per unit."""
-    return _table_score(capture, CriterionKind.GRADNORM)
-
-
-def score_plainact(capture: ForwardResult) -> np.ndarray:
-    """L1 norm of activation times its loss gradient, per unit."""
-    return _table_score(capture, CriterionKind.PLAINACT)
-
-
-def score_fisher(capture: ForwardResult) -> np.ndarray:
-    """Mean squared activation-gradient product, per unit."""
-    return _table_score(capture, CriterionKind.FISHER)
-
-
-score_snip = score_plainact
 
 
 def score_nwot(capture: ForwardResult) -> np.ndarray:
@@ -386,10 +366,7 @@ def collect_criteria(model: TransformerModel, prompts, kind,
     if kind == CriterionKind.GRASP:
         raw = replicas.run(list(enumerate(parts)), score_one)
     else:
-        raw = [
-            score_contextual(captures[i], kind)
-            for i in range(len(captures))
-        ]
+        raw = [score_contextual(c, kind) for c in captures]
 
     if aggregate:
         return ScoreVector(np.mean(np.stack(raw), axis=0), kind.value, example_id=None)

@@ -21,6 +21,7 @@ import numpy as np
 from . import tensor as T
 from .errors import (
     EmptyStreamError,
+    EmptyTapeError,
     MaskShapeMismatchError,
     NonFiniteError,
     SequenceTooLongError,
@@ -195,7 +196,7 @@ class ForwardResult:
     logits: np.ndarray
     loss: float | None
     n_predicted: int
-    loss_tensor: "T.Tensor | None" = None
+    loss_tensor: "T.Tensor | None" = None          # taped forwards only
     embed: np.ndarray | None = None
     head_acts: list[np.ndarray] | None = None      # per layer (H, T, d_h), pre-mask
     neuron_acts: list[np.ndarray] | None = None    # per layer (T, F), post-ReLU pre-mask
@@ -209,15 +210,16 @@ class ForwardResult:
 
 @dataclass
 class Taps:
-    """Tensors kept for capture; each ``block`` call appends one to each
-    list: per-head attention (H, T, d_h) and post-ReLU FFN activations
-    (T, F), both before masking, the attention output (T, E) before the
-    residual add, and the block output (T, E)."""
+    """Values kept for capture, Tensors or (under ``no_grad``) arrays;
+    each ``block`` call appends one to each list: per-head attention
+    (H, T, d_h) and post-ReLU FFN activations (T, F), both before
+    masking, the attention output (T, E) before the residual add, and
+    the block output (T, E). No op writes into a tapped value."""
 
-    head_acts: list[T.Tensor] = field(default_factory=list)
-    neuron_acts: list[T.Tensor] = field(default_factory=list)
-    attn_outs: list[T.Tensor] = field(default_factory=list)
-    layer_outs: list[T.Tensor] = field(default_factory=list)
+    head_acts: list = field(default_factory=list)
+    neuron_acts: list = field(default_factory=list)
+    attn_outs: list = field(default_factory=list)
+    layer_outs: list = field(default_factory=list)
 
 
 @functools.lru_cache(maxsize=16)
@@ -283,16 +285,6 @@ class TransformerModel:
         for t in self.params.values():
             t.zero_grad()
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.params.values())
-
-    @staticmethod
-    def expected_param_count(cfg: ModelConfig) -> int:
-        e, f = cfg.embed_dim, cfg.ffn_dim
-        per_layer = 4 * e + 4 * e * e + 2 * e * f
-        return (cfg.vocab_size * e + cfg.max_seq_len * e
-                + cfg.num_layers * per_layer + 2 * e)
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 
@@ -304,7 +296,10 @@ class TransformerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def embed(self, tokens) -> T.Tensor:
+    # ``embed``, ``block`` and ``readout`` use the ops of ``T.ops()``: Tensors
+    # with the tape on, plain arrays under ``no_grad``, with the same bits.
+
+    def embed(self, tokens):
         """Token plus position embeddings of a 1-D token sequence, (T, E)."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1 or tokens.size == 0:
@@ -314,20 +309,27 @@ class TransformerModel:
             raise SequenceTooLongError(
                 f"sequence length {t_len} exceeds max_seq_len {self.cfg.max_seq_len}"
             )
-        p = self.params
-        return T.add(T.embedding_lookup(p["tok_emb"], tokens),
-                     T.slice_rows(p["pos_emb"], 0, t_len))
+        O, p = T.ops(), self.params
+        return O.add_(O.embedding_lookup(O.leaf(p["tok_emb"]), tokens),
+                      O.slice_rows(O.leaf(p["pos_emb"]), 0, t_len))
 
-    def block(self, i: int, x: T.Tensor, mask: MaskSet | None = None,
+    def block(self, i: int, x, mask: MaskSet | None = None,
               head_scales: np.ndarray | None = None,
               neuron_scales: np.ndarray | None = None, head_offsets=None,
-              up_offsets=None, taps: Taps | None = None) -> T.Tensor:
+              up_offsets=None, taps: Taps | None = None):
         """Block ``i`` applied to its input ``x`` (T, E): causal attention,
         then the FFN, each added to the residual. ``mask``, the scales and
         the offsets are the whole-model arguments of ``forward``; the block
-        reads its own layer of each. ``taps`` receives the captured tensors.
+        reads its own layer of each. ``taps`` receives the captured values.
         A non-finite value is reported with the layer as well as the op.
+
+        Without a tape only three values are checked, each where a later
+        op could make a non-finite value finite: the scores before the
+        softmax (``exp(-inf)`` is 0), the product before the ReLU (which
+        zeroes ``-inf``) and the block output. No in-place write touches
+        ``x`` or a tapped value.
         """
+        O = T.ops()
         head_f = self._unit_factors(mask, head_scales, "head", i)
         neuron_f = self._unit_factors(mask, neuron_scales, "neuron", i)
         n_heads, d_head = self.cfg.num_heads, self.cfg.head_dim
@@ -335,39 +337,39 @@ class TransformerModel:
         p = self.params
         pre = f"h{i}."
         try:
-            h1 = T.layernorm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-            q = T.transpose(T.reshape(T.matmul(h1, p[pre + "wq"]),
-                                      (t_len, n_heads, d_head)), (1, 0, 2))
-            k = T.transpose(T.reshape(T.matmul(h1, p[pre + "wk"]),
-                                      (t_len, n_heads, d_head)), (1, 0, 2))
-            v = T.transpose(T.reshape(T.matmul(h1, p[pre + "wv"]),
-                                      (t_len, n_heads, d_head)), (1, 0, 2))
-            scores = T.add(T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))),
-                                   1.0 / math.sqrt(d_head)),
-                           _causal(t_len, self.dtype))
-            probs = T.softmax_rows(scores)
-            att = T.matmul(probs, v)                      # (H, T, d_h)
+            h1 = O.layernorm(x, O.leaf(p[pre + "ln1_g"]), O.leaf(p[pre + "ln1_b"]))
+            q, k, v = (O.transpose(O.reshape(O.matmul(h1, O.leaf(p[pre + w])),
+                                             (t_len, n_heads, d_head)), (1, 0, 2))
+                       for w in ("wq", "wk", "wv"))
+            scores = O.add_(O.scale_(O.matmul(q, O.transpose(k, (0, 2, 1))),
+                                     1.0 / math.sqrt(d_head)),
+                            O.leaf(_causal(t_len, self.dtype)))
+            O.check(scores, "attention scores")
+            att = O.matmul(O.softmax_rows_(scores), v)    # (H, T, d_h)
             if head_offsets is not None:
-                att = T.add(att, head_offsets[i])
+                att = O.add(att, O.leaf(head_offsets[i]))
             if taps is not None:
                 taps.head_acts.append(att)
             if head_f is not None:
-                att = T.mul(att, T.constant(
+                att = O.mul(att, O.const(
                     head_f.reshape(n_heads, 1, 1).astype(self.dtype)))
-            merged = T.reshape(T.transpose(att, (1, 0, 2)), (t_len, e_dim))
-            attn_out = T.matmul(merged, p[pre + "wo"])
-            x = T.add(x, attn_out)
+            merged = O.reshape(O.transpose(att, (1, 0, 2)), (t_len, e_dim))
+            attn_out = O.matmul(merged, O.leaf(p[pre + "wo"]))
+            x = O.add(x, attn_out)
 
-            h2 = T.layernorm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
-            w_up = p[pre + "w_up"]
+            h2 = O.layernorm(x, O.leaf(p[pre + "ln2_g"]), O.leaf(p[pre + "ln2_b"]))
+            w_up = O.leaf(p[pre + "w_up"])
             if up_offsets is not None:
-                w_up = T.add(w_up, up_offsets[i])
-            hidden = T.relu(T.matmul(h2, w_up))           # (T, F)
+                w_up = O.add(w_up, O.leaf(up_offsets[i]))
+            pre_act = O.matmul(h2, w_up)
+            O.check(pre_act, "matmul")
+            hidden = O.relu_(pre_act)                     # (T, F)
             if taps is not None:
                 taps.neuron_acts.append(hidden)
             if neuron_f is not None:
-                hidden = T.mul(hidden, T.constant(neuron_f.astype(self.dtype)))
-            x = T.add(x, T.matmul(hidden, p[pre + "w_down"]))
+                hidden = O.mul(hidden, O.const(neuron_f.astype(self.dtype)))
+            x = O.add_(x, O.matmul(hidden, O.leaf(p[pre + "w_down"])))
+            O.check(x, "block output")
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} in layer {i}") from exc
         if taps is not None:
@@ -375,11 +377,11 @@ class TransformerModel:
             taps.layer_outs.append(x)
         return x
 
-    def readout(self, x: T.Tensor) -> T.Tensor:
+    def readout(self, x):
         """Final layernorm and tied projection: (T, E) -> logits (T, V)."""
-        p = self.params
-        return T.matmul(T.layernorm(x, p["lnf_g"], p["lnf_b"]),
-                        T.transpose(p["tok_emb"], (1, 0)))
+        O, p = T.ops(), self.params
+        return O.matmul(O.layernorm(x, O.leaf(p["lnf_g"]), O.leaf(p["lnf_b"])),
+                        O.transpose(O.leaf(p["tok_emb"]), (1, 0)))
 
     def forward(self, tokens, mask: MaskSet | None = None, capture: str = CAPTURE_NONE,
                 loss_from: int = 1, head_offsets=None, up_offsets=None,
@@ -395,11 +397,16 @@ class TransformerModel:
         A ``CAPTURE_GRADS`` forward back-propagates only to what the
         criteria read: afterwards the per-layer ``w_up`` parameters are
         the only parameters with a ``.grad``, and the head and neuron
-        taps the only intermediates.
+        taps the only intermediates. It needs the tape; under ``no_grad``
+        the forward runs on arrays and ``loss_tensor`` is None.
         """
         cfg = self.cfg
         if capture not in _CAPTURE_MODES:
             raise ValueError(f"unknown capture mode {capture!r}")
+        O = T.ops()
+        if capture == CAPTURE_GRADS and O is not T.TAPED:
+            raise EmptyTapeError("forward: gradient capture needs the tape,"
+                                 " which no_grad turns off")
         tokens = np.asarray(tokens, dtype=np.int64)
         x = self.embed(tokens)
         t_len = int(tokens.size)
@@ -418,23 +425,21 @@ class TransformerModel:
         n_pred = 0
         if t_len >= 2 and 1 <= loss_from <= t_len - 1:
             n_pred = t_len - loss_from
-            loss_t = T.cross_entropy(
-                T.slice_rows(logits, loss_from - 1, t_len - 1), tokens[loss_from:]
+            loss_t = O.cross_entropy(
+                O.slice_rows(logits, loss_from - 1, t_len - 1), tokens[loss_from:]
             )
 
         result = ForwardResult(
             cfg=cfg,
-            logits=logits.data,
-            loss=float(loss_t.data) if loss_t is not None else None,
+            logits=O.value(logits),
+            loss=float(O.value(loss_t)) if loss_t is not None else None,
             n_predicted=n_pred,
-            loss_tensor=loss_t,
+            loss_tensor=loss_t if O is T.TAPED else None,
         )
         if want_acts:
-            result.embed = embed_t.data.copy()
-            result.head_acts = [t.data.copy() for t in taps.head_acts]
-            result.neuron_acts = [t.data.copy() for t in taps.neuron_acts]
-            result.attn_outs = [t.data.copy() for t in taps.attn_outs]
-            result.layer_outs = [t.data.copy() for t in taps.layer_outs]
+            result.embed = O.value(embed_t).copy()
+            for name in ("head_acts", "neuron_acts", "attn_outs", "layer_outs"):
+                setattr(result, name, [O.value(t).copy() for t in getattr(taps, name)])
             result.up_weights = [p[f"h{i}.w_up"].data.copy()
                                  for i in range(cfg.num_layers)]
         if want_grads:
@@ -445,15 +450,15 @@ class TransformerModel:
             self.zero_grads()
             up = [p[f"h{i}.w_up"] for i in range(cfg.num_layers)]
             T.backward(loss_t, wrt=taps.head_acts + taps.neuron_acts + up)
-            result.head_grads = [self._grad_of(t) for t in taps.head_acts]
-            result.neuron_grads = [self._grad_of(t) for t in taps.neuron_acts]
-            result.up_grads = [self._grad_of(t) for t in up]
+            result.head_grads, result.neuron_grads, result.up_grads = (
+                [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                 for t in ts] for ts in (taps.head_acts, taps.neuron_acts, up))
         return result
 
     def _unit_factors(self, mask: MaskSet | None, scales: np.ndarray | None,
                       kind: str, layer: int) -> np.ndarray | None:
         """Layer ``layer``'s row of the float64 mask-times-scales factors
-        for one unit kind, or None when neither is given."""
+        for one unit kind; None when neither is given or all are 1.0."""
         cfg = self.cfg
         width = cfg.num_heads if kind == "head" else cfg.ffn_dim
         base = None
@@ -469,13 +474,7 @@ class TransformerModel:
                     f" ({cfg.num_layers}, {width})"
                 )
             base = scales[layer] if base is None else base * scales[layer]
-        return base
-
-    @staticmethod
-    def _grad_of(t: T.Tensor) -> np.ndarray:
-        if t.grad is None:
-            return np.zeros_like(t.data)
-        return t.grad.copy()
+        return None if base is None or (base == 1.0).all() else base
 
     # -- evaluation ---------------------------------------------------------
 
@@ -486,12 +485,9 @@ class TransformerModel:
         window = self.cfg.max_seq_len if window is None else int(window)
         if window < 2:
             raise ValueError("stream_nll: window must be >= 2")
-        chunks = []
-        for start in range(0, len(tokens), window):
-            chunk = tokens[start:start + window]
-            if len(chunk) < 2:
-                break
-            chunks.append(chunk)
+        # only the last window can be shorter than 2
+        chunks = [tokens[s:s + window] for s in range(0, len(tokens), window)]
+        chunks = [c for c in chunks if len(c) >= 2]
         if not chunks:
             raise EmptyStreamError("stream_nll: nothing to predict in the stream")
         return chunks

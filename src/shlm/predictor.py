@@ -13,7 +13,7 @@ Three wirings are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -134,10 +134,7 @@ class PredictorConfig:
         return min(2048, 4 * embed_dim)
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "topology", "hidden_layers", "hidden_dim", "activation",
-            "epochs", "batch", "lr", "weight_decay", "normalization",
-            "dejavu_stride")}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PredictorConfig":
@@ -219,17 +216,17 @@ def extract_features(model: TransformerModel, prompt, topology: str,
     with T.no_grad():
         x = model.embed(tokens)
         if topology == "fullseq":
-            return x.data.astype(np.float32)
+            return x.astype(np.float32)
         if topology == "shadow":
             taps = Taps()
             model.block(0, x, taps=taps)
-            return taps.attn_outs[0].data[-1].astype(np.float32)
+            return taps.attn_outs[0][-1].astype(np.float32)
         hosts = dejavu_hosts(model.cfg, stride)
         rows = []
         for i in range(hosts[-1] + 1):
             x = model.block(i, x)
             if i in hosts:
-                rows.append(x.data[-1])
+                rows.append(x[-1])
     return np.stack(rows).astype(np.float32)
 
 

@@ -106,8 +106,8 @@ def build_mask(cfg: ModelConfig, scores: ScoreVector, spec: PruneSpec) -> MaskSe
 
 class _DensePass:
     """One eval window's dense forward, run once and kept for every mask
-    scored on that window: the input of each block (read-only, so the
-    oracle's replicas can share it) and the window's dense NLL.
+    scored on that window: the input of each block (a read-only array,
+    so the oracle's replicas can share it) and the window's dense NLL.
 
     A masked forward multiplies each layer with no pruned unit by exactly
     1.0, so its values below the first pruned layer equal the dense run
@@ -121,10 +121,10 @@ class _DensePass:
         with T.no_grad():
             x = model.embed(chunk)
             for i in range(model.cfg.num_layers):
-                x.data.flags.writeable = False
-                self.block_inputs.append(x.data)
+                x.flags.writeable = False
+                self.block_inputs.append(x)
                 x = model.block(i, x)
-            self.dense = _nll_from_logits(model.readout(x).data, self.targets)
+            self.dense = _nll_from_logits(model.readout(x), self.targets)
 
     def nll(self, model: TransformerModel, mask: MaskSet) -> float:
         """float64 NLL sum of this window under ``mask``, bit-identical to
@@ -135,10 +135,10 @@ class _DensePass:
             return self.dense
         first = int(np.argmax(pruned))
         with T.no_grad():
-            x = T.constant(self.block_inputs[first])
+            x = self.block_inputs[first]
             for i in range(first, model.cfg.num_layers):
                 x = model.block(i, x, mask)
-            return _nll_from_logits(model.readout(x).data, self.targets)
+            return _nll_from_logits(model.readout(x), self.targets)
 
 
 # ---------------------------------------------------------------------------

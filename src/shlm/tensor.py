@@ -19,9 +19,15 @@ order and comes out bit-identical to a full pass.
 
 Inside ``with no_grad():`` ops compute the same values but record no
 parents or closures, so an evaluation pass builds no tape and frees each
-intermediate as soon as nothing reads it. Every op still checks its
-output for non-finite values. The mode is per thread: entering it in one
-thread leaves the tape on in every other.
+intermediate as soon as nothing reads it. The mode is per thread:
+entering it in one thread leaves the tape on in every other.
+
+Every taped op checks its output for non-finite values. The network
+ops also have an array form on plain arrays, with no tape and no check,
+that the taped op computes its value with. ``ops()`` gives the namespace
+of the thread's mode, ``TAPED`` or (under ``no_grad``) ``ARRAY``; code
+written against it runs in both with the same bits, and in array mode
+checks for non-finite values where it chooses.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -121,14 +128,10 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str, vjp) -> Ten
     out.data = data
     out.grad = None
     out._op = op
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    out.requires_grad = taped = (_grad_mode.enabled
+                                 and any(p.requires_grad for p in parents))
+    out._parents = parents if taped else ()
+    out._vjp = vjp if taped else None
     return out
 
 
@@ -196,8 +199,7 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g, need):
         return (g * keep,)
 
-    out = np.where(keep, a.data, 0.0).astype(a.dtype, copy=False)
-    return _from_op(out, (a,), "relu", vjp)
+    return _from_op(_relu_(a.data.copy()), (a,), "relu", vjp)
 
 
 def square(a: Tensor) -> Tensor:
@@ -310,15 +312,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax_rows(a.data)
 
     def vjp(g, need):
         inner = (g * s).sum(axis=-1, keepdims=True)
         return (s * (g - inner),)
 
-    return _from_op(s.astype(a.dtype, copy=False), (a,), "softmax_rows", vjp)
+    return _from_op(s, (a,), "softmax_rows", vjp)
 
 
 def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -328,10 +328,7 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeMismatchError(
             f"layernorm: affine shapes {gamma.shape}/{beta.shape} do not match width {n}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mu) * inv
+    y, inv = _normalized(a.data, eps)
 
     def vjp(g, need):
         lead = tuple(range(g.ndim - 1))
@@ -350,25 +347,84 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeMismatchError(f"embedding_lookup: ids must be 1-D, got {ids.shape}")
-    vocab = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        raise InvalidTokenIdError(f"embedding_lookup: ids outside [0, {vocab})")
+    data = _lookup(table.data, ids)
 
     def vjp(g, need):
         full = np.zeros_like(table.data)
         np.add.at(full, ids, g)
         return (full,)
 
-    return _from_op(table.data[ids].copy(), (table,), "embedding_lookup", vjp)
+    return _from_op(data, (table,), "embedding_lookup", vjp)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of ``targets`` under row softmaxes."""
+    nll, e, zsum = _cross_entropy(logits.data, targets)
+    t_len = len(targets)
+
+    def vjp(g, need):
+        d = e / zsum
+        d[np.arange(t_len), targets] -= 1.0
+        return (d * (g / t_len),)
+
+    return _from_op(nll, (logits,), "cross_entropy", vjp)
+
+
+# ---------------------------------------------------------------------------
+# array forms
+#
+# The forward math of the network ops on plain arrays, shared by both
+# modes. An op whose name ends in ``_`` may overwrite its first argument
+# and returns it: pass it only a temporary that nothing else holds.
+
+
+def _relu_(a: np.ndarray) -> np.ndarray:
+    """max(a, 0) and +0.0 for -0.0, branch-free; no NaN reaches a ReLU."""
+    np.maximum(a, 0.0, out=a)
+    a += 0.0   # -0.0 + 0.0 is +0.0
+    return a
+
+
+def _softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Last-axis softmax, in place with ``out=a``; fmax finds the exact max fastest."""
+    s = np.subtract(a, np.fmax.reduce(a, axis=-1, keepdims=True), out=out)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _normalized(a: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a - mean) / std over the last axis and 1 / std, as ``mean``/``var`` do it."""
+    n = a.shape[-1]
+    y = a - np.add.reduce(a, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + eps)
+    y *= inv
+    return y, inv
+
+
+def _layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               eps: float = 1e-5) -> np.ndarray:
+    """``layernorm`` for ``a``, ``gamma`` and ``beta`` of one dtype."""
+    y = _normalized(a, eps)[0]
+    y *= gamma
+    y += beta
+    return y
+
+
+def _lookup(table: np.ndarray, ids) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ShapeMismatchError(f"embedding_lookup: ids must be 1-D, got {ids.shape}")
+    vocab = table.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        raise InvalidTokenIdError(f"embedding_lookup: ids outside [0, {vocab})")
+    return table[ids]
+
+
+def _cross_entropy(logits: np.ndarray, targets):
+    """Mean NLL (0-d, the logits' dtype), exp(logits - max), row sums."""
     targets = np.asarray(targets, dtype=np.int64)
-    if logits.data.ndim != 2:
+    if logits.ndim != 2:
         raise ShapeMismatchError(f"cross_entropy: logits must be (T, V), got {logits.shape}")
     t_len, vocab = logits.shape
     if targets.shape != (t_len,) or t_len == 0:
@@ -377,20 +433,43 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         )
     if targets.min() < 0 or targets.max() >= vocab:
         raise InvalidTokenIdError(f"cross_entropy: targets outside [0, {vocab})")
-    m = logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logits.data - m)
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
     zsum = e.sum(axis=-1, keepdims=True)
-    probs = e / zsum
     lse = (m + np.log(zsum)).reshape(-1)
-    picked = logits.data[np.arange(t_len), targets]
-    nll = (lse - picked).mean()
+    picked = logits[np.arange(t_len), targets]
+    return np.asarray((lse - picked).mean(), dtype=logits.dtype), e, zsum
 
-    def vjp(g, need):
-        d = probs.copy()
-        d[np.arange(t_len), targets] -= 1.0
-        return (d * (g / t_len),)
 
-    return _from_op(np.asarray(nll, dtype=logits.dtype), (logits,), "cross_entropy", vjp)
+# ---------------------------------------------------------------------------
+# the two op namespaces
+
+# ``leaf`` reads a Tensor (a parameter), ``const`` wraps a new array,
+# ``value`` gives a result's array, and ``check`` is the caller's own
+# finiteness check, which only array mode needs.
+TAPED = SimpleNamespace(
+    leaf=lambda t: t, const=constant, value=lambda t: t.data,
+    check=lambda value, op: None, add=add, add_=add, mul=mul, scale_=scale,
+    matmul=matmul, reshape=reshape, transpose=transpose, layernorm=layernorm,
+    relu_=relu, softmax_rows_=softmax_rows, embedding_lookup=embedding_lookup,
+    slice_rows=slice_rows, cross_entropy=cross_entropy,
+)
+ARRAY = SimpleNamespace(
+    leaf=lambda t: t.data, const=lambda data: data, value=lambda data: data,
+    check=_check_finite, add=np.add, add_=lambda a, b: np.add(a, b, out=a),
+    mul=np.multiply, scale_=lambda a, c: np.multiply(a, c, out=a),
+    matmul=np.matmul, reshape=np.reshape, transpose=np.transpose,
+    layernorm=_layernorm, relu_=_relu_,
+    softmax_rows_=lambda a: _softmax_rows(a, out=a), embedding_lookup=_lookup,
+    slice_rows=lambda a, start, stop: a[start:stop],
+    cross_entropy=lambda logits, targets: _cross_entropy(logits, targets)[0],
+)
+
+
+def ops() -> SimpleNamespace:
+    """The op namespace of this thread's mode: ``TAPED``, or ``ARRAY``
+    under ``no_grad``."""
+    return TAPED if _grad_mode.enabled else ARRAY
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,13 +50,16 @@ def encode(text: str, tokenizer: str, vocab: dict[str, int] | None = None) -> np
     raise ValueError(f"unknown tokenizer {tokenizer!r}")
 
 
-def ingest_corpus(path, tokenizer: str = BYTE) -> TokenStream:
-    """Tokenize a text file and cut one contiguous 90/10 train/val split."""
+def ingest_corpus(path, tokenizer: str = BYTE,
+                  vocab: dict[str, int] | None = None) -> TokenStream:
+    """Tokenize a text file and cut one contiguous 90/10 train/val split.
+    Words are encoded with ``vocab``, a trained model's, when it is
+    given, and otherwise with a vocabulary built from the text."""
     text = Path(path).read_text(encoding="utf-8")
     if tokenizer == BYTE:
         vocab = byte_vocab()
     elif tokenizer == WORD:
-        vocab = build_word_vocab(text)
+        vocab = build_word_vocab(text) if vocab is None else vocab
     else:
         raise ValueError(f"unknown tokenizer {tokenizer!r}")
     ids = encode(text, tokenizer, vocab)
@@ -70,17 +72,6 @@ def ingest_corpus(path, tokenizer: str = BYTE) -> TokenStream:
         vocab=vocab,
         tokenizer=tokenizer,
     )
-
-
-def save_vocab(vocab: dict[str, int], path) -> None:
-    Path(path).write_text(
-        json.dumps(vocab, ensure_ascii=True, sort_keys=True, indent=0),
-        encoding="utf-8",
-    )
-
-
-def load_vocab(path) -> dict[str, int]:
-    return {str(k): int(v) for k, v in json.loads(Path(path).read_text("utf-8")).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +97,7 @@ def _gen_add(rng: np.random.Generator) -> tuple[str, str]:
     return f"{a}+{b}", str(a + b)
 
 
-TEMPLATES = {
-    "copy": _gen_copy,
-    "reverse": _gen_reverse,
-    "add": _gen_add,
-}
+TEMPLATES = {"copy": _gen_copy, "reverse": _gen_reverse, "add": _gen_add}
 
 
 def make_fewshot_prompts(task: str, shots: int, n: int, seed: int

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import save_checkpoint
-from .errors import EmptyCorpusError
+from .errors import EmptyCorpusError, NonFiniteError
 from .model import TransformerModel
 
 
@@ -65,13 +64,12 @@ class TrainingLog:
 
 def train_lm(model: TransformerModel, train_tokens: np.ndarray, steps: int,
              lr: float, seed: int, batch_size: int = 8,
-             seq_len: int | None = None, weight_decay: float = 0.01,
-             checkpoint_path=None) -> TrainingLog:
+             seq_len: int | None = None, weight_decay: float = 0.01) -> TrainingLog:
     """Next-token training on random windows of the stream.
 
-    With ``steps == 0`` the model is untouched (a checkpoint, if
-    requested, holds the initialization). Identical inputs and seed give
-    a bit-identical parameter trajectory.
+    With ``steps == 0`` the model is untouched. Identical inputs and seed
+    give a bit-identical parameter trajectory. A ``NonFiniteError`` names the
+    step, counted from 1, after its op and layer.
     """
     train_tokens = np.asarray(train_tokens, dtype=np.int64)
     if seq_len is None:
@@ -88,17 +86,18 @@ def train_lm(model: TransformerModel, train_tokens: np.ndarray, steps: int,
         "seq_len": seq_len, "seed": seed, "weight_decay": weight_decay,
     })
     hi = max(1, len(train_tokens) - seq_len + 1)
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         starts = rng.integers(0, hi, size=batch_size)
         model.zero_grads()
         total = None
-        for s in starts:
-            loss = model.forward(train_tokens[s:s + seq_len]).loss_tensor
-            total = loss if total is None else T.add(total, loss)
-        mean_loss = T.scale(total, 1.0 / batch_size)
+        try:
+            for s in starts:
+                loss = model.forward(train_tokens[s:s + seq_len]).loss_tensor
+                total = loss if total is None else T.add(total, loss)
+            mean_loss = T.scale(total, 1.0 / batch_size)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{exc} at step {step}") from exc
         T.backward(mean_loss)
         opt.step()
         log.losses.append(float(mean_loss.data))
-    if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path)
     return log

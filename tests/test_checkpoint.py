@@ -5,6 +5,7 @@ import pytest
 
 from shlm.checkpoint import (
     MAGIC,
+    checkpoint_vocab,
     load_checkpoint,
     read_container,
     save_checkpoint,
@@ -36,6 +37,19 @@ def test_save_load_save_is_byte_identical(tmp_path):
     save_checkpoint(model, p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_vocab_roundtrip(tmp_path):
+    model = TransformerModel(TINY, seed=3)
+    byte_path, word_path = tmp_path / "b.shlm", tmp_path / "w.shlm"
+    save_checkpoint(model, byte_path)
+    vocab = {"<unk>": 0, "a": 1, "b": 2, "c": 3}
+    save_checkpoint(model, word_path, vocab=vocab)
+    assert checkpoint_vocab(byte_path) is None
+    assert checkpoint_vocab(word_path) == vocab
+    assert "vocab" not in read_container(byte_path)[0]
+    assert np.array_equal(load_checkpoint(word_path).params["tok_emb"].data,
+                          model.params["tok_emb"].data)
 
 
 def test_loaded_model_forward_matches(tmp_path):

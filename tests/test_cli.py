@@ -9,6 +9,7 @@ import pytest
 
 from shlm.analytics import perplexity
 from shlm.checkpoint import load_checkpoint
+from shlm import cli
 from shlm.cli import _corpus_prompts, main
 from shlm.model import CAPTURE_GRADS, TransformerModel
 from shlm.predictor import (build_dataset, load_predictor, predictor_fidelity,
@@ -226,6 +227,54 @@ def test_model_vocab_below_word_vocab_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: field 'model.vocab_size': 256 " in err
     assert "401" in err
+
+
+def test_word_model_encodes_every_corpus_with_its_own_vocabulary(
+        tmp_path, monkeypatch):
+    train_corpus, other_corpus = tmp_path / "a.txt", tmp_path / "b.txt"
+    train_corpus.write_text("the cat sat on the mat .\n", encoding="utf-8")
+    other_corpus.write_text("mat the on sat cat .\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": TOY_CONFIG["model"], "tokenizer": "word",
+                               "train": {"steps": 1, "batch_size": 2},
+                               "prompts": {"n": 2, "length": 3}}),
+                   encoding="utf-8")
+    assert main(["train-lm", "--config", str(cfg), "--corpus", str(train_corpus),
+                 "--out", str(tmp_path / "lm")]) == 0
+    assert sorted(p.name for p in (tmp_path / "lm").iterdir()) == [
+        "manifest.json", "model.bin", "train_log.json"]
+    seen = []
+
+    def spy(model, prompts, kind, **kwargs):
+        seen.extend(prompts)
+        return real(model, prompts, kind, **kwargs)
+
+    real = cli.collect_criteria
+    monkeypatch.setattr(cli, "collect_criteria", spy)
+    assert main(["collect", "--config", str(cfg), "--corpus", str(other_corpus),
+                 "--checkpoint", str(tmp_path / "lm" / "model.bin"),
+                 "--out", str(tmp_path / "c")]) == 0
+    # trained ids: <unk> 0, the 1, cat 2, sat 3, on 4, mat 5, . 6; the
+    # prompts are windows of the train split "mat the on sat cat"
+    ids = [5, 1, 4, 3, 2]
+    assert seen and all(
+        any(p.tolist() == ids[s:s + 3] for s in range(3)) for p in seen)
+    # a byte config would draw its prompts as word ids but record "byte"
+    cfg.write_text(json.dumps({"model": TOY_CONFIG["model"]}), encoding="utf-8")
+    assert main(["collect", "--config", str(cfg), "--corpus", str(other_corpus),
+                 "--checkpoint", str(tmp_path / "lm" / "model.bin"),
+                 "--out", str(tmp_path / "c2")]) == 2
+
+
+def test_byte_model_rejects_a_word_tokenizer(tmp_path, workdir, pipeline,
+                                             capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tokenizer": "word"}), encoding="utf-8")
+    assert main(["collect", "--config", str(cfg),
+                 "--corpus", str(workdir / "corpus.txt"),
+                 "--checkpoint", str(workdir / "lm" / "model.bin"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "field 'tokenizer': the checkpoint holds no word" in capsys.readouterr().err
 
 
 def test_flops_manifest_records_topology_under_flops(tmp_path):

@@ -11,15 +11,11 @@ from shlm.criteria import (
     NEG_INF,
     ScoreVector,
     collect_criteria,
+    score_contextual,
     score_epenas,
-    score_fisher,
     score_grasp,
-    score_gradnorm,
     score_jacov,
-    score_l2norm,
     score_nwot,
-    score_plainact,
-    score_snip,
     write_scores_csv,
 )
 from shlm.errors import (
@@ -80,12 +76,12 @@ def _scale_grads(cap, c):
 def test_l2norm_matches_direct_computation():
     rng = np.random.default_rng(0)
     cap = _fake_capture(_CFG, 5, rng)
-    got = score_l2norm(cap)
+    got = score_contextual(cap, "l2norm")
     want_head = np.sqrt((cap.head_acts[1][0] ** 2).sum())
     assert abs(got[unit_index(_CFG, UnitId(1, UnitKind.HEAD, 0))] - want_head) <= 1e-12
     want_neuron = np.sqrt((cap.neuron_acts[0][:, 3] ** 2).sum())
     assert abs(got[unit_index(_CFG, UnitId(0, UnitKind.NEURON, 3))] - want_neuron) <= 1e-12
-    grad = score_gradnorm(cap)
+    grad = score_contextual(cap, "gradnorm")
     want_head = np.sqrt((cap.head_grads[0][1] ** 2).sum())
     assert abs(grad[unit_index(_CFG, UnitId(0, UnitKind.HEAD, 1))] - want_head) <= 1e-12
     want_neuron = np.sqrt((cap.up_grads[1][:, 4] ** 2).sum())
@@ -95,8 +91,8 @@ def test_l2norm_matches_direct_computation():
 def test_plainact_and_fisher_hand_values():
     rng = np.random.default_rng(1)
     cap = _fake_capture(_CFG, 4, rng)
-    plain = score_plainact(cap)
-    fisher = score_fisher(cap)
+    plain = score_contextual(cap, "plainact")
+    fisher = score_contextual(cap, "fisher")
     h = unit_index(_CFG, UnitId(0, UnitKind.HEAD, 1))
     prod = cap.head_acts[0][1] * cap.head_grads[0][1]
     assert abs(plain[h] - np.abs(prod).sum()) <= 1e-12
@@ -110,26 +106,28 @@ def test_plainact_and_fisher_hand_values():
 def test_snip_equals_plainact():
     rng = np.random.default_rng(2)
     cap = _fake_capture(_CFG, 6, rng)
-    assert np.allclose(score_snip(cap), score_plainact(cap), rtol=1e-12, atol=0)
+    assert np.allclose(score_contextual(cap, "snip"),
+                       score_contextual(cap, "plainact"), rtol=1e-12, atol=0)
     # snip is plainact because |x| * |g| equals |x * g| bit for bit
     a, g = cap.head_acts[1], cap.head_grads[1]
     start = unit_index(_CFG, UnitId(1, UnitKind.HEAD, 0))
-    np.testing.assert_array_equal(score_snip(cap)[start:start + _CFG.num_heads],
-                                  (np.abs(a) * np.abs(g)).sum(axis=(1, 2)))
+    np.testing.assert_array_equal(
+        score_contextual(cap, "snip")[start:start + _CFG.num_heads],
+        (np.abs(a) * np.abs(g)).sum(axis=(1, 2)))
 
 
 def test_gradnorm_scales_linearly_and_preserves_ranking():
     rng = np.random.default_rng(3)
     cap = _fake_capture(_CFG, 5, rng)
-    base_g = score_gradnorm(cap)
-    base_p = score_plainact(cap)
-    base_f = score_fisher(cap)
+    base_g = score_contextual(cap, "gradnorm")
+    base_p = score_contextual(cap, "plainact")
+    base_f = score_contextual(cap, "fisher")
     scaled = _scale_grads(cap, 2.5)
-    assert np.allclose(score_gradnorm(scaled), 2.5 * base_g, rtol=1e-12)
-    assert np.allclose(score_plainact(scaled), 2.5 * base_p, rtol=1e-12)
-    assert np.allclose(score_fisher(scaled), 2.5 ** 2 * base_f, rtol=1e-12)
-    for before, after in ((base_g, score_gradnorm(scaled)),
-                          (base_p, score_plainact(scaled))):
+    assert np.allclose(score_contextual(scaled, "gradnorm"), 2.5 * base_g, rtol=1e-12)
+    assert np.allclose(score_contextual(scaled, "plainact"), 2.5 * base_p, rtol=1e-12)
+    assert np.allclose(score_contextual(scaled, "fisher"), 2.5 ** 2 * base_f, rtol=1e-12)
+    for before, after in ((base_g, score_contextual(scaled, "gradnorm")),
+                          (base_p, score_contextual(scaled, "plainact"))):
         assert np.array_equal(np.argsort(before), np.argsort(after))
 
 
@@ -153,10 +151,10 @@ def test_missing_capture_fields_rejected():
     rng = np.random.default_rng(5)
     cap = _fake_capture(_CFG, 4, rng, grads=False)
     with pytest.raises(MissingCaptureError):
-        score_gradnorm(cap)
+        score_contextual(cap, "gradnorm")
     bare = ForwardResult(cfg=_CFG, logits=np.zeros((4, 16)), loss=1.0, n_predicted=3)
     with pytest.raises(MissingCaptureError):
-        score_l2norm(bare)
+        score_contextual(bare, "l2norm")
 
 
 def _vec_capture(cfg, head_vecs, up_cols):
@@ -332,7 +330,7 @@ def test_masked_unit_scores_zero(trained_model):
     uid = UnitId(1, UnitKind.HEAD, 2)
     cap = trained_model.forward(toks, mask=MaskSet.ones(TINY).without([uid]),
                                 capture=CAPTURE_GRADS)
-    plain = score_plainact(cap)
+    plain = score_contextual(cap, "plainact")
     # activation is captured pre-mask but its gradient is exactly zero
     assert plain[unit_index(TINY, uid)] == 0.0
 

@@ -1,5 +1,7 @@
 """Model forward, masking semantics, capture, and gradient checks."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from shlm import tensor as T
 from shlm.errors import (
     EmptyStreamError,
+    EmptyTapeError,
     MaskShapeMismatchError,
     NonFiniteError,
     SequenceTooLongError,
@@ -48,7 +51,11 @@ def test_config_validation():
 
 def test_param_count_matches_closed_form():
     model = TransformerModel(TINY, seed=0)
-    assert model.param_count() == TransformerModel.expected_param_count(TINY)
+    e, f = TINY.embed_dim, TINY.ffn_dim
+    per_layer = 4 * e + 4 * e * e + 2 * e * f
+    want = (TINY.vocab_size * e + TINY.max_seq_len * e
+            + TINY.num_layers * per_layer + 2 * e)
+    assert sum(t.size for t in model.params.values()) == want
 
 
 def test_unit_blocks_are_views_in_canonical_order():
@@ -371,7 +378,7 @@ def test_no_grad_forward_is_bit_exact_and_untaped():
     assert np.array_equal(free.logits, taped.logits)
     assert free.loss == taped.loss
     assert taped.loss_tensor._parents
-    assert free.loss_tensor._parents == () and not free.loss_tensor.requires_grad
+    assert free.loss_tensor is None
 
 
 def test_forward_resumed_from_block_input_is_bit_exact():
@@ -389,10 +396,10 @@ def test_forward_resumed_from_block_input_is_bit_exact():
             UnitId(cfg.num_layers - 1, UnitKind.NEURON, 0)])
         full = model.forward(toks, mask=mask).logits
         with T.no_grad():
-            x = T.constant(block_inputs[start])
+            x = block_inputs[start]
             for i in range(start, cfg.num_layers):
                 x = model.block(i, x, mask)
-            resumed = model.readout(x).data
+            resumed = model.readout(x)
         assert np.array_equal(resumed, full), start
 
 
@@ -407,3 +414,95 @@ def test_nonfinite_names_layer_with_and_without_tape():
         model.forward(toks)
     with T.no_grad(), pytest.raises(NonFiniteError, match="'matmul' in layer 1"):
         model.forward(toks)
+
+
+def _mode_variants(cfg):
+    rng = np.random.default_rng(7)
+    mask = MaskSet.ones(cfg).without([
+        UnitId(0, UnitKind.HEAD, 1), UnitId(cfg.num_layers - 1, UnitKind.HEAD, 0),
+        UnitId(0, UnitKind.NEURON, 3), UnitId(1, UnitKind.NEURON, 0)])
+    return {
+        "unmasked": {},
+        "mask": {"mask": mask},
+        "scales": {"head_scales": rng.uniform(0.0, 2.0, (cfg.num_layers, cfg.num_heads)),
+                   "neuron_scales": rng.uniform(0.0, 2.0, (cfg.num_layers, cfg.ffn_dim))},
+    }
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(), TINY], ids=["default", "tiny"])
+@pytest.mark.parametrize("variant", ["unmasked", "mask", "scales"])
+def test_array_mode_logits_equal_taped(cfg, variant):
+    model = TransformerModel(cfg, seed=4)
+    toks = _tokens(cfg.max_seq_len, seed=5)
+    kwargs = _mode_variants(cfg)[variant]
+    taped = model.forward(toks, **kwargs)
+    with T.no_grad():
+        free = model.forward(toks, **kwargs)
+    assert isinstance(taped.loss_tensor, T.Tensor)
+    assert np.array_equal(free.logits, taped.logits)
+    assert free.loss == taped.loss
+
+
+@pytest.mark.parametrize("variant", ["unmasked", "mask", "scales"])
+def test_array_mode_captures_equal_taped(variant):
+    # the taped capture copies each tap as it stands at the end of the
+    # forward, so an in-place write into a tap would show here
+    model = TransformerModel(TINY, seed=6)
+    toks = _tokens(TINY.max_seq_len, seed=8)
+    kwargs = _mode_variants(TINY)[variant]
+    taped = model.forward(toks, capture=CAPTURE_ACTIVATIONS, **kwargs)
+    with T.no_grad():
+        free = model.forward(toks, capture=CAPTURE_ACTIVATIONS, **kwargs)
+    assert np.array_equal(free.embed, taped.embed)
+    for name in ("head_acts", "neuron_acts", "attn_outs", "layer_outs"):
+        for layer, (a, b) in enumerate(zip(getattr(free, name), getattr(taped, name))):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, layer)
+
+
+def test_array_mode_checks_scores_before_the_softmax(monkeypatch):
+    # -inf scores at future positions vanish in exp(); only the check
+    # on the scores can see them
+    import shlm.model as model_mod
+
+    def causal(t_len, dtype):
+        arr = np.triu(np.full((t_len, t_len), -np.inf, dtype=dtype), k=1)
+        return types.SimpleNamespace(data=arr)
+
+    monkeypatch.setattr(model_mod, "_causal", causal)
+    model = TransformerModel(TINY, seed=0)
+    with T.no_grad(), pytest.raises(NonFiniteError,
+                                    match="'attention scores' in layer 0"):
+        model.forward(_tokens(16))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_array_mode_checks_the_product_before_the_relu():
+    # h2 is 1 everywhere, so h2 @ w_up is -inf in column 0 and 0 elsewhere,
+    # and the ReLU would zero all of it
+    model = TransformerModel(TINY, seed=0)
+    p = model.params
+    p["h1.ln2_g"].data[:] = 0.0
+    p["h1.ln2_b"].data[:] = 1.0
+    p["h1.w_up"].data[:] = 0.0
+    p["h1.w_up"].data[:, 0] = np.float32(-3e38)
+    with T.no_grad(), pytest.raises(NonFiniteError, match="'matmul' in layer 1"):
+        model.forward(_tokens(16))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_array_mode_checks_the_block_output():
+    model = TransformerModel(TINY, seed=0)
+    model.params["h1.w_up"].data[:] *= 100.0
+    model.params["h1.w_down"].data[:] = np.float32(3e38)
+    # the ReLU output is >= 0 and large, so hidden @ w_down is +inf in layer 1
+    with pytest.raises(NonFiniteError, match="'matmul' in layer 1"):
+        model.forward(_tokens(16))
+    with T.no_grad(), pytest.raises(NonFiniteError,
+                                    match="'block output' in layer 1"):
+        model.forward(_tokens(16))
+
+
+def test_gradient_capture_needs_the_tape():
+    model = TransformerModel(TINY, seed=0)
+    with T.no_grad(), pytest.raises(EmptyTapeError):
+        model.forward(_tokens(8), capture=CAPTURE_GRADS)

@@ -10,9 +10,7 @@ from shlm.text import (
     build_word_vocab,
     encode,
     ingest_corpus,
-    load_vocab,
     make_fewshot_prompts,
-    save_vocab,
 )
 
 
@@ -42,13 +40,6 @@ def test_ingest_rejects_empty(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(EmptyCorpusError):
         ingest_corpus(path)
-
-
-def test_vocab_roundtrip(tmp_path):
-    vocab = build_word_vocab("a b c a")
-    path = tmp_path / "vocab.json"
-    save_vocab(vocab, path)
-    assert load_vocab(path) == vocab
 
 
 def test_fewshot_prompts_deterministic():
