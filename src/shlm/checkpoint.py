@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
 def save_checkpoint(model: TransformerModel, path,
                     vocab: dict[str, int] | None = None) -> None:
     """``vocab``, a word model's vocabulary, goes into the config block."""
-    config = {"kind": "model", "config": model.cfg.to_dict()}
+    config = {"kind": "model", "config": asdict(model.cfg)}
     if vocab is not None:
         config["vocab"] = vocab
     write_container(path, config, {n: t.data for n, t in model.params.items()})

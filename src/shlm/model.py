@@ -64,9 +64,6 @@ class ModelConfig:
         if self.positional != "learned":
             raise ValueError("only learned position embeddings are supported")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         known = {f.name for f in fields(cls)}
@@ -204,17 +201,18 @@ class ForwardResult:
     layer_outs: list[np.ndarray] | None = None     # per layer (T, E), post-block
     head_grads: list[np.ndarray] | None = None
     neuron_grads: list[np.ndarray] | None = None
-    up_weights: list[np.ndarray] | None = None     # per layer (E, F)
+    up_weights: list[np.ndarray] | None = None     # per layer (E, F), read-only views
     up_grads: list[np.ndarray] | None = None
 
 
 @dataclass
 class Taps:
-    """Values kept for capture, Tensors or (under ``no_grad``) arrays;
-    each ``block`` call appends one to each list: per-head attention
-    (H, T, d_h) and post-ReLU FFN activations (T, F), both before
-    masking, the attention output (T, E) before the residual add, and
-    the block output (T, E). No op writes into a tapped value."""
+    """Values kept for capture, Tensors of the taped ops or (under
+    ``no_grad``) the array ops' arrays; each ``block`` call appends one to
+    each list: per-head attention (H, T, d_h) and post-ReLU FFN
+    activations (T, F), both before masking, the attention output (T, E)
+    before the residual add, and the block output (T, E). No op writes
+    into a tapped value, so a capture keeps these arrays, not copies."""
 
     head_acts: list = field(default_factory=list)
     neuron_acts: list = field(default_factory=list)
@@ -437,11 +435,13 @@ class TransformerModel:
             loss_tensor=loss_t if O is T.TAPED else None,
         )
         if want_acts:
-            result.embed = O.value(embed_t).copy()
+            result.embed = O.value(embed_t)
             for name in ("head_acts", "neuron_acts", "attn_outs", "layer_outs"):
-                setattr(result, name, [O.value(t).copy() for t in getattr(taps, name)])
-            result.up_weights = [p[f"h{i}.w_up"].data.copy()
+                setattr(result, name, [O.value(t) for t in getattr(taps, name)])
+            result.up_weights = [p[f"h{i}.w_up"].data.view()
                                  for i in range(cfg.num_layers)]
+            for view in result.up_weights:
+                view.flags.writeable = False
         if want_grads:
             if loss_t is None:
                 raise EmptyStreamError(
@@ -451,7 +451,7 @@ class TransformerModel:
             up = [p[f"h{i}.w_up"] for i in range(cfg.num_layers)]
             T.backward(loss_t, wrt=taps.head_acts + taps.neuron_acts + up)
             result.head_grads, result.neuron_grads, result.up_grads = (
-                [np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                [np.zeros_like(t.data) if t.grad is None else t.grad
                  for t in ts] for ts in (taps.head_acts, taps.neuron_acts, up))
         return result
 

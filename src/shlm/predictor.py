@@ -133,13 +133,6 @@ class PredictorConfig:
             return self.hidden_dim
         return min(2048, 4 * embed_dim)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PredictorConfig":
-        return cls(**d)
-
 
 def dejavu_hosts(cfg: ModelConfig, stride: int) -> list[int]:
     return list(range(0, cfg.num_layers, stride))
@@ -382,51 +375,53 @@ def _init_encoder(rng: np.random.Generator, e: int) -> dict[str, np.ndarray]:
     return params
 
 
-def _mlp_forward(p: dict, prefix: str, x: T.Tensor, layers: int) -> T.Tensor:
+# The network uses the ops of ``T.ops()``, as ``TransformerModel.block``
+# does: ``p`` maps names to Tensors with the tape on and to arrays under
+# ``no_grad``, with the same bits. Array mode checks the product before
+# each ReLU, the encoder scores before the softmax and the output.
+def _mlp_forward(p: dict, prefix: str, x, layers: int):
+    O = T.ops()
     h = x
     for i in range(layers + 1):
-        h = T.add(T.matmul(h, p[f"{prefix}w{i}"]), p[f"{prefix}b{i}"])
+        h = O.add_(O.matmul(h, p[f"{prefix}w{i}"]), p[f"{prefix}b{i}"])
         if i < layers:
-            h = T.relu(h)
+            O.check(h, "matmul")
+            h = O.relu_(h)
+    O.check(h, "predictor output")
     return h
 
 
-def _cols(m: T.Tensor, start: int, stop: int) -> T.Tensor:
-    return T.transpose(T.slice_rows(T.transpose(m, (1, 0)), start, stop),
-                       (1, 0))
-
-
-def _encode_sequence(p: dict, seq: T.Tensor, e: int) -> T.Tensor:
+def _encode_sequence(p: dict, seq):
     """(T, E) -> (E,): normed 2-head full self-attention with residual,
     mean-pooled over positions. Concatenation+projection is expressed as
     a sum of per-head projections through row blocks of wo."""
-    dh = e // 2
-    x = T.layernorm(seq, p["enc.ln_g"], p["enc.ln_b"])
-    q = T.matmul(x, p["enc.wq"])
-    k = T.matmul(x, p["enc.wk"])
-    v = T.matmul(x, p["enc.wv"])
+    O = T.ops()
+    dh = seq.shape[1] // 2
+    x = O.layernorm(seq, p["enc.ln_g"], p["enc.ln_b"])
+    # q, k and v transposed, (E, T); slice_rows copies a head's rows, so
+    # its products see the same memory layout in both modes
+    qt, kt, vt = (O.transpose(O.matmul(x, p[f"enc.{w}"]), (1, 0))
+                  for w in ("wq", "wk", "wv"))
     out = seq
     for h in range(2):
-        qs = _cols(q, h * dh, (h + 1) * dh)
-        ks = _cols(k, h * dh, (h + 1) * dh)
-        vs = _cols(v, h * dh, (h + 1) * dh)
-        att = T.softmax_rows(T.scale(
-            T.matmul(qs, T.transpose(ks, (1, 0))), 1.0 / math.sqrt(dh)))
-        proj = T.matmul(T.matmul(att, vs),
-                        T.slice_rows(p["enc.wo"], h * dh, (h + 1) * dh))
-        out = T.add(out, proj)
-    return T.mean_rows(out)
+        qs, ks, vs, wo = (O.slice_rows(m, h * dh, (h + 1) * dh)
+                          for m in (qt, kt, vt, p["enc.wo"]))
+        scores = O.scale_(O.matmul(O.transpose(qs, (1, 0)), ks),
+                          1.0 / math.sqrt(dh))
+        O.check(scores, "encoder scores")
+        att = O.matmul(O.softmax_rows_(scores), O.transpose(vs, (1, 0)))
+        out = O.add(out, O.matmul(att, wo))
+    return O.mean_rows(out)
 
 
-def _forward_batch(p: dict[str, T.Tensor], cfg: PredictorConfig,
-                   embed_dim: int, features, prefix: str) -> T.Tensor:
-    """Predictions for a list of features -> (batch, out_dim) Tensor."""
+def _forward_batch(p: dict, cfg: PredictorConfig, features, prefix: str):
+    """Predictions for a list of features, (batch, out_dim)."""
+    O = T.ops()
     if cfg.topology == "fullseq":
-        x = T.stack_rows([_encode_sequence(p, T.constant(f), embed_dim)
-                          for f in features])
+        x = O.stack_rows([_encode_sequence(p, O.const(f)) for f in features])
     else:
-        x = T.constant(np.stack([np.asarray(f, dtype=np.float32)
-                                 for f in features]))
+        x = O.const(np.stack([np.asarray(f, dtype=np.float32)
+                              for f in features]))
     return _mlp_forward(p, prefix, x, cfg.hidden_layers)
 
 
@@ -450,7 +445,7 @@ def _mse_loss(pred: T.Tensor, target: np.ndarray) -> T.Tensor:
     return T.scale(T.tsum(T.square(diff)), 1.0 / target.size)
 
 
-def _train_net(arrays: dict, cfg: PredictorConfig, embed_dim: int, features,
+def _train_net(arrays: dict, cfg: PredictorConfig, features,
                targets: np.ndarray, train_idx, heldout_idx,
                rng: np.random.Generator, prefix: str):
     """Epoch loop over one net -> (trained arrays, train and held-out
@@ -464,8 +459,7 @@ def _train_net(arrays: dict, cfg: PredictorConfig, embed_dim: int, features,
         se_sum, n_seen = 0.0, 0
         for start in range(0, len(order), cfg.batch):
             idx = order[start:start + cfg.batch]
-            pred = _forward_batch(p, cfg, embed_dim,
-                                  [features[i] for i in idx], prefix)
+            pred = _forward_batch(p, cfg, [features[i] for i in idx], prefix)
             loss = _mse_loss(pred, targets[idx])
             opt.zero_grad()
             T.backward(loss)
@@ -477,9 +471,9 @@ def _train_net(arrays: dict, cfg: PredictorConfig, embed_dim: int, features,
             heldout_curve.append(float("nan"))
             continue
         with T.no_grad():
-            pred = _forward_batch(p, cfg, embed_dim,
+            pred = _forward_batch({n: t.data for n, t in p.items()}, cfg,
                                   [features[i] for i in heldout_idx], prefix)
-        err = pred.data.astype(np.float64) - targets[heldout_idx]
+        err = pred.astype(np.float64) - targets[heldout_idx]
         heldout_curve.append(float(np.mean(err * err)))
     return {n: t.data for n, t in p.items()}, train_curve, heldout_curve
 
@@ -531,7 +525,7 @@ def train_predictor(dataset: CriteriaDataset, config: PredictorConfig,
                      for f in dataset.features])
         net_rng = rng if host is None else np.random.default_rng([seed, host])
         trained, train_curve, heldout_curve = _train_net(
-            arrays, config, e, features,
+            arrays, config, features,
             dataset.targets[:, cols].astype(np.float32),
             dataset.train_idx, dataset.heldout_idx, net_rng, prefix)
         params.update(trained)
@@ -540,7 +534,7 @@ def train_predictor(dataset: CriteriaDataset, config: PredictorConfig,
     log = PredictorTrainingLog(
         train_mse=[float(v) for v in train_mse],
         heldout_mse=[float(v) for v in heldout_mse],
-        settings={"seed": seed, "hidden": hidden, **config.to_dict()})
+        settings={"seed": seed, "hidden": hidden, **asdict(config)})
     pred = Predictor(config=config, model_config=mcfg,
                      criterion=dataset.criterion, params=params,
                      covered=covered.copy())
@@ -555,7 +549,6 @@ def predict_scores(predictor: Predictor, feature) -> ScoreVector:
     """Scores for one ``extract_features`` feature. shadow/fullseq cover
     all their layers at once; dejavu unions the windows of every host."""
     mcfg = predictor.model_config
-    e = mcfg.embed_dim
     cfg = predictor.config
     expected = _feature_shape(mcfg, cfg.topology, cfg.dejavu_stride)
     feature = np.asarray(feature, dtype=np.float32)
@@ -567,13 +560,12 @@ def predict_scores(predictor: Predictor, feature) -> ScoreVector:
             f"expected {expected} (None = at least 1)")
     values = np.zeros(num_units(mcfg), dtype=np.float64)
     covered = np.zeros_like(predictor.covered)
-    for prefix, row, _, cols in _nets(mcfg, predictor.covered, cfg.topology,
-                                      cfg.dejavu_stride):
-        p = {n: T.constant(a) for n, a in predictor.params.items()
-             if n.startswith(prefix)}
-        x = feature if row is None else feature[row]
-        values[cols] = _forward_batch(p, cfg, e, [x], prefix).data[0]
-        covered[cols] = True
+    with T.no_grad():
+        for prefix, row, _, cols in _nets(mcfg, predictor.covered,
+                                          cfg.topology, cfg.dejavu_stride):
+            x = feature if row is None else feature[row]
+            values[cols] = _forward_batch(predictor.params, cfg, [x], prefix)[0]
+            covered[cols] = True
     return ScoreVector(values, predictor.criterion, covered=covered)
 
 
@@ -691,8 +683,8 @@ def contextual_mask_source(predictor: Predictor):
 def save_predictor(predictor: Predictor, path) -> None:
     config = {"kind": "predictor",
               "criterion": predictor.criterion,
-              "predictor_config": predictor.config.to_dict(),
-              "model_config": predictor.model_config.to_dict(),
+              "predictor_config": asdict(predictor.config),
+              "model_config": asdict(predictor.model_config),
               "draw": predictor.draw}
     tensors = dict(predictor.params)
     tensors["covered"] = predictor.covered.astype(np.float32)
@@ -704,7 +696,7 @@ def load_predictor(path) -> Predictor:
     if config.get("kind") != "predictor":
         raise ConfigMismatchError(
             f"{path}: container holds {config.get('kind')!r}, not a predictor")
-    cfg = PredictorConfig.from_dict(config["predictor_config"])
+    cfg = PredictorConfig(**config["predictor_config"])
     mcfg = ModelConfig.from_dict(config["model_config"])
     covered_arr = tensors.pop("covered", None)
     if covered_arr is None or covered_arr.size != num_units(mcfg):

@@ -17,17 +17,17 @@ flags). Every child of a differentiated node is itself differentiated,
 so each adjoint that is still computed sums the same terms in the same
 order and comes out bit-identical to a full pass.
 
-Inside ``with no_grad():`` ops compute the same values but record no
-parents or closures, so an evaluation pass builds no tape and frees each
-intermediate as soon as nothing reads it. The mode is per thread:
-entering it in one thread leaves the tape on in every other.
-
-Every taped op checks its output for non-finite values. The network
-ops also have an array form on plain arrays, with no tape and no check,
-that the taped op computes its value with. ``ops()`` gives the namespace
-of the thread's mode, ``TAPED`` or (under ``no_grad``) ``ARRAY``; code
-written against it runs in both with the same bits, and in array mode
-checks for non-finite values where it chooses.
+A taped op records its node whenever a parent requires a gradient, and
+checks its output for non-finite values. The network ops also have an
+array form on plain arrays, with no tape and no check, that the taped
+op computes its value with. ``ops()`` gives the namespace of the
+thread's mode: ``TAPED``, or ``ARRAY`` inside ``with no_grad():``. Code
+written against it runs in both with the same bits; in array mode it
+builds no tape, frees each intermediate as soon as nothing reads it,
+and checks for non-finite values where it chooses. ``no_grad`` selects
+the namespace and nothing else: a taped op called directly always
+tapes. The mode is per thread: entering it in one thread leaves the
+tape on in every other.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ _grad_mode = _GradMode()
 
 @contextlib.contextmanager
 def no_grad():
-    """Record no tape in this thread for the duration of the block."""
+    """Make ``ops()`` give ``ARRAY`` in this thread for the block."""
     prev = _grad_mode.enabled
     _grad_mode.enabled = False
     try:
@@ -128,8 +128,7 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str, vjp) -> Ten
     out.data = data
     out.grad = None
     out._op = op
-    out.requires_grad = taped = (_grad_mode.enabled
-                                 and any(p.requires_grad for p in parents))
+    out.requires_grad = taped = any(p.requires_grad for p in parents)
     out._parents = parents if taped else ()
     out._vjp = vjp if taped else None
     return out
@@ -446,13 +445,15 @@ def _cross_entropy(logits: np.ndarray, targets):
 
 # ``leaf`` reads a Tensor (a parameter), ``const`` wraps a new array,
 # ``value`` gives a result's array, and ``check`` is the caller's own
-# finiteness check, which only array mode needs.
+# finiteness check, which only array mode needs. ``slice_rows`` copies in
+# both modes: a matmul's bits can depend on its operands' memory layout.
 TAPED = SimpleNamespace(
     leaf=lambda t: t, const=constant, value=lambda t: t.data,
     check=lambda value, op: None, add=add, add_=add, mul=mul, scale_=scale,
     matmul=matmul, reshape=reshape, transpose=transpose, layernorm=layernorm,
     relu_=relu, softmax_rows_=softmax_rows, embedding_lookup=embedding_lookup,
-    slice_rows=slice_rows, cross_entropy=cross_entropy,
+    slice_rows=slice_rows, cross_entropy=cross_entropy, mean_rows=mean_rows,
+    stack_rows=stack_rows,
 )
 ARRAY = SimpleNamespace(
     leaf=lambda t: t.data, const=lambda data: data, value=lambda data: data,
@@ -461,8 +462,9 @@ ARRAY = SimpleNamespace(
     matmul=np.matmul, reshape=np.reshape, transpose=np.transpose,
     layernorm=_layernorm, relu_=_relu_,
     softmax_rows_=lambda a: _softmax_rows(a, out=a), embedding_lookup=_lookup,
-    slice_rows=lambda a, start, stop: a[start:stop],
+    slice_rows=lambda a, start, stop: a[start:stop].copy(),
     cross_entropy=lambda logits, targets: _cross_entropy(logits, targets)[0],
+    mean_rows=lambda a: a.mean(axis=0), stack_rows=np.stack,
 )
 
 

@@ -1,5 +1,7 @@
 """Checkpoint container format and model round-trips."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ def test_wrong_kind_rejected(tmp_path):
 def test_tensor_config_mismatch(tmp_path):
     model = TransformerModel(TINY, seed=0)
     path = tmp_path / "m.shlm"
-    config = {"kind": "model", "config": TINY.to_dict()}
+    config = {"kind": "model", "config": asdict(TINY)}
     tensors = {n: t.data for n, t in model.params.items()}
     tensors.pop("lnf_g")
     write_container(path, config, tensors)

@@ -445,8 +445,8 @@ def test_array_mode_logits_equal_taped(cfg, variant):
 
 @pytest.mark.parametrize("variant", ["unmasked", "mask", "scales"])
 def test_array_mode_captures_equal_taped(variant):
-    # the taped capture copies each tap as it stands at the end of the
-    # forward, so an in-place write into a tap would show here
+    # the taped forward writes in place into nothing, so an array-mode
+    # in-place write into a tap would show here
     model = TransformerModel(TINY, seed=6)
     toks = _tokens(TINY.max_seq_len, seed=8)
     kwargs = _mode_variants(TINY)[variant]
@@ -506,3 +506,14 @@ def test_gradient_capture_needs_the_tape():
     model = TransformerModel(TINY, seed=0)
     with T.no_grad(), pytest.raises(EmptyTapeError):
         model.forward(_tokens(8), capture=CAPTURE_GRADS)
+
+
+def test_capture_keeps_read_only_views_of_the_up_weights():
+    model = TransformerModel(TINY, seed=0)
+    res = model.forward(_tokens(8), capture=CAPTURE_GRADS)
+    for i, w_up in enumerate(res.up_weights):
+        param = model.params[f"h{i}.w_up"].data
+        assert np.shares_memory(w_up, param) and w_up.shape == param.shape
+        assert not w_up.flags.writeable
+        with pytest.raises(ValueError):
+            w_up[0, 0] = 1.0

@@ -1,14 +1,17 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shlm import tensor as T
 from shlm.checkpoint import save_checkpoint
 from shlm.criteria import collect_criteria
 from shlm.errors import (ConfigMismatchError, ContextualUnsupportedError,
                          DatasetTooSmallError, EmptyHeldoutError,
                          EmptyPromptError, FeatureShapeMismatchError,
-                         NoCoveredUnitsError)
+                         NoCoveredUnitsError, NonFiniteError)
 from shlm.model import (CAPTURE_ACTIVATIONS, ModelConfig, TransformerModel,
                         unit_blocks)
 from shlm.predictor import (MODEL_PRESETS, CriteriaDataset, PredictorConfig,
@@ -19,7 +22,7 @@ from shlm.predictor import (MODEL_PRESETS, CriteriaDataset, PredictorConfig,
                             predict_scores, predictor_fidelity,
                             predictor_flops, save_predictor, split_indices,
                             train_predictor)
-from shlm.predictor import _nets
+from shlm.predictor import _forward_batch, _nets
 from shlm.pruning import PruneSpec
 
 from .conftest import TINY
@@ -104,7 +107,7 @@ def test_config_validation():
         PredictorConfig(normalization="rank")
     with pytest.raises(ValueError):
         PredictorConfig(epochs=0)
-    round_trip = PredictorConfig.from_dict(PredictorConfig(hidden_dim=64).to_dict())
+    round_trip = PredictorConfig(**asdict(PredictorConfig(hidden_dim=64)))
     assert round_trip == PredictorConfig(hidden_dim=64)
 
 
@@ -484,6 +487,89 @@ def test_predict_accepts_exactly_the_extracted_feature_shape(topology):
     for shape in wrong[topology]:
         with pytest.raises(FeatureShapeMismatchError):
             predict_scores(pred, np.zeros(shape, dtype=np.float32))
+
+
+# ---------------------------------------------------------------------------
+# the two execution modes
+
+
+@pytest.fixture(scope="module")
+def default_predictors():
+    # the default width: at head_dim 64 a product's bits depend on its
+    # operands' memory layout, which 32-wide toys do not show
+    cfg = ModelConfig()
+    model = TransformerModel(cfg, seed=2)
+    rng = np.random.default_rng(23)
+    prompts = [np.asarray(rng.integers(0, cfg.vocab_size, size=int(n)),
+                          dtype=np.int64) for n in rng.integers(2, 20, size=9)]
+    out = {}
+    for topology in ("shadow", "fullseq", "dejavu"):
+        ds = build_dataset(model, prompts, "l2norm", topology=topology)
+        pred, _ = train_predictor(
+            ds, PredictorConfig(topology=topology, epochs=1, batch=4), seed=0)
+        out[topology] = (pred, ds.features)
+    return out
+
+
+@pytest.mark.parametrize("topology", ["shadow", "fullseq", "dejavu"])
+def test_array_mode_predictions_equal_taped(default_predictors, topology):
+    pred, features = default_predictors[topology]
+    mcfg = pred.model_config
+    taped_params = {n: T.Tensor(a, requires_grad=True)
+                    for n, a in pred.params.items()}
+    for feature in features:
+        values = predict_scores(pred, feature).values
+        for prefix, row, _, cols in _nets(mcfg, pred.covered, topology,
+                                          pred.config.dejavu_stride):
+            x = feature if row is None else feature[row]
+            taped = _forward_batch(taped_params, pred.config, [x], prefix)
+            assert isinstance(taped, T.Tensor) and taped._parents
+            np.testing.assert_array_equal(values[cols], taped.data[0])
+
+
+@pytest.mark.parametrize("topology", ["shadow", "fullseq", "dejavu"])
+def test_predict_scores_builds_no_tensor(default_predictors, monkeypatch,
+                                         topology):
+    pred, features = default_predictors[topology]
+    want = predict_scores(pred, features[0]).values
+
+    def build(*args, **kwargs):
+        raise AssertionError("predict_scores built a Tensor")
+
+    monkeypatch.setattr(T, "_from_op", build)
+    monkeypatch.setattr(T.Tensor, "__init__", build)
+    np.testing.assert_array_equal(predict_scores(pred, features[0]).values,
+                                  want)
+
+
+def test_fullseq_encoder_takes_an_odd_width():
+    # two heads of E // 2 columns each leave the last column out
+    cfg = ModelConfig(num_layers=2, embed_dim=15, num_heads=1, head_dim=15,
+                      ffn_dim=8, vocab_size=256, max_seq_len=16)
+    model = TransformerModel(cfg, seed=1)
+    rng = np.random.default_rng(24)
+    prompts = [np.asarray(rng.integers(0, cfg.vocab_size, size=6),
+                          dtype=np.int64) for _ in range(9)]
+    ds = build_dataset(model, prompts, "l2norm", topology="fullseq")
+    pred, log = train_predictor(
+        ds, PredictorConfig(topology="fullseq", epochs=1, batch=4), seed=0)
+    assert np.isfinite(log.final_heldout_mse)
+    assert np.isfinite(predict_scores(pred, ds.features[0]).values).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("topology,name,op", [
+    ("shadow", "w0", "'matmul'"),
+    ("fullseq", "enc.wq", "'encoder scores'"),
+    ("dejavu", "host0.w1", "'predictor output'")])
+def test_nonfinite_weight_names_the_op(default_predictors, topology, name,
+                                       op):
+    pred, features = default_predictors[topology]
+    weight = pred.params[name].copy()
+    weight[0, 0] = np.inf
+    broken = replace(pred, params={**pred.params, name: weight})
+    with pytest.raises(NonFiniteError, match=op):
+        predict_scores(broken, features[0])
 
 
 # ---------------------------------------------------------------------------

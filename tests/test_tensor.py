@@ -99,6 +99,16 @@ def test_backward_requires_tape():
         T.backward(T.Tensor(3.0))
 
 
+def test_no_grad_selects_array_ops_and_taped_ops_still_tape():
+    a = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with T.no_grad():
+        assert T.ops() is T.ARRAY
+        loss = T.tsum(T.mul(a, a))
+    assert T.ops() is T.TAPED
+    T.backward(loss)
+    np.testing.assert_array_equal(a.grad, [2.0, 4.0])
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     s = T.softmax_rows(T.Tensor(rng.standard_normal((5, 9)) * 10.0))
