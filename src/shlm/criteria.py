@@ -50,6 +50,7 @@ from .model import (
 NEG_INF = float("-inf")  # sentinel for log-of-zero nwot scores
 _GRASP_EPS = 1e-4   # absolute step of the Hessian-vector finite difference
 _JACOV_K = 1e-5     # eigenvalue offset inside jacov's log and reciprocal
+_CAPTURE_TOKENS = 512   # tokens per batched capture: one default train-lm step of 8 x 64
 
 
 class CriterionKind(str, Enum):
@@ -323,9 +324,13 @@ def collect_criteria(model: TransformerModel, prompts, kind,
                      workers: int = 1):
     """Score every unit on each prompt.
 
-    Returns a list of per-example ScoreVectors, or a single aggregated
-    ScoreVector when ``aggregate`` is set. jacov and epenas are only
-    available aggregated.
+    Prompts of one length and ``loss_from`` are captured together, in
+    chunks of at most ``_CAPTURE_TOKENS`` tokens striped across the
+    workers; every prompt's capture, and so its scores, equal a capture
+    of that prompt alone, bit for bit. GraSP's offset passes run per
+    prompt. Returns a list of per-example ScoreVectors, or a single
+    aggregated ScoreVector when ``aggregate`` is set. jacov and epenas are
+    only available aggregated.
     """
     kind = CriterionKind(kind)
     if kind in AGGREGATE_ONLY and not aggregate:
@@ -343,12 +348,25 @@ def collect_criteria(model: TransformerModel, prompts, kind,
     scoring_model = model.to_dtype(np.float64) if kind == CriterionKind.GRASP else model
     replicas = _Replicas(scoring_model, workers)
 
-    def capture_one(m: TransformerModel, part):
-        tokens, loss_from, _ = part
-        with grad_mode():   # entered in the worker: the mode is per thread
-            return m.forward(tokens, capture=capture_mode, loss_from=loss_from)
+    # groups and chunks keep input order
+    groups: dict[tuple[int, int], list[int]] = {}
+    for idx, (tokens, loss_from, _) in enumerate(parts):
+        groups.setdefault((len(tokens), loss_from), []).append(idx)
+    chunks = []
+    for (t_len, _), members in groups.items():
+        size = max(1, _CAPTURE_TOKENS // t_len)
+        chunks += [members[s:s + size] for s in range(0, len(members), size)]
 
-    captures = replicas.run(parts, capture_one)
+    def capture_chunk(m: TransformerModel, members: list[int]):
+        tokens = np.stack([parts[i][0] for i in members])
+        with grad_mode():   # entered in the worker: the mode is per thread
+            return m.forward(tokens, capture=capture_mode,
+                             loss_from=parts[members[0]][1])
+
+    captures: list = [None] * len(parts)
+    for members, results in zip(chunks, replicas.run(chunks, capture_chunk)):
+        for idx, capture in zip(members, results):
+            captures[idx] = capture
 
     if kind == CriterionKind.JACOV:
         values = score_jacov(captures)

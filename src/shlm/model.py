@@ -187,13 +187,14 @@ class MaskSet:
 
 @dataclass
 class ForwardResult:
-    """Values (and optionally gradients) captured by one forward pass."""
+    """Values (and optionally gradients) captured by one forward pass of
+    one sequence; a batched forward gives one per sequence."""
 
     cfg: ModelConfig
     logits: np.ndarray
     loss: float | None
     n_predicted: int
-    loss_tensor: "T.Tensor | None" = None          # taped forwards only
+    loss_tensor: "T.Tensor | None" = None          # taped 1-D forwards only
     embed: np.ndarray | None = None
     head_acts: list[np.ndarray] | None = None      # per layer (H, T, d_h), pre-mask
     neuron_acts: list[np.ndarray] | None = None    # per layer (T, F), post-ReLU pre-mask
@@ -209,13 +210,16 @@ class ForwardResult:
 class Taps:
     """Values kept for capture, Tensors of the taped ops or (under
     ``no_grad``) the array ops' arrays; each ``block`` call appends one to
-    each list: per-head attention (H, T, d_h) and post-ReLU FFN
-    activations (T, F), both before masking, the attention output (T, E)
-    before the residual add, and the block output (T, E). No op writes
-    into a tapped value, so a capture keeps these arrays, not copies."""
+    each list, with the batch axis first when it runs a batch: per-head
+    attention (H, T, d_h) and post-ReLU FFN activations (T, F), both
+    before masking, the layernormed FFN input (T, E) that the
+    up-projection multiplies, the attention output (T, E) before the
+    residual add, and the block output (T, E). No op writes into a tapped
+    value, so a capture keeps these arrays, not copies."""
 
     head_acts: list = field(default_factory=list)
     neuron_acts: list = field(default_factory=list)
+    ffn_inputs: list = field(default_factory=list)
     attn_outs: list = field(default_factory=list)
     layer_outs: list = field(default_factory=list)
 
@@ -296,13 +300,19 @@ class TransformerModel:
 
     # ``embed``, ``block`` and ``readout`` use the ops of ``T.ops()``: Tensors
     # with the tape on, plain arrays under ``no_grad``, with the same bits.
+    # Each takes one sequence or a batch of equal-length sequences with the
+    # batch axis first; every product then runs once per sequence with that
+    # sequence's own shapes, and every reduction runs along one sequence's
+    # rows, so each sequence's values equal its own 1-D run bit for bit.
 
     def embed(self, tokens):
-        """Token plus position embeddings of a 1-D token sequence, (T, E)."""
+        """Token plus position embeddings: (T,) tokens give (T, E), a
+        batch (B, T) gives (B, T, E)."""
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise EmptyStreamError("forward: need a non-empty 1-D token sequence")
-        t_len = int(tokens.size)
+        if tokens.ndim not in (1, 2) or tokens.size == 0:
+            raise EmptyStreamError(
+                "forward: need a non-empty 1-D token sequence or 2-D batch")
+        t_len = int(tokens.shape[-1])
         if t_len > self.cfg.max_seq_len:
             raise SequenceTooLongError(
                 f"sequence length {t_len} exceeds max_seq_len {self.cfg.max_seq_len}"
@@ -315,11 +325,12 @@ class TransformerModel:
               head_scales: np.ndarray | None = None,
               neuron_scales: np.ndarray | None = None, head_offsets=None,
               up_offsets=None, taps: Taps | None = None):
-        """Block ``i`` applied to its input ``x`` (T, E): causal attention,
-        then the FFN, each added to the residual. ``mask``, the scales and
-        the offsets are the whole-model arguments of ``forward``; the block
-        reads its own layer of each. ``taps`` receives the captured values.
-        A non-finite value is reported with the layer as well as the op.
+        """Block ``i`` applied to its input ``x``, (T, E) or a batch
+        (B, T, E): causal attention, then the FFN, each added to the
+        residual. ``mask``, the scales and the offsets are the whole-model
+        arguments of ``forward``; the block reads its own layer of each.
+        ``taps`` receives the captured values. A non-finite value is
+        reported with the layer as well as the op.
 
         Without a tape only three values are checked, each where a later
         op could make a non-finite value finite: the scores before the
@@ -331,15 +342,18 @@ class TransformerModel:
         head_f = self._unit_factors(mask, head_scales, "head", i)
         neuron_f = self._unit_factors(mask, neuron_scales, "neuron", i)
         n_heads, d_head = self.cfg.num_heads, self.cfg.head_dim
-        t_len, e_dim = x.shape
+        lead, (t_len, e_dim) = x.shape[:-2], x.shape[-2:]
+        nb = len(lead)
+        swap_th = (*range(nb), nb + 1, nb, nb + 2)     # (T, H, d) <-> (H, T, d)
+        swap_last = (*range(nb + 1), nb + 2, nb + 1)   # (H, T, d) -> (H, d, T)
         p = self.params
         pre = f"h{i}."
         try:
             h1 = O.layernorm(x, O.leaf(p[pre + "ln1_g"]), O.leaf(p[pre + "ln1_b"]))
             q, k, v = (O.transpose(O.reshape(O.matmul(h1, O.leaf(p[pre + w])),
-                                             (t_len, n_heads, d_head)), (1, 0, 2))
+                                             (*lead, t_len, n_heads, d_head)), swap_th)
                        for w in ("wq", "wk", "wv"))
-            scores = O.add_(O.scale_(O.matmul(q, O.transpose(k, (0, 2, 1))),
+            scores = O.add_(O.scale_(O.matmul(q, O.transpose(k, swap_last)),
                                      1.0 / math.sqrt(d_head)),
                             O.leaf(_causal(t_len, self.dtype)))
             O.check(scores, "attention scores")
@@ -351,7 +365,7 @@ class TransformerModel:
             if head_f is not None:
                 att = O.mul(att, O.const(
                     head_f.reshape(n_heads, 1, 1).astype(self.dtype)))
-            merged = O.reshape(O.transpose(att, (1, 0, 2)), (t_len, e_dim))
+            merged = O.reshape(O.transpose(att, swap_th), (*lead, t_len, e_dim))
             attn_out = O.matmul(merged, O.leaf(p[pre + "wo"]))
             x = O.add(x, attn_out)
 
@@ -364,6 +378,7 @@ class TransformerModel:
             hidden = O.relu_(pre_act)                     # (T, F)
             if taps is not None:
                 taps.neuron_acts.append(hidden)
+                taps.ffn_inputs.append(h2)
             if neuron_f is not None:
                 hidden = O.mul(hidden, O.const(neuron_f.astype(self.dtype)))
             x = O.add_(x, O.matmul(hidden, O.leaf(p[pre + "w_down"])))
@@ -376,7 +391,7 @@ class TransformerModel:
         return x
 
     def readout(self, x):
-        """Final layernorm and tied projection: (T, E) -> logits (T, V)."""
+        """Final layernorm and tied projection: (..., T, E) -> logits (..., T, V)."""
         O, p = T.ops(), self.params
         return O.matmul(O.layernorm(x, O.leaf(p["lnf_g"]), O.leaf(p["lnf_b"])),
                         O.transpose(O.leaf(p["tok_emb"]), (1, 0)))
@@ -384,19 +399,26 @@ class TransformerModel:
     def forward(self, tokens, mask: MaskSet | None = None, capture: str = CAPTURE_NONE,
                 loss_from: int = 1, head_offsets=None, up_offsets=None,
                 head_scales: np.ndarray | None = None,
-                neuron_scales: np.ndarray | None = None) -> ForwardResult:
-        """Run one sequence: ``embed``, every ``block``, ``readout``.
+                neuron_scales: np.ndarray | None = None
+                ) -> "ForwardResult | list[ForwardResult]":
+        """Run ``embed``, every ``block`` and ``readout`` on one sequence
+        (T,), which gives a ForwardResult, or on a batch of equal-length
+        sequences (B, T), which gives a list of B ForwardResults, each
+        bit-identical to that sequence's own 1-D forward; only a 1-D
+        taped forward keeps its ``loss_tensor``.
         ``loss_from`` is the first predicted position; the loss averages
         next-token NLL over positions loss_from..T-1.
         ``head_scales``/``neuron_scales`` multiply unit activations with
         float factors (masking is the 0/1 special case). ``head_offsets``
         and ``up_offsets`` are taped per-layer additive perturbations used
         by curvature probes.
-        A ``CAPTURE_GRADS`` forward back-propagates only to what the
-        criteria read: afterwards the per-layer ``w_up`` parameters are
-        the only parameters with a ``.grad``, and the head and neuron
-        taps the only intermediates. It needs the tape; under ``no_grad``
-        the forward runs on arrays and ``loss_tensor`` is None.
+        A ``CAPTURE_GRADS`` forward back-propagates the sum of the
+        sequences' mean losses, so each sequence's gradients are those of
+        its own loss, only to the head and neuron taps; no parameter gets
+        a ``.grad``. Each sequence's ``up_grads`` (dL/dw_up) are formed
+        from its FFN input and its neuron gradients. It needs the tape;
+        under ``no_grad`` the forward runs on arrays and ``loss_tensor``
+        is None.
         """
         cfg = self.cfg
         if capture not in _CAPTURE_MODES:
@@ -407,10 +429,8 @@ class TransformerModel:
                                  " which no_grad turns off")
         tokens = np.asarray(tokens, dtype=np.int64)
         x = self.embed(tokens)
-        t_len = int(tokens.size)
-        p = self.params
+        t_len = int(tokens.shape[-1])
         want_acts = capture in (CAPTURE_ACTIVATIONS, CAPTURE_GRADS)
-        want_grads = capture == CAPTURE_GRADS
         taps = Taps() if want_acts else None
 
         embed_t = x
@@ -424,36 +444,44 @@ class TransformerModel:
         if t_len >= 2 and 1 <= loss_from <= t_len - 1:
             n_pred = t_len - loss_from
             loss_t = O.cross_entropy(
-                O.slice_rows(logits, loss_from - 1, t_len - 1), tokens[loss_from:]
-            )
+                O.slice_rows(logits, loss_from - 1, t_len - 1, axis=-2),
+                tokens[..., loss_from:])
 
-        result = ForwardResult(
-            cfg=cfg,
-            logits=O.value(logits),
-            loss=float(O.value(loss_t)) if loss_t is not None else None,
-            n_predicted=n_pred,
-            loss_tensor=loss_t if O is T.TAPED else None,
-        )
+        fields = {"logits": O.value(logits)}
+        up_weights = None
         if want_acts:
-            result.embed = O.value(embed_t)
+            fields["embed"] = O.value(embed_t)
             for name in ("head_acts", "neuron_acts", "attn_outs", "layer_outs"):
-                setattr(result, name, [O.value(t) for t in getattr(taps, name)])
-            result.up_weights = [p[f"h{i}.w_up"].data.view()
-                                 for i in range(cfg.num_layers)]
-            for view in result.up_weights:
+                fields[name] = [O.value(t) for t in getattr(taps, name)]
+            up_weights = [self.params[f"h{i}.w_up"].data.view()
+                          for i in range(cfg.num_layers)]
+            for view in up_weights:
                 view.flags.writeable = False
-        if want_grads:
+        if capture == CAPTURE_GRADS:
             if loss_t is None:
                 raise EmptyStreamError(
                     "forward: gradient capture needs at least 2 tokens past loss_from"
                 )
-            self.zero_grads()
-            up = [p[f"h{i}.w_up"] for i in range(cfg.num_layers)]
-            T.backward(loss_t, wrt=taps.head_acts + taps.neuron_acts + up)
-            result.head_grads, result.neuron_grads, result.up_grads = (
-                [np.zeros_like(t.data) if t.grad is None else t.grad
-                 for t in ts] for ts in (taps.head_acts, taps.neuron_acts, up))
-        return result
+            T.backward(T.tsum(loss_t), wrt=taps.head_acts + taps.neuron_acts)
+            fields["head_grads"], fields["neuron_grads"] = (
+                [np.zeros_like(t.data) if t.grad is None else t.grad for t in ts]
+                for ts in (taps.head_acts, taps.neuron_acts))
+            fields["up_grads"] = [
+                _up_grad(h2.data, g, act.data) for h2, g, act in
+                zip(taps.ffn_inputs, fields["neuron_grads"], taps.neuron_acts)]
+        loss_v = None if loss_t is None else O.value(loss_t)
+
+        def result(b) -> ForwardResult:
+            return ForwardResult(
+                cfg=cfg, loss=None if loss_v is None else float(loss_v[b]),
+                n_predicted=n_pred, up_weights=up_weights,
+                loss_tensor=loss_t if tokens.ndim == 1 and O is T.TAPED else None,
+                **{name: [a[b] for a in v] if isinstance(v, list) else v[b]
+                   for name, v in fields.items()})
+
+        if tokens.ndim == 1:
+            return result(())
+        return [result(b) for b in range(len(tokens))]
 
     def _unit_factors(self, mask: MaskSet | None, scales: np.ndarray | None,
                       kind: str, layer: int) -> np.ndarray | None:
@@ -507,6 +535,17 @@ class TransformerModel:
                 total += _nll_from_logits(res.logits, chunk[1:])
                 count += len(chunk) - 1
         return total, count
+
+
+def _up_grad(ffn_in: np.ndarray, neuron_grad: np.ndarray,
+             neuron_act: np.ndarray) -> np.ndarray:
+    """dL/dw_up of each sequence, (E, F) or (B, E, F): the FFN input's
+    transpose times the ReLU's VJP of the neuron gradient, a gemm per
+    sequence, bit-identical to the ``w_up.grad`` of a backward to the
+    parameter (adding 0.0 turns -0.0 into +0.0, as that zeroed buffer does)."""
+    grad = np.matmul(np.swapaxes(ffn_in, -1, -2), neuron_grad * (neuron_act > 0))
+    grad += 0.0
+    return grad
 
 
 def _nll_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:

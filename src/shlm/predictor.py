@@ -27,7 +27,7 @@ from .errors import (ConfigMismatchError, ContextualUnsupportedError,
 from .model import (MaskSet, ModelConfig, Taps, TransformerModel,
                     num_units, unit_blocks)
 from .pruning import PruneSpec, build_mask
-from .train import AdamW, cosine_lr
+from .train import AdamW, check_grads, cosine_lr
 
 TOPOLOGIES = ("shadow", "fullseq", "dejavu")
 NORMALIZATIONS = ("minmax", "zscore", "none")
@@ -449,7 +449,8 @@ def _train_net(arrays: dict, cfg: PredictorConfig, features,
                targets: np.ndarray, train_idx, heldout_idx,
                rng: np.random.Generator, prefix: str):
     """Epoch loop over one net -> (trained arrays, train and held-out
-    MSE per epoch)."""
+    MSE per epoch). A non-finite gradient raises ``NonFiniteError``
+    naming the parameter and the optimizer step, counted from 1."""
     p = {n: T.Tensor(a, requires_grad=True) for n, a in arrays.items()}
     opt = AdamW(list(p.values()), lr=cfg.lr, weight_decay=cfg.weight_decay)
     train_curve, heldout_curve = [], []
@@ -463,6 +464,7 @@ def _train_net(arrays: dict, cfg: PredictorConfig, features,
             loss = _mse_loss(pred, targets[idx])
             opt.zero_grad()
             T.backward(loss)
+            check_grads(p, opt.t + 1)
             opt.step()
             se_sum += float(loss.data) * targets[idx].size
             n_seen += targets[idx].size

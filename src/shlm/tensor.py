@@ -237,17 +237,16 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _from_op(a.data.transpose(axes), (a,), "transpose", vjp)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    start, stop = int(start), int(stop)
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeMismatchError(f"slice_rows: [{start}:{stop}] outside length {a.shape[0]}")
+def slice_rows(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
+    """Indices ``start:stop`` along ``axis``, copied."""
+    index = _rows(a.data, start, stop, axis)
 
     def vjp(g, need):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[index] = g
         return (full,)
 
-    return _from_op(a.data[start:stop].copy(), (a,), "slice_rows", vjp)
+    return _from_op(a.data[index].copy(), (a,), "slice_rows", vjp)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -357,14 +356,17 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of ``targets`` under row softmaxes."""
+    """Mean negative log-likelihood of ``targets`` under row softmaxes:
+    0-d for (T, V) logits, one mean per sequence for (B, T, V)."""
+    targets = np.asarray(targets, dtype=np.int64)
     nll, e, zsum = _cross_entropy(logits.data, targets)
-    t_len = len(targets)
+    t_len = targets.shape[-1]
 
     def vjp(g, need):
         d = e / zsum
-        d[np.arange(t_len), targets] -= 1.0
-        return (d * (g / t_len),)
+        flat = d.reshape(-1, d.shape[-1])
+        flat[np.arange(len(flat)), targets.reshape(-1)] -= 1.0
+        return (d * (np.reshape(g, np.shape(g) + (1, 1)) / t_len),)
 
     return _from_op(nll, (logits,), "cross_entropy", vjp)
 
@@ -410,10 +412,20 @@ def _layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return y
 
 
+def _rows(a: np.ndarray, start: int, stop: int, axis: int) -> tuple:
+    """The index of ``start:stop`` along ``axis`` of ``a``, range-checked."""
+    start, stop = int(start), int(stop)
+    axis = axis % a.ndim
+    if not (0 <= start <= stop <= a.shape[axis]):
+        raise ShapeMismatchError(
+            f"slice_rows: [{start}:{stop}] outside length {a.shape[axis]}")
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
 def _lookup(table: np.ndarray, ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeMismatchError(f"embedding_lookup: ids must be 1-D, got {ids.shape}")
+    if ids.ndim not in (1, 2):
+        raise ShapeMismatchError(f"embedding_lookup: ids must be 1-D or 2-D, got {ids.shape}")
     vocab = table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise InvalidTokenIdError(f"embedding_lookup: ids outside [0, {vocab})")
@@ -421,12 +433,15 @@ def _lookup(table: np.ndarray, ids) -> np.ndarray:
 
 
 def _cross_entropy(logits: np.ndarray, targets):
-    """Mean NLL (0-d, the logits' dtype), exp(logits - max), row sums."""
+    """Mean NLL in the logits' dtype (0-d for (T, V) logits, (B,) for
+    (B, T, V)), exp(logits - max), row sums. Each sequence's rows reduce
+    as they would on their own."""
     targets = np.asarray(targets, dtype=np.int64)
-    if logits.ndim != 2:
-        raise ShapeMismatchError(f"cross_entropy: logits must be (T, V), got {logits.shape}")
-    t_len, vocab = logits.shape
-    if targets.shape != (t_len,) or t_len == 0:
+    if logits.ndim not in (2, 3):
+        raise ShapeMismatchError(
+            f"cross_entropy: logits must be (T, V) or (B, T, V), got {logits.shape}")
+    vocab = logits.shape[-1]
+    if targets.shape != logits.shape[:-1] or targets.shape[-1] == 0:
         raise ShapeMismatchError(
             f"cross_entropy: targets {targets.shape} do not match logits {logits.shape}"
         )
@@ -435,9 +450,9 @@ def _cross_entropy(logits: np.ndarray, targets):
     m = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - m)
     zsum = e.sum(axis=-1, keepdims=True)
-    lse = (m + np.log(zsum)).reshape(-1)
-    picked = logits[np.arange(t_len), targets]
-    return np.asarray((lse - picked).mean(), dtype=logits.dtype), e, zsum
+    lse = (m + np.log(zsum))[..., 0]
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    return np.asarray((lse - picked).mean(axis=-1), dtype=logits.dtype), e, zsum
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +477,7 @@ ARRAY = SimpleNamespace(
     matmul=np.matmul, reshape=np.reshape, transpose=np.transpose,
     layernorm=_layernorm, relu_=_relu_,
     softmax_rows_=lambda a: _softmax_rows(a, out=a), embedding_lookup=_lookup,
-    slice_rows=lambda a, start, stop: a[start:stop].copy(),
+    slice_rows=lambda a, start, stop, axis=0: a[_rows(a, start, stop, axis)].copy(),
     cross_entropy=lambda logits, targets: _cross_entropy(logits, targets)[0],
     mean_rows=lambda a: a.mean(axis=0), stack_rows=np.stack,
 )

@@ -49,6 +49,14 @@ class AdamW:
             p.zero_grad()
 
 
+def check_grads(params: dict[str, T.Tensor], step: int) -> None:
+    """Raise ``NonFiniteError`` naming the first parameter whose gradient
+    holds a non-finite value, and the step; run it before the update."""
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NonFiniteError(f"non-finite gradient of '{name}' at step {step}")
+
+
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
     """Cosine annealing from base_lr to 0 over ``total_epochs``."""
     if total_epochs <= 0:
@@ -69,7 +77,9 @@ def train_lm(model: TransformerModel, train_tokens: np.ndarray, steps: int,
 
     With ``steps == 0`` the model is untouched. Identical inputs and seed
     give a bit-identical parameter trajectory. A ``NonFiniteError`` names the
-    step, counted from 1, after its op and layer.
+    step, counted from 1, after its op and layer, or after the parameter
+    whose gradient it is; a step with a non-finite gradient updates
+    nothing.
     """
     train_tokens = np.asarray(train_tokens, dtype=np.int64)
     if seq_len is None:
@@ -98,6 +108,7 @@ def train_lm(model: TransformerModel, train_tokens: np.ndarray, steps: int,
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at step {step}") from exc
         T.backward(mean_loss)
+        check_grads(model.params, step)
         opt.step()
         log.losses.append(float(mean_loss.data))
     return log

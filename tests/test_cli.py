@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shlm.analytics import perplexity
@@ -384,8 +385,8 @@ def test_eval_predictor_captures_only_heldout_prompts(pipeline, tmp_path,
     captures, forward = [], TransformerModel.forward
 
     def counting(self, tokens, *args, **kwargs):
-        if kwargs.get("capture") == CAPTURE_GRADS:
-            captures.append(len(tokens))
+        if kwargs.get("capture") == CAPTURE_GRADS:   # a prompt or a batch
+            captures.extend(np.atleast_2d(tokens))
         return forward(self, tokens, *args, **kwargs)
 
     monkeypatch.setattr(TransformerModel, "forward", counting)
@@ -528,6 +529,56 @@ def test_repeat_runs_are_byte_identical(pipeline, tmp_path):
         assert files_a == files_b
         for fname in files_a:
             assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
+
+
+def test_batched_captures_do_not_depend_on_workers(pipeline, tmp_path):
+    # 40 windows of 16 tokens are two capture chunks; fewshot's prompts
+    # come in several lengths, so several chunks
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({**TOY_CONFIG, "loss_on": "target"}),
+                      encoding="utf-8")
+    cfg = str(pipeline / "cfg.json")
+    corpus = str(pipeline / "corpus.txt")
+    ckpt = str(pipeline / "lm" / "model.bin")
+    for name, argv in [
+        ("collect", ["collect", "--contextual", "--criterion", "plainact",
+                     "--n-prompts", "40", "--config", cfg]),
+        ("fewshot", ["fewshot", "--config", cfg]),
+        ("fewshot_target", ["fewshot", "--config", str(target)]),
+    ]:
+        outs = [tmp_path / f"{name}_{w}" for w in (1, 3)]
+        for out, workers in zip(outs, (1, 3)):
+            assert main(argv + ["--checkpoint", ckpt,
+                                "--corpus", corpus, "--workers", str(workers),
+                                "--out", str(out)]) == 0
+        files = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert files == sorted(p.name for p in outs[1].iterdir()
+                               if p.name != "manifest.json")
+        for fname in files:
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def test_nonfinite_gradient_in_train_lm_exits_1_without_a_model(
+        workdir, tmp_path, monkeypatch, capsys):
+    from shlm import tensor as T
+
+    models, init, real = [], TransformerModel.__init__, T.backward
+
+    def keep(self, *args, **kwargs):   # the model train-lm builds
+        init(self, *args, **kwargs)
+        models.append(self)
+
+    def backward(loss, wrt=None):
+        real(loss, wrt=wrt)
+        models[0].params["h1.w_up"].grad.reshape(-1)[0] = np.inf
+
+    monkeypatch.setattr(TransformerModel, "__init__", keep)
+    monkeypatch.setattr(T, "backward", backward)
+    out = tmp_path / "lm"
+    assert main(["train-lm", "--config", str(workdir / "cfg.json"),
+                 "--corpus", str(workdir / "corpus.txt"), "--out", str(out)]) == 1
+    assert "non-finite gradient of 'h1.w_up' at step 1" in capsys.readouterr().err
+    assert not (out / "model.bin").exists()
 
 
 def test_retrained_model_is_byte_identical(pipeline, tmp_path):

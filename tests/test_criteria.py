@@ -5,12 +5,15 @@ import csv
 import numpy as np
 import pytest
 
+from shlm import criteria
 from shlm import tensor as T
 from shlm.criteria import (
     AGGREGATE_ONLY,
     NEG_INF,
+    CriterionKind,
     ScoreVector,
     collect_criteria,
+    needs_grads,
     score_contextual,
     score_epenas,
     score_grasp,
@@ -26,12 +29,14 @@ from shlm.errors import (
     SingleClassError,
 )
 from shlm.model import (
+    CAPTURE_ACTIVATIONS,
     CAPTURE_GRADS,
     ForwardResult,
     ModelConfig,
     UnitId,
     UnitKind,
     MaskSet,
+    TransformerModel,
     _flat_scores,
     num_head_units,
     num_units,
@@ -317,12 +322,81 @@ def test_collect_aggregate_jacov_epenas(trained_model):
         assert np.all(np.isfinite(vec.values))
 
 
-def test_collect_workers_deterministic(trained_model):
-    prompts = make_fewshot_prompts("reverse", shots=1, n=6, seed=5)
-    one = collect_criteria(trained_model, prompts, "gradnorm", workers=1)
-    two = collect_criteria(trained_model, prompts, "gradnorm", workers=3)
-    for a, b in zip(one, two):
-        assert np.array_equal(a.values, b.values)
+def _mixed_prompts():
+    """Few-shot pairs of several lengths, then 16-token windows: 36 of
+    them are 576 tokens, over the 512-token capture budget, so that group
+    runs as two chunks."""
+    rng = np.random.default_rng(21)
+    windows = [rng.integers(0, TINY.vocab_size, size=16) for _ in range(36)]
+    pairs = (make_fewshot_prompts("reverse", shots=1, n=5, seed=5)
+             + make_fewshot_prompts("add", shots=0, n=4, seed=6))
+    return pairs[:4] + windows[:3] + pairs[4:] + windows[3:] + [windows[0][:9]]
+
+
+def _chunk_sizes(monkeypatch) -> list:
+    """Record the batch size of every batched forward."""
+    sizes, forward = [], TransformerModel.forward
+
+    def spy(self, tokens, *args, **kwargs):
+        if np.ndim(tokens) == 2:
+            sizes.append(len(tokens))
+        return forward(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(TransformerModel, "forward", spy)
+    return sizes
+
+
+def _per_prompt_reference(model, prompts, kind, aggregate, loss_on):
+    """collect_criteria's result from one taped 1-D capture per prompt."""
+    kind = CriterionKind(kind)
+    parts = [criteria._prompt_parts(p, loss_on) for p in prompts]
+    scoring = model.to_dtype(np.float64) if kind == CriterionKind.GRASP else model
+    capture = CAPTURE_GRADS if needs_grads(kind) else CAPTURE_ACTIVATIONS
+    caps = [scoring.forward(tokens, capture=capture, loss_from=loss_from)
+            for tokens, loss_from, _ in parts]
+    if kind == CriterionKind.JACOV:
+        return [score_jacov(caps)]
+    if kind == CriterionKind.EPENAS:
+        return [score_epenas(caps, [label for _, _, label in parts])]
+    raw = [score_contextual(cap, kind, model=scoring, tokens=tokens,
+                            loss_from=loss_from)
+           for cap, (tokens, loss_from, _) in zip(caps, parts)]
+    return [np.mean(np.stack(raw), axis=0)] if aggregate else raw
+
+
+@pytest.mark.parametrize("kind,aggregate", [
+    *((kind.value, False) for kind in CriterionKind if kind not in AGGREGATE_ONLY),
+    ("plainact", True), ("jacov", True), ("epenas", True)])
+@pytest.mark.parametrize("loss_on", ["all", "target"])
+def test_collect_equals_per_prompt_reference(trained_model, monkeypatch, kind,
+                                             aggregate, loss_on):
+    prompts = _mixed_prompts()
+    sizes = _chunk_sizes(monkeypatch)
+    got = collect_criteria(trained_model, prompts, kind, aggregate=aggregate,
+                           loss_on=loss_on)
+    monkeypatch.undo()
+    want = _per_prompt_reference(trained_model, prompts, kind, aggregate, loss_on)
+    assert max(sizes) * 16 <= criteria._CAPTURE_TOKENS
+    assert sum(sizes) == len(prompts) and sizes.count(32) == 1
+    got = [got] if aggregate else got
+    assert len(got) == len(want)
+    for vec, ref in zip(got, want):
+        assert vec.values.tobytes() == ScoreVector(ref, kind).values.tobytes()
+
+
+def test_collect_workers_deterministic(trained_model, monkeypatch):
+    prompts = _mixed_prompts()
+    sizes = _chunk_sizes(monkeypatch)
+    for kind in ("gradnorm", "l2norm"):   # taped and array-mode captures
+        sizes.clear()
+        one = collect_criteria(trained_model, prompts, kind, workers=1,
+                               loss_on="target")
+        two = collect_criteria(trained_model, prompts, kind, workers=3,
+                               loss_on="target")
+        assert len(sizes) > 2 * 3   # more chunks than workers, in both runs
+        assert len(one) == len(two) == len(prompts)
+        for a, b in zip(one, two):
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_masked_unit_scores_zero(trained_model):

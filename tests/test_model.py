@@ -1,5 +1,7 @@
 """Model forward, masking semantics, capture, and gradient checks."""
 
+import contextlib
+import dataclasses
 import types
 
 import numpy as np
@@ -18,6 +20,8 @@ from shlm.errors import (
 from shlm.model import (
     CAPTURE_ACTIVATIONS,
     CAPTURE_GRADS,
+    CAPTURE_NONE,
+    ForwardResult,
     MaskSet,
     ModelConfig,
     TransformerModel,
@@ -217,7 +221,7 @@ def test_capture_exposes_expected_shapes(trained_model):
 def test_model_grads_match_finite_differences():
     model = TransformerModel(_SMALL, seed=4, dtype=np.float64)
     toks = _tokens(6, vocab=_SMALL.vocab_size, seed=5)
-    # a full backward: a grad capture fills only w_up among the parameters
+    # a full backward: a grad capture fills no parameter's grad
     res = model.forward(toks)
     model.zero_grads()
     T.backward(res.loss_tensor)
@@ -298,8 +302,7 @@ def test_grad_capture_equals_full_backward(monkeypatch, dtype):
     monkeypatch.setattr(T, "backward", spy)
     res = model.forward(toks, mask=mask, capture=CAPTURE_GRADS,
                         head_offsets=head_off, up_offsets=up_off)
-    for name, t in model.params.items():
-        assert (t.grad is not None) == name.endswith(".w_up"), name
+    assert all(t.grad is None for t in model.parameters())
     assert all(t.grad is None for t in head_off + up_off)
 
     # the same tape, differentiated in full: every leaf and the taps
@@ -329,8 +332,9 @@ def test_grad_capture_accumulates_only_what_it_returns(monkeypatch):
 
     monkeypatch.setattr(T.Tensor, "_accumulate", counting)
     model.forward(_tokens(10, seed=6), capture=CAPTURE_GRADS)
-    # one head tap, one neuron tap and one w_up per layer
-    assert len(calls) == 3 * TINY.num_layers
+    # one head tap and one neuron tap per layer; up_grads come from the
+    # FFN input and the neuron tap's gradient
+    assert len(calls) == 2 * TINY.num_layers
 
 
 def test_loss_from_restricts_positions():
@@ -517,3 +521,53 @@ def test_capture_keeps_read_only_views_of_the_up_weights():
         assert not w_up.flags.writeable
         with pytest.raises(ValueError):
             w_up[0, 0] = 1.0
+
+
+# every ForwardResult field a batched forward fills per sequence
+_RESULT_FIELDS = [f.name for f in dataclasses.fields(ForwardResult)
+                  if f.name not in ("cfg", "loss_tensor")]
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and (a == b or a is b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("capture", [CAPTURE_NONE, CAPTURE_ACTIVATIONS, CAPTURE_GRADS])
+def test_batched_forward_equals_per_sequence(dtype, capture):
+    # every field of every sequence's result, byte for byte, at the
+    # default config and the tiny one, with and without a tape
+    modes = [False] if capture == CAPTURE_GRADS else [False, True]
+    for cfg in (ModelConfig(), TINY):
+        model = TransformerModel(cfg, seed=2, dtype=dtype)
+        for variant, kwargs in _mode_variants(cfg).items():
+            for t_len, loss_from in ((16, 1), (9, 4)):
+                toks = np.stack([_tokens(t_len, seed=s) for s in range(5)])
+                for array_mode in modes:
+                    with T.no_grad() if array_mode else contextlib.nullcontext():
+                        batch = model.forward(toks, capture=capture,
+                                              loss_from=loss_from, **kwargs)
+                        one = model.forward(toks[:1], capture=capture,
+                                            loss_from=loss_from, **kwargs)
+                        alone = [model.forward(row, capture=capture,
+                                               loss_from=loss_from, **kwargs)
+                                 for row in toks]
+                    assert len(batch) == len(toks) and len(one) == 1
+                    for res, ref in zip(batch + one, alone + alone[:1]):
+                        assert res.loss_tensor is None
+                        for name in _RESULT_FIELDS:
+                            assert _same_bits(getattr(res, name), getattr(ref, name)), (
+                                cfg.embed_dim, variant, t_len, array_mode, name)
+
+
+def test_batched_forward_rejects_other_ranks():
+    model = TransformerModel(TINY, seed=0)
+    with pytest.raises(EmptyStreamError):
+        model.forward(np.zeros((2, 2, 4), dtype=np.int64))
+    with pytest.raises(EmptyStreamError):
+        model.forward(np.zeros((3, 0), dtype=np.int64))

@@ -86,3 +86,55 @@ def test_nonfinite_error_names_layer_and_step(monkeypatch):
     with pytest.raises(NonFiniteError, match="'matmul' in layer 1 at step 2$"):
         train_lm(model, np.arange(400) % 256, steps=3, lr=1e-3, seed=0,
                  batch_size=2, seq_len=16)
+
+
+def _poisoning_backward(monkeypatch, at_call: int, names=None):
+    """Make the ``at_call``-th backward (counted from 1) leave an inf in
+    every leaf gradient, or in those of the named model parameters."""
+    real, calls = T.backward, []
+
+    def backward(loss, wrt=None):
+        real(loss, wrt=wrt)
+        calls.append(loss)
+        if len(calls) == at_call:
+            for t in names or _leaves(loss):
+                if t.grad is not None:
+                    t.grad.reshape(-1)[0] = np.inf
+
+    monkeypatch.setattr(T, "backward", backward)
+
+
+def _leaves(loss):
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return [t for t in seen.values() if not t._parents and t.requires_grad]
+
+
+def test_nonfinite_gradient_names_parameter_and_step(monkeypatch):
+    model = TransformerModel(TINY, seed=0)
+    before = model.state_arrays()
+    _poisoning_backward(monkeypatch, 1, [model.params["h1.w_up"]])
+    with pytest.raises(NonFiniteError,
+                       match="non-finite gradient of 'h1.w_up' at step 1$"):
+        train_lm(model, np.arange(400) % 256, steps=1, lr=1e-3, seed=0,
+                 batch_size=2, seq_len=16)
+    # the step that saw it updated nothing
+    for name, arr in model.state_arrays().items():
+        assert np.array_equal(arr, before[name]), name
+
+
+def test_predictor_nonfinite_gradient_names_parameter_and_step(monkeypatch):
+    from shlm.predictor import PredictorConfig, build_dataset, train_predictor
+
+    rng = np.random.default_rng(3)
+    prompts = [rng.integers(0, TINY.vocab_size, size=12) for _ in range(8)]
+    ds = build_dataset(TransformerModel(TINY, seed=0), prompts, "l2norm",
+                       topology="shadow")
+    _poisoning_backward(monkeypatch, 2)
+    with pytest.raises(NonFiniteError,
+                       match="non-finite gradient of 'w0' at step 2$"):
+        train_predictor(ds, PredictorConfig(epochs=2, batch=2), seed=0)
