@@ -162,7 +162,7 @@ def fewshot_study(model: TransformerModel, templates, shots_list, criterion: str
         agg = collect_criteria(model, prompts, criterion, aggregate=True,
                                loss_on=loss_on, workers=workers)
         for rec in sparsity_sweep(model, agg, specs, eval_tokens,
-                                  window=window):
+                                  window=window, workers=workers):
             records.append(FewshotRecord(shots, rec.strategy, rec.sparsity,
                                          criterion, rec.perplexity, seed))
     return records

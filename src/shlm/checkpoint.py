@@ -72,9 +72,12 @@ class _Reader:
         if version != VERSION:
             raise FormatError(f"{self.path}: unsupported container version {version}")
         try:
-            return json.loads(self.take(self.unpack("<I")[0]).decode("utf-8"))
+            config = json.loads(self.take(self.unpack("<I")[0]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{self.path}: malformed config block") from exc
+        if not isinstance(config, dict):
+            raise FormatError(f"{self.path}: config block is not a JSON object")
+        return config
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -83,15 +86,19 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         config = reader.config()
         tensors: dict[str, np.ndarray] = {}
         while reader.left:
-            name = reader.take(reader.unpack("<I")[0]).decode("utf-8")
-            (rank,) = reader.unpack("<I")
-            dims = reader.unpack(f"<{rank}Q")
-            (tag,) = reader.unpack("<B")
-            if tag not in _DTYPE_FOR_TAG:
-                raise FormatError(f"{path}: unknown dtype tag {tag} for {name!r}")
-            dtype = _DTYPE_FOR_TAG[tag]
-            raw = reader.take(math.prod(dims) * dtype.itemsize)
-            arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+            # a non-UTF-8 name, or a shape numpy caps, raises a ValueError
+            try:
+                name = reader.take(reader.unpack("<I")[0]).decode("utf-8")
+                (rank,) = reader.unpack("<I")
+                dims = reader.unpack(f"<{rank}Q")
+                (tag,) = reader.unpack("<B")
+                if tag not in _DTYPE_FOR_TAG:
+                    raise FormatError(f"{path}: unknown dtype tag {tag} for {name!r}")
+                dtype = _DTYPE_FOR_TAG[tag]
+                raw = reader.take(math.prod(dims) * dtype.itemsize)
+                arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
+            except ValueError as exc:
+                raise FormatError(f"{path}: malformed tensor record ({exc})") from None
             tensors[name] = arr.astype(dtype.newbyteorder("="))
     return config, tensors
 
@@ -119,7 +126,10 @@ def load_checkpoint(path) -> TransformerModel:
     config, tensors = read_container(path)
     if config.get("kind") != "model":
         raise ConfigMismatchError(f"{path}: container holds {config.get('kind')!r}, not a model")
-    cfg = ModelConfig.from_dict(config["config"])
+    try:
+        cfg = ModelConfig.from_dict(config["config"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigMismatchError(f"{path}: malformed model config ({exc!r})") from None
     want = param_shapes(cfg)
     got = {name: arr.shape for name, arr in tensors.items()}
     if want != got:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import hashlib
 import json
 import logging
@@ -372,12 +373,18 @@ def cmd_train_lm(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     return [corpus]
 
 
+def _per_prompt_criterion(cfg: dict, field: str = "criterion") -> None:
+    """A command that needs a score per prompt rejects an aggregate-only
+    criterion before it reads a file."""
+    if cfg["criterion"] in AGGREGATE_ONLY:
+        raise ConfigError(f"field '{field}': {cfg['criterion']} is aggregate-only")
+
+
 def cmd_collect(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """score units with a criterion"""
     kind = CriterionKind(cfg["criterion"])
-    if cfg["contextual"] and kind in AGGREGATE_ONLY:
-        raise ConfigError(
-            f"field 'contextual': {kind.value} is aggregate-only")
+    if cfg["contextual"]:
+        _per_prompt_criterion(cfg, "contextual")
     model, stream, inputs = _model_io(cfg)
     prompts = _corpus_prompts(stream, cfg, seed)
     scores = collect_criteria(model, prompts, kind,
@@ -399,6 +406,7 @@ def _dataset_for(cfg, model, prompts, criterion: str, pcfg, workers: int):
 
 def cmd_train_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """fit a sparsity predictor to a criterion"""
+    _per_prompt_criterion(cfg)
     pcfg = _predictor_config(cfg)
     model, stream, inputs = _model_io(cfg)
     dataset = _dataset_for(cfg, model, _corpus_prompts(stream, cfg, seed),
@@ -463,13 +471,15 @@ def cmd_sweep(cfg, seed: int, workers: int, out: Path) -> list[Path]:
         criterion = cfg["criterion"]
     records = sparsity_sweep(model, source, specs, eval_tokens,
                              window=cfg["eval"]["window"],
-                             criterion=criterion, topology=topology, seed=seed)
+                             criterion=criterion, topology=topology, seed=seed,
+                             workers=workers)
     emit_report(records, out / "sweep.csv", columns=SWEEP_COLUMNS)
     return inputs
 
 
 def cmd_rank_variance(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """head rank stability across prompts"""
+    _per_prompt_criterion(cfg)
     criterion = cfg["criterion"]
     model, stream, inputs = _model_io(cfg)
     prompts = _corpus_prompts(stream, cfg, seed)
@@ -580,8 +590,19 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _steady_heap() -> None:
+    """Fix glibc's malloc thresholds. Left dynamic, they follow the largest
+    block freed so far, so a process that runs many stages reused its heap
+    or faulted it in again on incidental allocations (see README)."""
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 128 << 20)   # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    _steady_heap()
     _setup_logging()
     try:
         cfg = _resolve_config(args)

@@ -43,8 +43,8 @@ from .model import (
     ModelConfig,
     TransformerModel,
     _flat_scores,
-    _Replicas,
     all_units,
+    run_striped,
 )
 
 NEG_INF = float("-inf")  # sentinel for log-of-zero nwot scores
@@ -148,19 +148,15 @@ def score_nwot(capture: ForwardResult) -> np.ndarray:
     A unit with zero mean square gets the -inf sentinel (always pruned
     first).
     """
-    cfg = capture.cfg
-    acts = _require(capture, "head_acts", CriterionKind.NWOT)
-    hidden = _require(capture, "neuron_acts", CriterionKind.NWOT)
-    heads = np.zeros((cfg.num_layers, cfg.num_heads))
-    neurons = np.zeros((cfg.num_layers, cfg.ffn_dim))
-    for layer in range(cfg.num_layers):
-        per_pos = acts[layer].astype(np.float64).mean(axis=2)     # (H, T)
-        ms = np.square(1.0 - per_pos).mean(axis=1)
-        heads[layer] = np.where(ms > 0.0, np.log(np.maximum(ms, 1e-300)), NEG_INF)
-        col = hidden[layer].astype(np.float64)                    # (T, F)
-        ms_n = np.square(1.0 - col).mean(axis=0)
-        neurons[layer] = np.where(ms_n > 0.0, np.log(np.maximum(ms_n, 1e-300)), NEG_INF)
-    return _flat_scores(heads, neurons)
+    def log_ms(x: np.ndarray, axis: int) -> np.ndarray:
+        ms = np.square(1.0 - x).mean(axis=axis)
+        return np.where(ms > 0.0, np.log(np.maximum(ms, 1e-300)), NEG_INF)
+
+    acts = _require(capture, "head_acts", CriterionKind.NWOT)        # (H, T, d_h)
+    hidden = _require(capture, "neuron_acts", CriterionKind.NWOT)    # (T, F)
+    return _flat_scores(
+        np.stack([log_ms(a.astype(np.float64).mean(axis=2), 1) for a in acts]),
+        np.stack([log_ms(h.astype(np.float64), 0) for h in hidden]))
 
 
 def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
@@ -334,9 +330,7 @@ def collect_criteria(model: TransformerModel, prompts, kind,
     """
     kind = CriterionKind(kind)
     if kind in AGGREGATE_ONLY and not aggregate:
-        raise ContextualUnsupportedError(
-            f"criterion '{kind.value}' is aggregate-only; pass aggregate=True"
-        )
+        raise ContextualUnsupportedError(f"{kind.value} is aggregate-only")
     if not prompts:
         raise BatchTooSmallError("collect_criteria: no prompts given")
     if loss_on not in LOSS_ON:
@@ -346,7 +340,6 @@ def collect_criteria(model: TransformerModel, prompts, kind,
     capture_mode = CAPTURE_GRADS if needs_grads(kind) else CAPTURE_ACTIVATIONS
     grad_mode = contextlib.nullcontext if needs_grads(kind) else T.no_grad
     scoring_model = model.to_dtype(np.float64) if kind == CriterionKind.GRASP else model
-    replicas = _Replicas(scoring_model, workers)
 
     # groups and chunks keep input order
     groups: dict[tuple[int, int], list[int]] = {}
@@ -357,14 +350,14 @@ def collect_criteria(model: TransformerModel, prompts, kind,
         size = max(1, _CAPTURE_TOKENS // t_len)
         chunks += [members[s:s + size] for s in range(0, len(members), size)]
 
-    def capture_chunk(m: TransformerModel, members: list[int]):
+    def capture_chunk(members: list[int]):
         tokens = np.stack([parts[i][0] for i in members])
         with grad_mode():   # entered in the worker: the mode is per thread
-            return m.forward(tokens, capture=capture_mode,
-                             loss_from=parts[members[0]][1])
+            return scoring_model.forward(tokens, capture=capture_mode,
+                                         loss_from=parts[members[0]][1])
 
     captures: list = [None] * len(parts)
-    for members, results in zip(chunks, replicas.run(chunks, capture_chunk)):
+    for members, results in zip(chunks, run_striped(chunks, capture_chunk, workers)):
         for idx, capture in zip(members, results):
             captures[idx] = capture
 
@@ -376,15 +369,14 @@ def collect_criteria(model: TransformerModel, prompts, kind,
         values = score_epenas(captures, labels)
         return ScoreVector(values, kind.value, example_id=None)
 
-    def score_one(m: TransformerModel, idx_part):
-        idx, (tokens, loss_from, _) = idx_part
-        return score_contextual(captures[idx], kind, model=m, tokens=tokens,
-                                loss_from=loss_from)
+    def score_one(idx: int):
+        tokens, loss_from, _ = parts[idx]
+        return score_contextual(captures[idx], kind, model=scoring_model,
+                                tokens=tokens, loss_from=loss_from)
 
-    if kind == CriterionKind.GRASP:
-        raw = replicas.run(list(enumerate(parts)), score_one)
-    else:
-        raw = [score_contextual(c, kind) for c in captures]
+    # only GraSP's taped offset passes are worth a thread per prompt
+    raw = run_striped(range(len(parts)), score_one,
+                      workers if kind == CriterionKind.GRASP else 1)
 
     if aggregate:
         return ScoreVector(np.mean(np.stack(raw), axis=0), kind.value, example_id=None)

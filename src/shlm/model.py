@@ -49,11 +49,10 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("num_layers", "embed_dim", "num_heads", "head_dim",
-                     "ffn_dim", "vocab_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig.{name} must be >= 1")
-        if self.max_seq_len < 2:
-            raise ValueError("ModelConfig.max_seq_len must be >= 2")
+                     "ffn_dim", "vocab_size", "max_seq_len"):
+            value, least = getattr(self, name), 2 if name == "max_seq_len" else 1
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"ModelConfig.{name} must be an integer >= {least}")
         if self.embed_dim != self.num_heads * self.head_dim:
             raise ValueError(
                 f"embed_dim {self.embed_dim} != num_heads {self.num_heads}"
@@ -557,34 +556,19 @@ def _nll_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float((lse - picked).sum())
 
 
-class _Replicas:
-    """Per-worker model clones for deterministic parallel capture."""
+def run_striped(jobs, fn, workers: int = 1) -> list:
+    """``fn(job)`` for every job, results in job order. Jobs are striped
+    across at most ``min(workers, len(jobs))`` threads, each running its
+    stripe serially, or run inline when that is one. The threads share
+    the caller's model: no capture and no masked pass writes model
+    state, and the grad mode is per thread."""
+    jobs = list(jobs)
+    threads = min(max(1, int(workers)), len(jobs))
+    if threads <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self, model: TransformerModel, workers: int):
-        self.workers = max(1, int(workers))
-        self.models = [model] + [model.clone() for _ in range(self.workers - 1)]
-
-    def run(self, jobs, fn):
-        """Apply fn(model, job) across jobs, results in job order.
-
-        Jobs are striped across worker threads and each thread drives its
-        own model replica serially, so per-job numerics cannot race.
-        """
-        jobs = list(jobs)
-        if self.workers == 1 or len(jobs) <= 1:
-            return [fn(self.models[0], job) for job in jobs]
-        from concurrent.futures import ThreadPoolExecutor
-
-        results: list = [None] * len(jobs)
-
-        def drive(worker_idx: int):
-            out = []
-            for idx in range(worker_idx, len(jobs), self.workers):
-                out.append((idx, fn(self.models[worker_idx], jobs[idx])))
-            return out
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for chunk in pool.map(drive, range(self.workers)):
-                for idx, value in chunk:
-                    results[idx] = value
-        return results
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        stripes = list(pool.map(lambda start: [fn(job) for job in jobs[start::threads]],
+                                range(threads)))
+    return [stripes[i % threads][i // threads] for i in range(len(jobs))]

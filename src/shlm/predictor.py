@@ -19,9 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import read_container, write_container
-from .criteria import AGGREGATE_ONLY, CriterionKind, ScoreVector, _prompt_tokens
-from .errors import (ConfigMismatchError, ContextualUnsupportedError,
-                     DatasetTooSmallError, EmptyHeldoutError,
+from .criteria import CriterionKind, ScoreVector, _prompt_tokens
+from .errors import (ConfigMismatchError, DatasetTooSmallError, EmptyHeldoutError,
                      EmptyPromptError, FeatureShapeMismatchError,
                      NoCoveredUnitsError)
 from .model import (MaskSet, ModelConfig, Taps, TransformerModel,
@@ -123,10 +122,11 @@ class PredictorConfig:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
         if self.activation != "relu":
             raise ValueError("only relu hidden activations are supported")
-        if self.hidden_layers < 1 or self.epochs < 1 or self.batch < 1:
-            raise ValueError("hidden_layers, epochs and batch must be >= 1")
-        if self.dejavu_stride < 1:
-            raise ValueError("dejavu_stride must be >= 1")
+        for name in ("hidden_layers", "epochs", "batch", "dejavu_stride", "hidden_dim"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1
+                    or name == "hidden_dim" and value is None):
+                raise ValueError(f"{name} must be an integer >= 1")
 
     def resolved_hidden(self, embed_dim: int) -> int:
         if self.hidden_dim is not None:
@@ -303,10 +303,6 @@ def build_dataset(model: TransformerModel, prompts, criterion,
     from .criteria import collect_criteria
 
     kind = CriterionKind(criterion)
-    if kind in AGGREGATE_ONLY:
-        raise ContextualUnsupportedError(
-            f"criterion '{kind.value}' has no per-example form; "
-            "predictors need contextual targets")
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
     if normalization not in NORMALIZATIONS:
@@ -698,13 +694,17 @@ def load_predictor(path) -> Predictor:
     if config.get("kind") != "predictor":
         raise ConfigMismatchError(
             f"{path}: container holds {config.get('kind')!r}, not a predictor")
-    cfg = PredictorConfig(**config["predictor_config"])
-    mcfg = ModelConfig.from_dict(config["model_config"])
+    try:
+        cfg = PredictorConfig(**config["predictor_config"])
+        mcfg = ModelConfig.from_dict(config["model_config"])
+        criterion = config["criterion"]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigMismatchError(f"{path}: malformed predictor config ({exc!r})") from None
     covered_arr = tensors.pop("covered", None)
     if covered_arr is None or covered_arr.size != num_units(mcfg):
         raise ConfigMismatchError(f"{path}: missing or mis-sized covered mask")
     return Predictor(config=cfg, model_config=mcfg,
-                     criterion=config["criterion"],
+                     criterion=criterion,
                      params={n: a.astype(np.float32) for n, a in tensors.items()},
                      covered=covered_arr.astype(bool),
                      draw=config.get("draw"))

@@ -24,8 +24,8 @@ from .model import (
     TransformerModel,
     UnitId,
     _nll_from_logits,
-    _Replicas,
     num_units,
+    run_striped,
     unit_at,
     unit_blocks,
 )
@@ -107,7 +107,8 @@ def build_mask(cfg: ModelConfig, scores: ScoreVector, spec: PruneSpec) -> MaskSe
 class _DensePass:
     """One eval window's dense forward, run once and kept for every mask
     scored on that window: the input of each block (a read-only array,
-    so the oracle's replicas can share it) and the window's dense NLL.
+    so the threads scoring the window's masks can share it) and the
+    window's dense NLL.
 
     A masked forward multiplies each layer with no pruned unit by exactly
     1.0, so its values below the first pruned layer equal the dense run
@@ -141,6 +142,26 @@ class _DensePass:
             return _nll_from_logits(model.readout(x), self.targets)
 
 
+def _masked_totals(model: TransformerModel, eval_tokens, window: int | None,
+                   masks_for, workers: int) -> tuple[list[float], float, int]:
+    """Each mask's float64 NLL total over ``eval_windows``, the dense
+    total and the prediction count. ``masks_for(chunk)`` gives one window's
+    masks, in one order for every window; they share its dense pass and
+    are striped across ``workers`` threads. Windows are added left to
+    right, as ``stream_nll`` adds them, so each total equals it bit for bit.
+    """
+    totals: list[float] = []
+    dense, count = 0.0, 0
+    for chunk in model.eval_windows(eval_tokens, window):
+        dp = _DensePass(model, chunk)
+        nlls = run_striped(masks_for(chunk), lambda mask: dp.nll(model, mask),
+                           workers)
+        totals = [t + n for t, n in zip(totals or [0.0] * len(nlls), nlls)]
+        dense += dp.dense
+        count += dp.count
+    return totals, dense, count
+
+
 # ---------------------------------------------------------------------------
 # brute-force ablation
 
@@ -165,26 +186,12 @@ def oracle_ablation(model: TransformerModel, eval_tokens, scope: str = "both",
             f"{len(flats)} units exceed the cap of {max_units};"
             " raise max_units or narrow the scope"
         )
-    passes = [_DensePass(model, chunk)
-              for chunk in model.eval_windows(eval_tokens, window)]
-    # window NLLs are added left to right, as stream_nll adds them
-    count, base_total = 0, 0.0
-    for dp in passes:
-        count += dp.count
-        base_total += dp.dense
-    base = base_total / count
-    ones = MaskSet.ones(cfg)
-    replicas = _Replicas(model, workers)
-
-    def ablate(m: TransformerModel, flat: int) -> float:
-        mask = ones.without([unit_at(cfg, flat)])
-        total = 0.0
-        for dp in passes:
-            total += dp.nll(m, mask)
-        return total / count - base
-
-    deltas = replicas.run(flats, ablate)
-    return [(unit_at(cfg, flat), float(d)) for flat, d in zip(flats, deltas)]
+    units = [unit_at(cfg, flat) for flat in flats]
+    masks = [MaskSet.ones(cfg).without([uid]) for uid in units]
+    totals, dense, count = _masked_totals(model, eval_tokens, window,
+                                          lambda chunk: masks, workers)
+    base = dense / count
+    return [(uid, float(total / count - base)) for uid, total in zip(units, totals)]
 
 
 def write_oracle_csv(results: list[tuple[UnitId, float]], path) -> None:
@@ -201,27 +208,25 @@ def write_oracle_csv(results: list[tuple[UnitId, float]], path) -> None:
 
 def sparsity_sweep(model: TransformerModel, source, specs, eval_tokens,
                    window: int | None = None, criterion: str = "",
-                   topology: str = "static", seed: int = 0) -> list:
+                   topology: str = "static", seed: int = 0,
+                   workers: int = 1) -> list:
     """Perplexity for each PruneSpec in ``specs``.
 
     ``source`` is either a ScoreVector (one static mask per spec) or a
     callable ``(model, window_tokens, spec) -> MaskSet`` re-evaluated per
     input window (the predictor path). All specs share one dense pass
-    per window; each NLL equals ``stream_nll`` under its mask bit for bit.
+    per window and are striped across ``workers`` threads; each NLL
+    equals ``stream_nll`` under its mask bit for bit.
     """
     from .analytics import EvalRecord
 
     static = isinstance(source, ScoreVector)
     if static:
         masks = [build_mask(model.cfg, source, spec) for spec in specs]
-    totals = [0.0] * len(specs)
-    count = 0
-    for chunk in model.eval_windows(eval_tokens, window):
-        dp = _DensePass(model, chunk)
-        count += dp.count
-        for j, spec in enumerate(specs):
-            mask = masks[j] if static else source(model, chunk, spec)
-            totals[j] += dp.nll(model, mask)
+    totals, _, count = _masked_totals(
+        model, eval_tokens, window,
+        lambda chunk: masks if static else [source(model, chunk, spec) for spec in specs],
+        workers)
     return [EvalRecord(strategy=spec.strategy, sparsity=spec.sparsity,
                        criterion=criterion, topology=topology,
                        perplexity=float(np.exp(total / count)), seed=seed)

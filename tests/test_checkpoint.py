@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from shlm.checkpoint import (
     MAGIC,
@@ -13,8 +15,10 @@ from shlm.checkpoint import (
     save_checkpoint,
     write_container,
 )
-from shlm.errors import ConfigMismatchError, FormatError
-from shlm.model import TransformerModel
+from shlm.errors import ConfigMismatchError, FormatError, ShlmError
+from shlm.model import ModelConfig, TransformerModel
+from shlm.predictor import (PredictorConfig, build_dataset, load_predictor,
+                            save_predictor, train_predictor)
 
 from .conftest import TINY
 
@@ -103,3 +107,46 @@ def test_magic_is_first_four_bytes(tmp_path):
     path = tmp_path / "m.shlm"
     write_container(path, {}, {})
     assert path.read_bytes()[:4] == MAGIC == b"SHLM"
+
+
+@pytest.fixture(scope="module")
+def toy_containers(tmp_path_factory):
+    """The bytes of a 1-layer toy model.bin and a predictor.bin fitted to
+    it, and a directory for their corrupted copies."""
+    root = tmp_path_factory.mktemp("containers")
+    cfg = ModelConfig(num_layers=1, embed_dim=8, num_heads=2, head_dim=4,
+                      ffn_dim=8, vocab_size=16, max_seq_len=8)
+    model = TransformerModel(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    prompts = [rng.integers(0, 16, size=6) for _ in range(4)]
+    dataset = build_dataset(model, prompts, "plainact", topology="fullseq")
+    predictor, _ = train_predictor(
+        dataset, PredictorConfig(topology="fullseq", epochs=1, batch=2), seed=0)
+    save_checkpoint(model, root / "model.bin")
+    save_predictor(predictor, root / "predictor.bin")
+    return root, {kind: (root / f"{kind}.bin").read_bytes()
+                  for kind in ("model", "predictor")}
+
+
+@seed(14)
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_corrupted_container_loads_or_raises_shlm_error(toy_containers, data):
+    root, clean = toy_containers
+    kind = data.draw(st.sampled_from(sorted(clean)))
+    blob = bytearray(clean[kind])
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        # half the changes land in the header, the config block or the
+        # first tensor record, where a byte decides the layout
+        structure = 12 + int.from_bytes(blob[8:12], "little") + 64
+        at = data.draw(st.integers(0, len(blob) - 1)
+                       | st.integers(0, min(structure, len(blob) - 1)), label="at")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path = root / f"corrupt_{kind}.bin"
+    path.write_bytes(bytes(blob))
+    try:
+        (load_checkpoint if kind == "model" else load_predictor)(path)
+    except ShlmError:
+        pass

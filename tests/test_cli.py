@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import platform
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from shlm.analytics import perplexity
-from shlm.checkpoint import load_checkpoint
+from shlm.checkpoint import load_checkpoint, read_container, write_container
 from shlm import cli
 from shlm.cli import _corpus_prompts, main
 from shlm.model import CAPTURE_GRADS, TransformerModel
@@ -149,6 +151,51 @@ def test_corrupt_checkpoint_is_runtime_error(tmp_path, workdir, capsys):
     assert rc == 1
 
 
+def _write_malformed(case: str, pipeline: Path, bad: Path) -> None:
+    """A container that loads into a traceback unless the loader checks
+    what ``case`` breaks."""
+    model_bin = pipeline / "lm" / "model.bin"
+    config, tensors = read_container(model_bin)
+    if case == "config_block_is_a_list":
+        write_container(bad, [config], tensors)
+    elif case == "tensor_name_not_utf8":
+        blob = bytearray(model_bin.read_bytes())
+        blob[12 + struct.unpack_from("<I", blob, 8)[0] + 4] = 0xFF
+        bad.write_bytes(bytes(blob))
+    elif case == "model_config_missing":
+        write_container(bad, {"kind": "model"}, tensors)
+    elif case in ("zero_layers", "fractional_layers"):
+        layers = 0 if case == "zero_layers" else 2.0
+        write_container(bad, {"kind": "model",
+                              "config": {**config["config"], "num_layers": layers}},
+                        tensors)
+    else:
+        pconfig, ptensors = read_container(pipeline / "pred" / "predictor.bin")
+        del pconfig["predictor_config"]
+        write_container(bad, pconfig, ptensors)
+
+
+@pytest.mark.parametrize("case", [
+    "config_block_is_a_list", "tensor_name_not_utf8", "model_config_missing",
+    "zero_layers", "fractional_layers", "predictor_config_missing"])
+def test_malformed_container_is_an_error_message(pipeline, tmp_path, capsys,
+                                                 case):
+    bad = tmp_path / "bad.bin"
+    _write_malformed(case, pipeline, bad)
+    inputs = ["--config", str(pipeline / "cfg.json"),
+              "--corpus", str(pipeline / "corpus.txt"),
+              "--out", str(tmp_path / "o")]
+    if case == "predictor_config_missing":
+        argv = ["sweep", "--checkpoint", str(pipeline / "lm" / "model.bin"),
+                "--predictor", str(bad)]
+    else:
+        argv = ["collect", "--checkpoint", str(bad)]
+    assert main(argv + inputs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err
+
+
 def test_bad_sparsity_is_config_error(tmp_path, pipeline, capsys):
     rc = main(["sweep", "--config", str(pipeline / "cfg.json"),
                "--checkpoint", str(pipeline / "lm" / "model.bin"),
@@ -205,6 +252,24 @@ def test_numeric_field_gets_type_and_minimum(pipeline, tmp_path, capsys,
                                              command, patch, flags, field):
     assert _run_bad(pipeline, tmp_path, command, patch, flags) == 2
     assert f"config error: field '{field}': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("collect", ["--contextual", "--criterion", "jacov"]),
+    ("train-predictor", ["--criterion", "epenas"]),
+    ("rank-variance", ["--criterion", "jacov"]),
+])
+def test_per_prompt_command_rejects_aggregate_only_before_reading(
+        tmp_path, capsys, command, flags):
+    # neither input exists: the criterion must be refused before either
+    # is opened
+    rc = main([command, *flags, "--checkpoint", str(tmp_path / "none.bin"),
+               "--corpus", str(tmp_path / "none.txt"),
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ")
+    assert f"{flags[-1]} is aggregate-only" in err
 
 
 def test_absent_contextual_flag_keeps_config_value(tmp_path, capsys):
@@ -533,18 +598,31 @@ def test_repeat_runs_are_byte_identical(pipeline, tmp_path):
 
 def test_batched_captures_do_not_depend_on_workers(pipeline, tmp_path):
     # 40 windows of 16 tokens are two capture chunks; fewshot's prompts
-    # come in several lengths, so several chunks
+    # come in several lengths, so several chunks. oracle stripes units,
+    # sweep and fewshot stripe masks, over one model shared by the threads
     target = tmp_path / "target.json"
     target.write_text(json.dumps({**TOY_CONFIG, "loss_on": "target"}),
                       encoding="utf-8")
     cfg = str(pipeline / "cfg.json")
     corpus = str(pipeline / "corpus.txt")
     ckpt = str(pipeline / "lm" / "model.bin")
+    dejavu = tmp_path / "pred_dejavu"
+    assert main(["train-predictor", "--config", cfg, "--checkpoint", ckpt,
+                 "--corpus", corpus, "--topology", "dejavu",
+                 "--out", str(dejavu)]) == 0
     for name, argv in [
         ("collect", ["collect", "--contextual", "--criterion", "plainact",
                      "--n-prompts", "40", "--config", cfg]),
         ("fewshot", ["fewshot", "--config", cfg]),
         ("fewshot_target", ["fewshot", "--config", str(target)]),
+        ("oracle", ["oracle", "--config", cfg, "--window", "32"]),
+        ("sweep", ["sweep", "--config", cfg, "--window", "32"]),
+        ("rank_variance", ["rank-variance", "--config", cfg]),
+    ] + [
+        (f"sweep_{topology}", ["sweep", "--config", cfg, "--window", "16",
+                               "--max-tokens", "256", "--predictor", str(path)])
+        for topology, path in (("shadow", pipeline / "pred" / "predictor.bin"),
+                               ("dejavu", dejavu / "predictor.bin"))
     ]:
         outs = [tmp_path / f"{name}_{w}" for w in (1, 3)]
         for out, workers in zip(outs, (1, 3)):
@@ -602,6 +680,38 @@ def test_console_entry_point(workdir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "19.55%" in proc.stdout
+
+
+_CHURN = """
+import resource, sys
+import numpy as np
+from shlm.cli import main
+
+def churn():  # twelve 3 MB blocks, under numpy's 4 MB huge-page cut-off
+    blocks = [np.ones(3 << 20, np.uint8) for _ in range(12)]
+    del blocks
+
+if sys.argv[1] == "cli":
+    main(["flops", "--model-preset", "opt-1.3b"])
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc")
+def test_cli_keeps_freed_blocks_in_its_heap():
+    """Once main() has run, 36 MB freed and allocated again come back from
+    the heap; under glibc's dynamic thresholds (a process that never ran
+    main) the heap top is trimmed and faulted in again on every round."""
+    faults = {}
+    for mode in ("bare", "cli"):
+        proc = subprocess.run([sys.executable, "-c", _CHURN, mode],
+                              capture_output=True, text=True, check=True)
+        faults[mode] = int(proc.stdout.split()[-1])
+    assert faults["cli"] < 500 < faults["bare"], faults
 
 
 def test_log_level_env(workdir, capfd, monkeypatch):

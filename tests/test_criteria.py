@@ -399,6 +399,73 @@ def test_collect_workers_deterministic(trained_model, monkeypatch):
             assert a.values.tobytes() == b.values.tobytes()
 
 
+def test_no_stage_clones_the_model(trained_model, stream, monkeypatch):
+    # worker threads share the caller's model, which no capture, GraSP
+    # probe or masked pass writes; more threads than cores, switching
+    # often, must still give the single-thread bytes
+    import sys
+
+    from shlm.pruning import PruneSpec, oracle_ablation, sparsity_sweep
+
+    prompts = _mixed_prompts()
+    grasp_prompts = [p for p in prompts if not isinstance(p, tuple)][:4]
+    runs = {"gradnorm": lambda w: collect_criteria(trained_model, prompts,
+                                                   "gradnorm", workers=w),
+            "l2norm": lambda w: collect_criteria(trained_model, prompts,
+                                                 "l2norm", workers=w),
+            "grasp": lambda w: collect_criteria(trained_model, grasp_prompts,
+                                                "grasp", workers=w)}
+    want = {kind: run(1) for kind, run in runs.items()}
+    eval_tokens = stream.val[:96]
+    oracle = oracle_ablation(trained_model, eval_tokens, scope="heads", window=48)
+    specs = [PruneSpec("global", s) for s in (0.0, 0.25, 0.5)]
+    scores = collect_criteria(trained_model, prompts, "l2norm", aggregate=True)
+    sweep = sparsity_sweep(trained_model, scores, specs, eval_tokens, window=48)
+
+    def refuse(self):
+        raise AssertionError("a stage cloned the model")
+
+    monkeypatch.setattr(TransformerModel, "clone", refuse)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for kind, run in runs.items():
+            got = run(3)
+            assert [v.values.tobytes() for v in got] == \
+                [v.values.tobytes() for v in want[kind]], kind
+        assert oracle_ablation(trained_model, eval_tokens, scope="heads",
+                               window=48, workers=3) == oracle
+        assert sparsity_sweep(trained_model, scores, specs, eval_tokens,
+                              window=48, workers=3) == sweep
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_stages_start_no_more_threads_than_jobs(trained_model, monkeypatch):
+    import concurrent.futures
+
+    from shlm.model import run_striped
+
+    started = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    assert run_striped([1, 2], lambda job: 10 * job, workers=3) == [10, 20]
+    assert run_striped([5], lambda job: -job, workers=3) == [-5]   # inline
+    assert run_striped(range(7), lambda job: job, workers=3) == list(range(7))
+    assert started == [2, 3]
+    # 40 windows of 16 tokens are two capture chunks
+    rng = np.random.default_rng(3)
+    windows = [rng.integers(0, TINY.vocab_size, size=16) for _ in range(40)]
+    started.clear()
+    collect_criteria(trained_model, windows, "plainact", workers=3)
+    assert started == [2]
+
+
 def test_masked_unit_scores_zero(trained_model):
     toks = np.arange(12) % 256
     uid = UnitId(1, UnitKind.HEAD, 2)

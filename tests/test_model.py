@@ -51,6 +51,9 @@ def test_config_validation():
         ModelConfig(embed_dim=100, num_heads=8, head_dim=16)
     with pytest.raises(ValueError):
         ModelConfig(num_layers=0)
+    for field in ("num_layers", "max_seq_len"):   # range() and shapes need ints
+        with pytest.raises(ValueError):
+            ModelConfig(**{field: 64.0})
 
 
 def test_param_count_matches_closed_form():

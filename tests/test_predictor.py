@@ -107,6 +107,9 @@ def test_config_validation():
         PredictorConfig(normalization="rank")
     with pytest.raises(ValueError):
         PredictorConfig(epochs=0)
+    for field, value in (("epochs", 2.5), ("dejavu_stride", 2.0), ("hidden_dim", 0)):
+        with pytest.raises(ValueError):   # range() and shapes need ints >= 1
+            PredictorConfig(**{field: value})
     round_trip = PredictorConfig(**asdict(PredictorConfig(hidden_dim=64)))
     assert round_trip == PredictorConfig(hidden_dim=64)
 

@@ -269,27 +269,29 @@ def test_static_sweep_equals_per_spec_perplexity(trained_model, stream):
     eval_tokens = stream.val[:100]   # windows of 48, 48 and a partial 4
     rng = np.random.default_rng(5)
     scores = ScoreVector(rng.standard_normal(num_units(TINY)), "test")
-    records = sparsity_sweep(trained_model, scores, _SWEEP_SPECS, eval_tokens,
-                             window=48)
-    for spec, rec in zip(_SWEEP_SPECS, records):
-        want = perplexity(trained_model, build_mask(TINY, scores, spec),
-                          eval_tokens, window=48)
-        assert rec.perplexity == want, spec
-        assert (rec.strategy, rec.sparsity) == (spec.strategy, spec.sparsity)
+    for workers in (1, 3):
+        records = sparsity_sweep(trained_model, scores, _SWEEP_SPECS,
+                                 eval_tokens, window=48, workers=workers)
+        for spec, rec in zip(_SWEEP_SPECS, records):
+            want = perplexity(trained_model, build_mask(TINY, scores, spec),
+                              eval_tokens, window=48)
+            assert rec.perplexity == want, (spec, workers)
+            assert (rec.strategy, rec.sparsity) == (spec.strategy, spec.sparsity)
 
 
 def test_contextual_sweep_equals_per_spec_callable(trained_model, stream,
                                                    shadow_predictor):
     eval_tokens = stream.val[:100]
-    records = sparsity_sweep(trained_model,
-                             contextual_mask_source(shadow_predictor),
-                             _SWEEP_SPECS, eval_tokens, window=48)
     source = contextual_mask_source(shadow_predictor)
-    for spec, rec in zip(_SWEEP_SPECS, records):
-        want = perplexity(trained_model,
-                          lambda w, _spec=spec: source(trained_model, w, _spec),
-                          eval_tokens, window=48)
-        assert rec.perplexity == want, spec
+    wants = [perplexity(trained_model,
+                        lambda w, _spec=spec: source(trained_model, w, _spec),
+                        eval_tokens, window=48) for spec in _SWEEP_SPECS]
+    for workers in (1, 3):
+        records = sparsity_sweep(trained_model,
+                                 contextual_mask_source(shadow_predictor),
+                                 _SWEEP_SPECS, eval_tokens, window=48,
+                                 workers=workers)
+        assert [rec.perplexity for rec in records] == wants, workers
 
 
 def test_contextual_sweep_predicts_once_per_window(trained_model, stream,
