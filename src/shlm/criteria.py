@@ -44,13 +44,13 @@ from .model import (
     TransformerModel,
     _flat_scores,
     all_units,
+    batch_groups,
     run_striped,
 )
 
 NEG_INF = float("-inf")  # sentinel for log-of-zero nwot scores
 _GRASP_EPS = 1e-4   # absolute step of the Hessian-vector finite difference
 _JACOV_K = 1e-5     # eigenvalue offset inside jacov's log and reciprocal
-_CAPTURE_TOKENS = 512   # tokens per batched capture: one default train-lm step of 8 x 64
 
 
 class CriterionKind(str, Enum):
@@ -321,12 +321,12 @@ def collect_criteria(model: TransformerModel, prompts, kind,
     """Score every unit on each prompt.
 
     Prompts of one length and ``loss_from`` are captured together, in
-    chunks of at most ``_CAPTURE_TOKENS`` tokens striped across the
-    workers; every prompt's capture, and so its scores, equal a capture
-    of that prompt alone, bit for bit. GraSP's offset passes run per
-    prompt. Returns a list of per-example ScoreVectors, or a single
-    aggregated ScoreVector when ``aggregate`` is set. jacov and epenas are
-    only available aggregated.
+    the chunks of ``batch_groups`` striped across the workers; every
+    prompt's capture, and so its scores, equal a capture of that prompt
+    alone, bit for bit. GraSP's offset passes run per prompt. Returns a
+    list of per-example ScoreVectors, or a single aggregated ScoreVector
+    when ``aggregate`` is set. jacov and epenas are only available
+    aggregated.
     """
     kind = CriterionKind(kind)
     if kind in AGGREGATE_ONLY and not aggregate:
@@ -341,14 +341,9 @@ def collect_criteria(model: TransformerModel, prompts, kind,
     grad_mode = contextlib.nullcontext if needs_grads(kind) else T.no_grad
     scoring_model = model.to_dtype(np.float64) if kind == CriterionKind.GRASP else model
 
-    # groups and chunks keep input order
-    groups: dict[tuple[int, int], list[int]] = {}
-    for idx, (tokens, loss_from, _) in enumerate(parts):
-        groups.setdefault((len(tokens), loss_from), []).append(idx)
-    chunks = []
-    for (t_len, _), members in groups.items():
-        size = max(1, _CAPTURE_TOKENS // t_len)
-        chunks += [members[s:s + size] for s in range(0, len(members), size)]
+    chunks = batch_groups([len(tokens) for tokens, _, _ in parts],
+                          keys=[(len(tokens), loss_from)
+                                for tokens, loss_from, _ in parts])
 
     def capture_chunk(members: list[int]):
         tokens = np.stack([parts[i][0] for i in members])

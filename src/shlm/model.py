@@ -33,6 +33,7 @@ CAPTURE_GRADS = "grads"
 _CAPTURE_MODES = (CAPTURE_NONE, CAPTURE_ACTIVATIONS, CAPTURE_GRADS)
 
 _NEG_ATTN = -1e9  # additive score for future positions
+_BATCH_TOKENS = 512   # tokens per batched forward: one default train-lm step of 8 x 64
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,7 @@ class TransformerModel:
         return O.add_(O.embedding_lookup(O.leaf(p["tok_emb"]), tokens),
                       O.slice_rows(O.leaf(p["pos_emb"]), 0, t_len))
 
-    def block(self, i: int, x, mask: MaskSet | None = None,
+    def block(self, i: int, x, mask: "MaskSet | list[MaskSet] | None" = None,
               head_scales: np.ndarray | None = None,
               neuron_scales: np.ndarray | None = None, head_offsets=None,
               up_offsets=None, taps: Taps | None = None):
@@ -328,6 +329,7 @@ class TransformerModel:
         (B, T, E): causal attention, then the FFN, each added to the
         residual. ``mask``, the scales and the offsets are the whole-model
         arguments of ``forward``; the block reads its own layer of each.
+        ``mask`` may also be a list of one MaskSet per sequence of a batch.
         ``taps`` receives the captured values. A non-finite value is
         reported with the layer as well as the op.
 
@@ -338,11 +340,14 @@ class TransformerModel:
         ``x`` or a tapped value.
         """
         O = T.ops()
-        head_f = self._unit_factors(mask, head_scales, "head", i)
-        neuron_f = self._unit_factors(mask, neuron_scales, "neuron", i)
         n_heads, d_head = self.cfg.num_heads, self.cfg.head_dim
         lead, (t_len, e_dim) = x.shape[:-2], x.shape[-2:]
         nb = len(lead)
+        if isinstance(mask, list) and (nb != 1 or len(mask) != lead[0]):
+            raise MaskShapeMismatchError(
+                f"{len(mask)} masks for a batch of shape {tuple(lead)}")
+        head_f = self._unit_factors(mask, head_scales, "head", i)
+        neuron_f = self._unit_factors(mask, neuron_scales, "neuron", i)
         swap_th = (*range(nb), nb + 1, nb, nb + 2)     # (T, H, d) <-> (H, T, d)
         swap_last = (*range(nb + 1), nb + 2, nb + 1)   # (H, T, d) -> (H, d, T)
         p = self.params
@@ -362,8 +367,8 @@ class TransformerModel:
             if taps is not None:
                 taps.head_acts.append(att)
             if head_f is not None:
-                att = O.mul(att, O.const(
-                    head_f.reshape(n_heads, 1, 1).astype(self.dtype)))
+                att = O.mul(att, O.const(          # (H, 1, 1) or (B, H, 1, 1)
+                    head_f[..., None, None].astype(self.dtype)))
             merged = O.reshape(O.transpose(att, swap_th), (*lead, t_len, e_dim))
             attn_out = O.matmul(merged, O.leaf(p[pre + "wo"]))
             x = O.add(x, attn_out)
@@ -379,6 +384,8 @@ class TransformerModel:
                 taps.neuron_acts.append(hidden)
                 taps.ffn_inputs.append(h2)
             if neuron_f is not None:
+                if neuron_f.ndim == 2:
+                    neuron_f = neuron_f[:, None, :]       # (B, 1, F)
                 hidden = O.mul(hidden, O.const(neuron_f.astype(self.dtype)))
             x = O.add_(x, O.matmul(hidden, O.leaf(p[pre + "w_down"])))
             O.check(x, "block output")
@@ -482,17 +489,23 @@ class TransformerModel:
             return result(())
         return [result(b) for b in range(len(tokens))]
 
-    def _unit_factors(self, mask: MaskSet | None, scales: np.ndarray | None,
-                      kind: str, layer: int) -> np.ndarray | None:
+    def _unit_factors(self, mask: "MaskSet | list[MaskSet] | None",
+                      scales: np.ndarray | None, kind: str,
+                      layer: int) -> np.ndarray | None:
         """Layer ``layer``'s row of the float64 mask-times-scales factors
-        for one unit kind; None when neither is given or all are 1.0."""
+        for one unit kind, (W,), or (B, W) for a list of B masks; None when
+        neither is given or all are 1.0."""
         cfg = self.cfg
         width = cfg.num_heads if kind == "head" else cfg.ffn_dim
         base = None
         if mask is not None:
-            mask.validate_for(cfg)
-            arr = mask.heads if kind == "head" else mask.neurons
-            base = arr[layer].astype(np.float64)
+            masks = [mask] if isinstance(mask, MaskSet) else mask
+            for one in masks:
+                one.validate_for(cfg)
+            rows = [(one.heads if kind == "head" else one.neurons)[layer]
+                    for one in masks]
+            base = (rows[0] if isinstance(mask, MaskSet)
+                    else np.stack(rows)).astype(np.float64)
         if scales is not None:
             scales = np.asarray(scales, dtype=np.float64)
             if scales.shape != (cfg.num_layers, width):
@@ -554,6 +567,22 @@ def _nll_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     lse = (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))).reshape(-1)
     picked = z[np.arange(len(targets)), targets]
     return float((lse - picked).sum())
+
+
+def batch_groups(lengths, keys=None) -> list[list[int]]:
+    """Item indices grouped for batched forwards: the items of one key
+    (by default, of one length) in input order, keys in order of first
+    appearance, split into groups of at most ``_BATCH_TOKENS`` tokens
+    (at least one item each)."""
+    lengths = list(lengths)
+    by_key: dict = {}
+    for idx, key in enumerate(lengths if keys is None else keys):
+        by_key.setdefault(key, []).append(idx)
+    groups = []
+    for members in by_key.values():
+        size = max(1, _BATCH_TOKENS // lengths[members[0]])
+        groups += [members[s:s + size] for s in range(0, len(members), size)]
+    return groups
 
 
 def run_striped(jobs, fn, workers: int = 1) -> list:

@@ -350,25 +350,46 @@ class Predictor:
         return self.config.topology
 
 
+def _mlp_shapes(prefix: str, in_dim: int, hidden: int, layers: int,
+                out_dim: int) -> dict[str, tuple[int, ...]]:
+    """Each MLP parameter's shape by name, in init order."""
+    dims = [in_dim] + [hidden] * layers + [out_dim]
+    return {f"{prefix}{kind}{i}": shape
+            for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))
+            for kind, shape in (("w", (a, b)), ("b", (b,)))}
+
+
 def _init_mlp(rng: np.random.Generator, prefix: str, in_dim: int,
               hidden: int, layers: int, out_dim: int) -> dict[str, np.ndarray]:
-    params = {}
-    dims = [in_dim] + [hidden] * layers + [out_dim]
-    for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-        params[f"{prefix}w{i}"] = rng.normal(
-            0.0, math.sqrt(2.0 / a), size=(a, b)).astype(np.float32)
-        params[f"{prefix}b{i}"] = np.zeros(b, dtype=np.float32)
-    return params
+    return {name: (rng.normal(0.0, math.sqrt(2.0 / shape[0]), size=shape)
+                   if len(shape) == 2 else np.zeros(shape)).astype(np.float32)
+            for name, shape in _mlp_shapes(prefix, in_dim, hidden, layers,
+                                           out_dim).items()}
+
+
+def _encoder_shapes(e: int) -> dict[str, tuple[int, ...]]:
+    """1-layer 2-head full-attention block of width E, mean-pooled."""
+    return {**{f"enc.{w}": (e, e) for w in ("wq", "wk", "wv", "wo")},
+            "enc.ln_g": (e,), "enc.ln_b": (e,)}
 
 
 def _init_encoder(rng: np.random.Generator, e: int) -> dict[str, np.ndarray]:
-    """1-layer 2-head full-attention block of width E, mean-pooled."""
-    params = {}
-    for name in ("enc.wq", "enc.wk", "enc.wv", "enc.wo"):
-        params[name] = rng.normal(0.0, 0.02, size=(e, e)).astype(np.float32)
-    params["enc.ln_g"] = np.ones(e, dtype=np.float32)
-    params["enc.ln_b"] = np.zeros(e, dtype=np.float32)
-    return params
+    return {name: (np.ones(shape) if name.endswith("_g") else
+                   np.zeros(shape) if name.endswith("_b") else
+                   rng.normal(0.0, 0.02, size=shape)).astype(np.float32)
+            for name, shape in _encoder_shapes(e).items()}
+
+
+def _param_shapes(mcfg: ModelConfig, cfg: PredictorConfig,
+                  covered: np.ndarray) -> dict[str, tuple[int, ...]]:
+    """Every network parameter's shape by name, as ``train_predictor``
+    initialises them."""
+    e = mcfg.embed_dim
+    shapes = _encoder_shapes(e) if cfg.topology == "fullseq" else {}
+    for prefix, _, _, cols in _nets(mcfg, covered, cfg.topology, cfg.dejavu_stride):
+        shapes.update(_mlp_shapes(prefix, e, cfg.resolved_hidden(e),
+                                  cfg.hidden_layers, cols.size))
+    return shapes
 
 
 # The network uses the ops of ``T.ops()``, as ``TransformerModel.block``
@@ -703,8 +724,16 @@ def load_predictor(path) -> Predictor:
     covered_arr = tensors.pop("covered", None)
     if covered_arr is None or covered_arr.size != num_units(mcfg):
         raise ConfigMismatchError(f"{path}: missing or mis-sized covered mask")
+    covered = covered_arr.astype(bool)
+    want = _param_shapes(mcfg, cfg, covered)
+    have = {name: arr.shape for name, arr in tensors.items()}
+    for name in sorted(want.keys() | have.keys()):
+        if have.get(name) != want.get(name):
+            raise ConfigMismatchError(
+                f"{path}: tensor {name!r}: the file holds {have.get(name, 'none')},"
+                f" the configured network needs {want.get(name, 'none')}")
     return Predictor(config=cfg, model_config=mcfg,
                      criterion=criterion,
                      params={n: a.astype(np.float32) for n, a in tensors.items()},
-                     covered=covered_arr.astype(bool),
+                     covered=covered,
                      draw=config.get("draw"))

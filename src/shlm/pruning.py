@@ -24,6 +24,7 @@ from .model import (
     TransformerModel,
     UnitId,
     _nll_from_logits,
+    batch_groups,
     num_units,
     run_striped,
     unit_at,
@@ -105,59 +106,87 @@ def build_mask(cfg: ModelConfig, scores: ScoreVector, spec: PruneSpec) -> MaskSe
 
 
 class _DensePass:
-    """One eval window's dense forward, run once and kept for every mask
-    scored on that window: the input of each block (a read-only array,
-    so the threads scoring the window's masks can share it) and the
-    window's dense NLL.
+    """The dense forward of a group of equal-length eval windows (B, T),
+    run once as one batch and kept for every mask slot scored on them:
+    the (B, T, E) input of each block (a read-only array, so the threads
+    scoring the slots can share it) and each window's dense NLL.
 
     A masked forward multiplies each layer with no pruned unit by exactly
     1.0, so its values below the first pruned layer equal the dense run
-    bit for bit; ``nll`` resumes from there.
+    bit for bit; ``nll`` resumes the windows with a pruned unit together
+    from the first such layer among them.
     """
 
-    def __init__(self, model: TransformerModel, chunk: np.ndarray):
-        self.targets = chunk[1:]
-        self.count = len(self.targets)
+    def __init__(self, model: TransformerModel, chunks: np.ndarray):
+        self.targets = chunks[:, 1:]
+        self.count = self.targets.size
         self.block_inputs = []
         with T.no_grad():
-            x = model.embed(chunk)
+            x = model.embed(chunks)
             for i in range(model.cfg.num_layers):
                 x.flags.writeable = False
                 self.block_inputs.append(x)
                 x = model.block(i, x)
-            self.dense = _nll_from_logits(model.readout(x), self.targets)
+            logits = model.readout(x)
+        self.dense = [_nll_from_logits(z, t) for z, t in zip(logits, self.targets)]
 
-    def nll(self, model: TransformerModel, mask: MaskSet) -> float:
-        """float64 NLL sum of this window under ``mask``, bit-identical to
-        a full masked forward."""
-        mask.validate_for(model.cfg)
-        pruned = ~(mask.heads.all(axis=1) & mask.neurons.all(axis=1))
-        if not pruned.any():
-            return self.dense
-        first = int(np.argmax(pruned))
+    def nll(self, model: TransformerModel, masks) -> list[float]:
+        """float64 NLL sum of each window under its own mask, one in
+        ``masks`` per window, bit-identical to a full masked forward of
+        that window. A window whose mask prunes nothing keeps its dense
+        NLL; the others run as one batch, where a window pruned first at
+        a later layer passes the layers before it with factors of exactly
+        1.0."""
+        cfg = model.cfg
+        firsts = []
+        for mask in masks:
+            mask.validate_for(cfg)
+            pruned = ~(mask.heads.all(axis=1) & mask.neurons.all(axis=1))
+            firsts.append(int(np.argmax(pruned)) if pruned.any() else cfg.num_layers)
+        run = [b for b, first in enumerate(firsts) if first < cfg.num_layers]
+        out = list(self.dense)
+        if not run:
+            return out
+        first = min(firsts[b] for b in run)
+        x = self.block_inputs[first]
+        if len(run) < len(masks):
+            x = x[run]
+        # one MaskSet for every window needs no per-window stacking
+        mask = (masks[run[0]] if all(masks[b] is masks[run[0]] for b in run)
+                else [masks[b] for b in run])
         with T.no_grad():
-            x = self.block_inputs[first]
-            for i in range(first, model.cfg.num_layers):
+            for i in range(first, cfg.num_layers):
                 x = model.block(i, x, mask)
-            return _nll_from_logits(model.readout(x), self.targets)
+            logits = model.readout(x)
+        for b, z in zip(run, logits):
+            out[b] = _nll_from_logits(z, self.targets[b])
+        return out
 
 
 def _masked_totals(model: TransformerModel, eval_tokens, window: int | None,
                    masks_for, workers: int) -> tuple[list[float], float, int]:
-    """Each mask's float64 NLL total over ``eval_windows``, the dense
-    total and the prediction count. ``masks_for(chunk)`` gives one window's
-    masks, in one order for every window; they share its dense pass and
-    are striped across ``workers`` threads. Windows are added left to
-    right, as ``stream_nll`` adds them, so each total equals it bit for bit.
+    """Each mask slot's float64 NLL total over ``eval_windows``, the dense
+    total and the prediction count. ``masks_for(chunk)`` gives one
+    window's masks, one per slot, in one order for every window.
+
+    The windows run in the groups of ``batch_groups``: consecutive
+    windows of one length, since only the last window can be shorter.
+    Each group gets one batched dense pass; its windows' masks are then
+    asked for in window order on the calling thread, and each slot's
+    masks resume together in one batched pass, the slots striped across
+    ``workers`` threads. Windows are added left to right, as
+    ``stream_nll`` adds them, so each total equals it bit for bit.
     """
     totals: list[float] = []
     dense, count = 0.0, 0
-    for chunk in model.eval_windows(eval_tokens, window):
-        dp = _DensePass(model, chunk)
-        nlls = run_striped(masks_for(chunk), lambda mask: dp.nll(model, mask),
-                           workers)
-        totals = [t + n for t, n in zip(totals or [0.0] * len(nlls), nlls)]
-        dense += dp.dense
+    windows = model.eval_windows(eval_tokens, window)
+    for group in batch_groups(len(chunk) for chunk in windows):
+        dp = _DensePass(model, np.stack([windows[w] for w in group]))
+        slots = list(zip(*(masks_for(windows[w]) for w in group)))
+        nlls = run_striped(slots, lambda masks: dp.nll(model, masks), workers)
+        for b, window_dense in enumerate(dp.dense):
+            totals = [t + n[b] for t, n in zip(totals or [0.0] * len(nlls), nlls)]
+            dense += window_dense
         count += dp.count
     return totals, dense, count
 

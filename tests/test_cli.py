@@ -171,13 +171,17 @@ def _write_malformed(case: str, pipeline: Path, bad: Path) -> None:
                         tensors)
     else:
         pconfig, ptensors = read_container(pipeline / "pred" / "predictor.bin")
-        del pconfig["predictor_config"]
+        if case == "predictor_config_missing":
+            del pconfig["predictor_config"]
+        else:   # a config naming more hidden layers than the net holds
+            pconfig["predictor_config"]["hidden_layers"] += 1
         write_container(bad, pconfig, ptensors)
 
 
 @pytest.mark.parametrize("case", [
     "config_block_is_a_list", "tensor_name_not_utf8", "model_config_missing",
-    "zero_layers", "fractional_layers", "predictor_config_missing"])
+    "zero_layers", "fractional_layers", "predictor_config_missing",
+    "predictor_hidden_layers"])
 def test_malformed_container_is_an_error_message(pipeline, tmp_path, capsys,
                                                  case):
     bad = tmp_path / "bad.bin"
@@ -185,7 +189,7 @@ def test_malformed_container_is_an_error_message(pipeline, tmp_path, capsys,
     inputs = ["--config", str(pipeline / "cfg.json"),
               "--corpus", str(pipeline / "corpus.txt"),
               "--out", str(tmp_path / "o")]
-    if case == "predictor_config_missing":
+    if case.startswith("predictor_"):
         argv = ["sweep", "--checkpoint", str(pipeline / "lm" / "model.bin"),
                 "--predictor", str(bad)]
     else:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shlm import criteria
+from shlm import model as model_mod
 from shlm import tensor as T
 from shlm.criteria import (
     AGGREGATE_ONLY,
@@ -376,7 +377,7 @@ def test_collect_equals_per_prompt_reference(trained_model, monkeypatch, kind,
                            loss_on=loss_on)
     monkeypatch.undo()
     want = _per_prompt_reference(trained_model, prompts, kind, aggregate, loss_on)
-    assert max(sizes) * 16 <= criteria._CAPTURE_TOKENS
+    assert max(sizes) * 16 <= model_mod._BATCH_TOKENS
     assert sum(sizes) == len(prompts) and sizes.count(32) == 1
     got = [got] if aggregate else got
     assert len(got) == len(want)

@@ -540,15 +540,33 @@ def _same_bits(a, b) -> bool:
     return type(a) is type(b) and (a == b or a is b)
 
 
+def _per_sequence_masks(cfg, n):
+    """n masks cycling through all-ones, one pruning only layer-0 heads
+    and one pruning only last-layer neurons."""
+    ones = MaskSet.ones(cfg)
+    cycle = [ones,
+             ones.without([UnitId(0, UnitKind.HEAD, h) for h in (0, cfg.num_heads - 1)]),
+             ones.without([UnitId(cfg.num_layers - 1, UnitKind.NEURON, j)
+                           for j in (1, 2)])]
+    return [cycle[b % len(cycle)] for b in range(n)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("capture", [CAPTURE_NONE, CAPTURE_ACTIVATIONS, CAPTURE_GRADS])
 def test_batched_forward_equals_per_sequence(dtype, capture):
     # every field of every sequence's result, byte for byte, at the
-    # default config and the tiny one, with and without a tape
+    # default config and the tiny one, with and without a tape; the
+    # "masks" variant gives each sequence its own mask
     modes = [False] if capture == CAPTURE_GRADS else [False, True]
     for cfg in (ModelConfig(), TINY):
         model = TransformerModel(cfg, seed=2, dtype=dtype)
-        for variant, kwargs in _mode_variants(cfg).items():
+        masks = _per_sequence_masks(cfg, 5)
+        variants = {**_mode_variants(cfg), "masks": {"mask": masks}}
+        for variant, kwargs in variants.items():
+            # the kwargs of the first row alone and of each row alone
+            rows = ([{"mask": m} for m in masks] if variant == "masks"
+                    else [kwargs] * len(masks))
+            first = {"mask": masks[:1]} if variant == "masks" else kwargs
             for t_len, loss_from in ((16, 1), (9, 4)):
                 toks = np.stack([_tokens(t_len, seed=s) for s in range(5)])
                 for array_mode in modes:
@@ -556,16 +574,33 @@ def test_batched_forward_equals_per_sequence(dtype, capture):
                         batch = model.forward(toks, capture=capture,
                                               loss_from=loss_from, **kwargs)
                         one = model.forward(toks[:1], capture=capture,
-                                            loss_from=loss_from, **kwargs)
+                                            loss_from=loss_from, **first)
                         alone = [model.forward(row, capture=capture,
-                                               loss_from=loss_from, **kwargs)
-                                 for row in toks]
+                                               loss_from=loss_from, **row_kwargs)
+                                 for row, row_kwargs in zip(toks, rows)]
                     assert len(batch) == len(toks) and len(one) == 1
                     for res, ref in zip(batch + one, alone + alone[:1]):
                         assert res.loss_tensor is None
                         for name in _RESULT_FIELDS:
                             assert _same_bits(getattr(res, name), getattr(ref, name)), (
                                 cfg.embed_dim, variant, t_len, array_mode, name)
+
+
+@pytest.mark.parametrize("array_mode", [False, True])
+def test_batched_forward_rejects_bad_mask_lists(array_mode):
+    model = TransformerModel(TINY, seed=0)
+    toks = np.stack([_tokens(8, seed=s) for s in range(3)])
+    masks = _per_sequence_masks(TINY, 3)
+    wrong = MaskSet(np.ones((TINY.num_layers, TINY.num_heads + 1)),
+                    np.ones((TINY.num_layers, TINY.ffn_dim)))
+    with T.no_grad() if array_mode else contextlib.nullcontext():
+        for bad in (masks[:2], masks + masks[:1], []):
+            with pytest.raises(MaskShapeMismatchError):
+                model.forward(toks, mask=bad)
+        with pytest.raises(MaskShapeMismatchError):
+            model.forward(toks[0], mask=masks[:1])    # a 1-D run takes one MaskSet
+        with pytest.raises(MaskShapeMismatchError):
+            model.forward(toks, mask=[masks[0], wrong, masks[2]])
 
 
 def test_batched_forward_rejects_other_ranks():

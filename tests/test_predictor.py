@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shlm import tensor as T
-from shlm.checkpoint import save_checkpoint
+from shlm.checkpoint import read_container, save_checkpoint, write_container
 from shlm.criteria import collect_criteria
 from shlm.errors import (ConfigMismatchError, ContextualUnsupportedError,
                          DatasetTooSmallError, EmptyHeldoutError,
@@ -598,6 +598,37 @@ def test_load_rejects_model_checkpoint(tmp_path, trained_model):
     save_checkpoint(trained_model, path)
     with pytest.raises(ConfigMismatchError):
         load_predictor(path)
+
+
+@pytest.fixture(scope="module")
+def saved_shadow(tmp_path_factory, shadow_dataset):
+    pred, _ = train_predictor(shadow_dataset,
+                              PredictorConfig(epochs=2, batch=8), seed=3)
+    path = tmp_path_factory.mktemp("pred") / "predictor.bin"
+    save_predictor(pred, path)
+    return path
+
+
+@pytest.mark.parametrize("case,tensor", [
+    ("missing", "b1"), ("extra", "w2"), ("mis_shaped", "w0"),
+    ("hidden_layers_in_config", "b1")])
+def test_load_matches_tensors_against_the_config(tmp_path, saved_shadow,
+                                                 case, tensor):
+    # each broken file used to load and fail later, or score silently
+    config, tensors = read_container(saved_shadow)
+    if case == "missing":
+        del tensors["b1"]
+    elif case == "extra":
+        tensors["w2"] = tensors["w1"]
+    elif case == "mis_shaped":
+        tensors["w0"] = tensors["w0"][:, :-1]
+    else:   # a 2-hidden-layer config over a 1-hidden-layer net
+        config["predictor_config"]["hidden_layers"] = 2
+    bad = tmp_path / "bad.bin"
+    write_container(bad, config, tensors)
+    with pytest.raises(ConfigMismatchError) as exc:
+        load_predictor(bad)
+    assert str(exc.value).startswith(f"{bad}: tensor {tensor!r}: ")
 
 
 def test_contextual_mask_source_keeps_layer0_dense(trained_model,

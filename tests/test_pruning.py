@@ -32,6 +32,7 @@ from shlm.predictor import (
 )
 from shlm.pruning import (
     PruneSpec,
+    _masked_totals,
     build_mask,
     oracle_ablation,
     sparsity_sweep,
@@ -332,3 +333,70 @@ def test_sweep_checks_mask_shape_before_dense_shortcut(trained_model, stream):
     with pytest.raises(MaskShapeMismatchError):
         sparsity_sweep(trained_model, wrong_config_ones,
                        [PruneSpec("local", 0.0)], stream.val[:64], window=32)
+
+
+def _mixed_mask(cfg, tokens, spec):
+    """A mask that depends on the window: nothing pruned, layer-0 heads
+    only, last-layer neurons only, or a random spread from ``spec``."""
+    kind = int(np.asarray(tokens).sum()) % 4
+    ones = MaskSet.ones(cfg)
+    if kind == 0:
+        return ones
+    if kind == 1:
+        return ones.without([UnitId(0, UnitKind.HEAD, int(tokens[0]) % cfg.num_heads)])
+    if kind == 2:
+        return ones.without([UnitId(cfg.num_layers - 1, UnitKind.NEURON,
+                                    int(tokens[1]) % cfg.ffn_dim)])
+    rng = np.random.default_rng(int(tokens[0]))
+    return build_mask(cfg, ScoreVector(rng.standard_normal(num_units(cfg)), "test"),
+                      spec)
+
+
+def test_contextual_sweep_with_mixed_resume_layers(trained_model, stream):
+    # windows of 16 tokens: two full 512-token groups, a third group and a
+    # trailing partial window, each window first pruned at its own layer
+    # or not at all, so one batched resume mixes them
+    eval_tokens = stream.train[:16 * 70 + 5]
+    specs = [PruneSpec("local", 0.25), PruneSpec("global", 0.5, scope="heads")]
+    kinds = [int(w.sum()) % 4 for w in trained_model.eval_windows(eval_tokens, 16)]
+    assert len(kinds) == 71 and set(kinds) == {0, 1, 2, 3}
+
+    def source(model, tokens, spec):
+        return _mixed_mask(model.cfg, tokens, spec)
+
+    wants = [perplexity(trained_model,
+                        lambda w, _spec=spec: source(trained_model, w, _spec),
+                        eval_tokens, window=16) for spec in specs]
+    for workers in (1, 3):
+        records = sparsity_sweep(trained_model, source, specs, eval_tokens,
+                                 window=16, workers=workers)
+        assert [rec.perplexity for rec in records] == wants, workers
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), window=st.integers(2, TINY.max_seq_len),
+       n_tokens=st.integers(2, 700), n_slots=st.integers(1, 3))
+def test_masked_totals_equal_per_window_stream_nll(trained_model, seed, window,
+                                                   n_tokens, n_slots):
+    # random keep masks per window and slot, some layers left whole;
+    # each slot's total is the left-to-right sum of its windows' NLLs
+    rng = np.random.default_rng(seed)
+    tokens = rng.integers(0, TINY.vocab_size, size=n_tokens)
+    windows = trained_model.eval_windows(tokens, window)
+    shapes = ((TINY.num_layers, TINY.num_heads), (TINY.num_layers, TINY.ffn_dim))
+    masks = [[MaskSet(*(rng.random(shape) >= rng.choice([0.0, 0.0, 0.3, 0.9],
+                                                       size=(shape[0], 1))
+                        for shape in shapes))
+              for _ in range(n_slots)] for _ in windows]
+    asked = iter(masks)
+    totals, dense, count = _masked_totals(trained_model, tokens, window,
+                                          lambda chunk: next(asked), workers=1)
+    want_totals, want_dense = [0.0] * n_slots, 0.0
+    for chunk, window_masks in zip(windows, masks):
+        want_dense += trained_model.stream_nll(chunk, window=len(chunk))[0]
+        for j, mask in enumerate(window_masks):
+            want_totals[j] += trained_model.stream_nll(chunk, mask=mask,
+                                                       window=len(chunk))[0]
+    assert totals == want_totals
+    assert dense == want_dense
+    assert count == sum(len(chunk) - 1 for chunk in windows)
