@@ -343,7 +343,8 @@ class TransformerModel:
         n_heads, d_head = self.cfg.num_heads, self.cfg.head_dim
         lead, (t_len, e_dim) = x.shape[:-2], x.shape[-2:]
         nb = len(lead)
-        if isinstance(mask, list) and (nb != 1 or len(mask) != lead[0]):
+        if (mask is not None and not isinstance(mask, MaskSet)
+                and (nb != 1 or len(mask) != lead[0])):
             raise MaskShapeMismatchError(
                 f"{len(mask)} masks for a batch of shape {tuple(lead)}")
         head_f = self._unit_factors(mask, head_scales, "head", i)

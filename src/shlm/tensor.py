@@ -8,6 +8,17 @@ every other tensor's ``grad`` stays None. Repeated calls accumulate.
 float32 is the working precision for training; float64 is used by
 verification paths.
 
+A leaf has no adjoint of its own: each contribution to it is added into
+its ``grad`` as soon as the VJP that makes it runs. The order matters
+for a leaf used more than once, such as the tied embedding table that
+each sequence reads in its lookup and in its readout. One backward
+through the sum of several sequences' losses adds the parts of the
+first sequence (its lookup's, then its readout's), then those of the
+second, and so on; one backward per sequence, in the same order,
+continues that same chain of additions and gives the same bits.
+Summing each sequence's parts first and then adding the sums would
+round differently.
+
 ``backward(..., wrt=tensors)`` differentiates only the nodes on a path
 from the listed tensors to the loss. A VJP closure
 is called as ``vjp(g, need)``: ``need`` holds one flag per parent, or is
@@ -502,6 +513,12 @@ def backward(loss: Tensor, wrt=None) -> None:
     ``requires_grad``); no other tensor gets a ``grad`` buffer.
     Repeated calls without resetting grads add up.
 
+    A leaf adds each contribution into its ``grad`` as the VJP that makes
+    it runs, in the order an adjoint sums its terms, so a fresh grad gets
+    the bits of that sum, and passes over several losses, one after
+    another, give a shared leaf the bits of one pass over their sum (see
+    the module docstring).
+
     With ``wrt`` given, only *needed* nodes are differentiated: a node
     is needed if it is in ``wrt`` or has a needed parent. A node that is
     not needed gets no VJP call, and each VJP is told which of its
@@ -561,6 +578,9 @@ def backward(loss: Tensor, wrt=None) -> None:
         for parent, pg, want in zip(node._parents, node._vjp(g, need),
                                     need or _EVERY_PARENT):
             if not want or not (parent.requires_grad or parent._parents):
+                continue
+            if not parent._parents:
+                parent._accumulate(pg)
                 continue
             key = id(parent)
             if key in adjoint:

@@ -75,11 +75,15 @@ def train_lm(model: TransformerModel, train_tokens: np.ndarray, steps: int,
              seq_len: int | None = None, weight_decay: float = 0.01) -> TrainingLog:
     """Next-token training on random windows of the stream.
 
-    With ``steps == 0`` the model is untouched. Identical inputs and seed
-    give a bit-identical parameter trajectory. A ``NonFiniteError`` names the
-    step, counted from 1, after its op and layer, or after the parameter
-    whose gradient it is; a step with a non-finite gradient updates
-    nothing.
+    Each step runs its ``batch_size`` windows one at a time, a forward and
+    then a backward of the loss over ``batch_size``, so one sequence's
+    tape is alive at a time; the grads and the logged mean loss are
+    bit-identical to one backward through the batch's mean loss (see
+    ``tensor``). With ``steps == 0`` the model is untouched. Identical
+    inputs and seed give a bit-identical parameter trajectory. A
+    ``NonFiniteError`` names the step, counted from 1, after its op and
+    layer, or after the parameter whose gradient it is; a step with a
+    non-finite value updates nothing.
     """
     train_tokens = np.asarray(train_tokens, dtype=np.int64)
     if seq_len is None:
@@ -103,12 +107,13 @@ def train_lm(model: TransformerModel, train_tokens: np.ndarray, steps: int,
         try:
             for s in starts:
                 loss = model.forward(train_tokens[s:s + seq_len]).loss_tensor
-                total = loss if total is None else T.add(total, loss)
-            mean_loss = T.scale(total, 1.0 / batch_size)
+                T.backward(T.scale(loss, 1.0 / batch_size))
+                total = loss.data if total is None else total + loss.data
+                del loss   # frees the tape before the next forward builds one
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at step {step}") from exc
-        T.backward(mean_loss)
         check_grads(model.params, step)
         opt.step()
-        log.losses.append(float(mean_loss.data))
+        log.losses.append(float(total * (1.0 / batch_size)))
     return log
+

@@ -556,17 +556,18 @@ def _per_sequence_masks(cfg, n):
 def test_batched_forward_equals_per_sequence(dtype, capture):
     # every field of every sequence's result, byte for byte, at the
     # default config and the tiny one, with and without a tape; the
-    # "masks" variant gives each sequence its own mask
+    # "masks" variant gives each sequence its own mask, as a list or a tuple
     modes = [False] if capture == CAPTURE_GRADS else [False, True]
     for cfg in (ModelConfig(), TINY):
         model = TransformerModel(cfg, seed=2, dtype=dtype)
         masks = _per_sequence_masks(cfg, 5)
-        variants = {**_mode_variants(cfg), "masks": {"mask": masks}}
+        variants = {**_mode_variants(cfg), "masks": {"mask": masks},
+                    "mask tuple": {"mask": tuple(masks)}}
         for variant, kwargs in variants.items():
             # the kwargs of the first row alone and of each row alone
-            rows = ([{"mask": m} for m in masks] if variant == "masks"
-                    else [kwargs] * len(masks))
-            first = {"mask": masks[:1]} if variant == "masks" else kwargs
+            per_row = variant in ("masks", "mask tuple")
+            rows = [{"mask": m} for m in masks] if per_row else [kwargs] * len(masks)
+            first = {"mask": masks[:1]} if per_row else kwargs
             for t_len, loss_from in ((16, 1), (9, 4)):
                 toks = np.stack([_tokens(t_len, seed=s) for s in range(5)])
                 for array_mode in modes:
@@ -594,7 +595,8 @@ def test_batched_forward_rejects_bad_mask_lists(array_mode):
     wrong = MaskSet(np.ones((TINY.num_layers, TINY.num_heads + 1)),
                     np.ones((TINY.num_layers, TINY.ffn_dim)))
     with T.no_grad() if array_mode else contextlib.nullcontext():
-        for bad in (masks[:2], masks + masks[:1], []):
+        ones = MaskSet.ones(TINY)
+        for bad in (masks[:2], masks + masks[:1], [], (masks[1],) * 2, (ones,) * 2):
             with pytest.raises(MaskShapeMismatchError):
                 model.forward(toks, mask=bad)
         with pytest.raises(MaskShapeMismatchError):

@@ -53,6 +53,37 @@ def test_backward_accumulates_across_calls():
     assert np.allclose(x.grad, 2.0 * first)
 
 
+def _tied_loss(table, ids):
+    """One sequence through a tied table: a lookup, then a readout
+    against the table's transpose."""
+    x = T.relu(T.embedding_lookup(table, ids[:-1]))
+    return T.cross_entropy(T.matmul(x, T.transpose(table, (1, 0))), ids[1:])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_streamed_backward_of_a_tied_table_equals_the_joint_one(dtype):
+    # a leaf adds each contribution into its grad as the VJP that makes it
+    # runs, so one backward per sequence adds the tied table's lookup and
+    # readout parts in the same order as one backward through the sum
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((12, 5))
+    seqs = [rng.integers(0, 12, size=9) for _ in range(2)]
+    joint = T.Tensor(w, requires_grad=True, dtype=dtype)
+    T.backward(T.add(_tied_loss(joint, seqs[0]), _tied_loss(joint, seqs[1])))
+    streamed = T.Tensor(w, requires_grad=True, dtype=dtype)
+    for ids in seqs:
+        T.backward(_tied_loss(streamed, ids))
+    assert streamed.grad.dtype == joint.grad.dtype
+    assert np.array_equal(streamed.grad, joint.grad)
+    # summing each sequence's own gradient instead gives other bits here
+    parts = []
+    for ids in seqs:
+        one = T.Tensor(w, requires_grad=True, dtype=dtype)
+        T.backward(_tied_loss(one, ids))
+        parts.append(one.grad)
+    assert not np.array_equal(parts[0] + parts[1], joint.grad)
+
+
 def test_shared_subexpression_grads():
     # y = x*x reused twice: loss = sum(y + y) -> dloss/dx = 4x
     x = T.Tensor([1.0, -2.0], requires_grad=True, dtype=np.float64)

@@ -1,5 +1,10 @@
 """Optimizer behavior and LM training loop."""
 
+import hashlib
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -62,6 +67,81 @@ def test_train_is_deterministic(stream):
         runs.append(model.state_arrays())
     for name in runs[0]:
         assert np.array_equal(runs[0][name], runs[1][name]), name
+
+
+def _params_sha256(model) -> str:
+    h = hashlib.sha256()
+    for name, arr in sorted(model.state_arrays().items()):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# parameter sha256 and losses of 6 steps of 3 x 32 tokens, frozen from the
+# loop that ran one backward through the mean of all the sequences' losses
+_PINNED = {
+    np.float32: ("e7d5e1a9b80fa7a370fdf87f15dae0f8eb7eb1d95e87b3e16d12d18e0ef489a2",
+                 ["0x1.632f8c0000000p+2", "0x1.5c84000000000p+2",
+                  "0x1.574cbc0000000p+2", "0x1.4aa1740000000p+2",
+                  "0x1.40fc800000000p+2", "0x1.3907d00000000p+2"]),
+    np.float64: ("08e87679f3b85fb3502120ed6a6bd7d3a6e3be16e4d6c6a74703c4711a7b2e52",
+                 ["0x1.632f893c3c90ep+2", "0x1.5c840418bc54dp+2",
+                  "0x1.574cba9c8bef9p+2", "0x1.4aa173d97ab25p+2",
+                  "0x1.40fc80df9728ap+2", "0x1.3907d04b9cb22p+2"]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_trajectory_is_pinned(stream, dtype):
+    model = TransformerModel(TINY, seed=5, dtype=dtype)
+    log = train_lm(model, stream.train, steps=6, lr=3e-3, seed=7, batch_size=3,
+                   seq_len=32)
+    sha, losses = _PINNED[dtype]
+    assert [float(x).hex() for x in log.losses] == losses
+    assert _params_sha256(model) == sha
+
+
+def test_train_runs_one_backward_per_sequence(monkeypatch):
+    real, calls = T.backward, []
+
+    def backward(loss, wrt=None):
+        calls.append(loss)
+        real(loss, wrt=wrt)
+
+    monkeypatch.setattr(T, "backward", backward)
+    train_lm(TransformerModel(TINY, seed=0), np.arange(400) % 256, steps=2,
+             lr=1e-3, seed=0, batch_size=3, seq_len=16)
+    assert len(calls) == 2 * 3
+
+
+_ONE_STEP = """
+import numpy as np
+from shlm.cli import _steady_heap
+from shlm.model import ModelConfig, TransformerModel
+from shlm.train import train_lm
+
+def peak_kb():   # this process's own peak; a child's ru_maxrss starts at its parent's
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+_steady_heap()   # the heap thresholds main() runs train-lm under
+model = TransformerModel(ModelConfig(), seed=0)
+before = peak_kb()
+train_lm(model, np.arange(4000) % 256, steps=1, lr=1e-3, seed=0)
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/status")
+def test_train_keeps_one_sequence_tape_alive():
+    """One default-config step (8 x 64 tokens) raises the peak RSS by the
+    grads, the AdamW state and one sequence's tape (about 17 MB), not by
+    all eight tapes at once (about 54 MB)."""
+    proc = subprocess.run([sys.executable, "-c", _ONE_STEP],
+                          capture_output=True, text=True, check=True)
+    growth_mb = int(proc.stdout.split()[-1]) / 1024
+    assert growth_mb < 45, growth_mb
 
 
 def test_train_rejects_tiny_stream():
