@@ -256,9 +256,11 @@ def _load_corpus(cfg: dict, vocab: dict[str, int] | None = None):
     return path, ingest_corpus(path, cfg["tokenizer"], vocab)
 
 
-def _model_io(cfg: dict):
+def _model_io(cfg: dict, *lengths: str):
     """The checkpoint's model, the corpus stream encoded with the
-    checkpoint's vocabulary, and both input paths (checkpoint, corpus)."""
+    checkpoint's vocabulary, and both input paths (checkpoint, corpus).
+    ``lengths`` are the fields giving the sequence lengths the command
+    runs, each checked against the model's ``max_seq_len``."""
     ckpt = _input_path(cfg, "checkpoint")
     vocab = checkpoint_vocab(ckpt)
     if (vocab is not None) != (cfg["tokenizer"] == WORD):
@@ -266,7 +268,14 @@ def _model_io(cfg: dict):
             f"field 'tokenizer': the checkpoint holds {'a' if vocab else 'no'} word"
             f" vocabulary, so the tokenizer must be {WORD if vocab else BYTE}")
     corpus, stream = _load_corpus(cfg, vocab)
-    return load_checkpoint(ckpt), stream, [ckpt, corpus]
+    model = load_checkpoint(ckpt)
+    limit = model.cfg.max_seq_len
+    for field in lengths:
+        node, key = _parent(cfg, field)
+        if node[key] is not None and node[key] > limit:
+            raise ConfigError(f"field '{field}': {node[key]} exceeds the"
+                              f" checkpoint's max_seq_len {limit}")
+    return model, stream, [ckpt, corpus]
 
 
 def _eval_tokens(cfg: dict, stream) -> np.ndarray:
@@ -385,7 +394,7 @@ def cmd_collect(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     kind = CriterionKind(cfg["criterion"])
     if cfg["contextual"]:
         _per_prompt_criterion(cfg, "contextual")
-    model, stream, inputs = _model_io(cfg)
+    model, stream, inputs = _model_io(cfg, "prompts.length")
     prompts = _corpus_prompts(stream, cfg, seed)
     scores = collect_criteria(model, prompts, kind,
                               aggregate=not cfg["contextual"],
@@ -408,7 +417,7 @@ def cmd_train_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """fit a sparsity predictor to a criterion"""
     _per_prompt_criterion(cfg)
     pcfg = _predictor_config(cfg)
-    model, stream, inputs = _model_io(cfg)
+    model, stream, inputs = _model_io(cfg, "prompts.length")
     dataset = _dataset_for(cfg, model, _corpus_prompts(stream, cfg, seed),
                            cfg["criterion"], pcfg, workers)
     predictor, plog = train_predictor(dataset, pcfg, seed=seed)
@@ -422,7 +431,7 @@ def cmd_train_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
 
 def cmd_eval_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """fidelity of a trained predictor"""
-    model, stream, inputs = _model_io(cfg)
+    model, stream, inputs = _model_io(cfg, "prompts.length")
     pred_path = _input_path(cfg, "predictor_path")
     predictor = load_predictor(pred_path)
     _check_draw(predictor.draw, _prompt_draw(cfg, seed, inputs[1]))
@@ -453,7 +462,8 @@ def cmd_eval_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
 def cmd_sweep(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """perplexity across sparsities"""
     specs = _prune_specs(cfg)
-    model, stream, inputs = _model_io(cfg)
+    model, stream, inputs = _model_io(
+        cfg, "eval.window", *(() if cfg["predictor_path"] else ("prompts.length",)))
     eval_tokens = _eval_tokens(cfg, stream)
     if cfg["predictor_path"]:
         pred_path = _input_path(cfg, "predictor_path")
@@ -481,7 +491,7 @@ def cmd_rank_variance(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """head rank stability across prompts"""
     _per_prompt_criterion(cfg)
     criterion = cfg["criterion"]
-    model, stream, inputs = _model_io(cfg)
+    model, stream, inputs = _model_io(cfg, "prompts.length")
     prompts = _corpus_prompts(stream, cfg, seed)
     table = rank_variance(model, prompts, criterion=criterion, workers=workers)
     rows = [{"layer": layer, "head": head, "mean_rank": mean,
@@ -498,7 +508,7 @@ def cmd_fewshot(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """criterion quality vs shot count"""
     specs = _prune_specs(cfg)
     section = cfg["fewshot"]
-    model, stream, inputs = _model_io(cfg)
+    model, stream, inputs = _model_io(cfg, "eval.window")
     eval_tokens = _eval_tokens(cfg, stream)
     records = fewshot_study(model, section["tasks"], section["shots"],
                             cfg["criterion"], specs, eval_tokens,
@@ -534,7 +544,7 @@ def cmd_flops(cfg, seed: int, workers: int, out: Path | None) -> list[Path]:
 def cmd_oracle(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """true single-unit ablation deltas"""
     section = cfg["oracle"]
-    model, stream, inputs = _model_io(cfg)
+    model, stream, inputs = _model_io(cfg, "eval.window")
     eval_tokens = _eval_tokens(cfg, stream)
     results = oracle_ablation(model, eval_tokens, scope=section["scope"],
                               max_units=section["max_units"],

@@ -7,8 +7,9 @@ contextual seven is the elementwise mean of per-example scores.
 l2norm, gradnorm, plainact and fisher are rows of one reduction table.
 snip is plainact on this model family: its |x| * |dL/dx| equals
 |x * dL/dx| bit for bit. jacov and epenas are computed per layer block,
-one gradient stack, correlation and eigvalsh call for all of a layer's
-heads or neurons; the scores equal the per-unit computation bit for bit.
+one gradient block for all of a layer's heads or neurons and one
+correlation and eigvalsh call per slice of up to 64 of them; the scores
+equal the per-unit computation bit for bit.
 
 For a head the activation is its attention output ``A`` (heads, T,
 head_dim) before masking; for an FFN neuron the activation is its
@@ -51,6 +52,7 @@ from .model import (
 NEG_INF = float("-inf")  # sentinel for log-of-zero nwot scores
 _GRASP_EPS = 1e-4   # absolute step of the Hessian-vector finite difference
 _JACOV_K = 1e-5     # eigenvalue offset inside jacov's log and reciprocal
+_CORR_UNITS = 64    # units per correlation slice of jacov and epenas
 
 
 class CriterionKind(str, Enum):
@@ -214,21 +216,26 @@ def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
 
 
 def _grad_blocks(captures: list[ForwardResult]):
-    """Per-example gradient vectors, one (units, examples, dim) float64
-    block per (kind, layer), in canonical unit order.
+    """Per-example gradient vectors as float64 (units, examples, dim)
+    blocks of at most ``_CORR_UNITS`` units, in canonical unit order.
 
     Heads use the position-mean of the activation gradient (length
     head_dim, well-defined across prompts of different lengths); neurons
-    use the up-projection column gradient (length embed_dim). Blocks are
-    C-contiguous so each row reduces in the same order as on its own.
+    use the up-projection column gradient (length embed_dim). Each
+    (kind, layer) block is filled in place, C-contiguous, so each row
+    reduces in the same order as on its own; a unit's correlations
+    depend on its own rows alone, so slicing keeps their bits and bounds
+    the temporaries.
     """
-    for layer in range(captures[0].cfg.num_layers):
-        yield np.stack([c.head_grads[layer].mean(axis=1) for c in captures],
-                       axis=1).astype(np.float64)
-    for layer in range(captures[0].cfg.num_layers):
-        yield np.ascontiguousarray(
-            np.stack([c.up_grads[layer].T for c in captures], axis=1),
-            dtype=np.float64)
+    for rows_of in (lambda c, i: c.head_grads[i].mean(axis=1),
+                    lambda c, i: c.up_grads[i].T):
+        for layer in range(captures[0].cfg.num_layers):
+            rows = [rows_of(c, layer) for c in captures]   # (units, dim) each
+            block = np.empty((len(rows[0]), len(rows), rows[0].shape[1]))
+            for j, example in enumerate(rows):
+                block[:, j] = example
+            for start in range(0, len(block), _CORR_UNITS):
+                yield block[start:start + _CORR_UNITS]
 
 
 def _corrcoef_rows(m: np.ndarray) -> np.ndarray:

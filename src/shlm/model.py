@@ -333,23 +333,32 @@ class TransformerModel:
         ``taps`` receives the captured values. A non-finite value is
         reported with the layer as well as the op.
 
+        The block is its two halves: ``head_outputs`` runs up to the
+        per-head attention output, where no mask or scale acts yet, and
+        ``block_tail`` applies the head factors and runs the rest. A pass
+        that already holds a layer's ``head_outputs`` can start that layer
+        at ``block_tail``, with the bits of the whole block.
+
         Without a tape only three values are checked, each where a later
         op could make a non-finite value finite: the scores before the
         softmax (``exp(-inf)`` is 0), the product before the ReLU (which
         zeroes ``-inf``) and the block output. No in-place write touches
         ``x`` or a tapped value.
         """
+        att = self.head_outputs(i, x, head_offsets, taps)
+        return self.block_tail(i, x, att, mask, head_scales, neuron_scales,
+                               up_offsets, taps)
+
+    def head_outputs(self, i: int, x, head_offsets=None, taps: Taps | None = None):
+        """The first half of ``block``: layernorm, QKV, causal softmax and
+        ``softmax . V``, plus layer ``i``'s ``head_offsets``, giving the
+        pre-mask per-head output (H, T, d_h), or (B, H, T, d_h) for a
+        batch; it is what ``taps.head_acts`` receives."""
         O = T.ops()
         n_heads, d_head = self.cfg.num_heads, self.cfg.head_dim
-        lead, (t_len, e_dim) = x.shape[:-2], x.shape[-2:]
+        lead, t_len = x.shape[:-2], x.shape[-2]
         nb = len(lead)
-        if (mask is not None and not isinstance(mask, MaskSet)
-                and (nb != 1 or len(mask) != lead[0])):
-            raise MaskShapeMismatchError(
-                f"{len(mask)} masks for a batch of shape {tuple(lead)}")
-        head_f = self._unit_factors(mask, head_scales, "head", i)
-        neuron_f = self._unit_factors(mask, neuron_scales, "neuron", i)
-        swap_th = (*range(nb), nb + 1, nb, nb + 2)     # (T, H, d) <-> (H, T, d)
+        swap_th = (*range(nb), nb + 1, nb, nb + 2)     # (T, H, d) -> (H, T, d)
         swap_last = (*range(nb + 1), nb + 2, nb + 1)   # (H, T, d) -> (H, d, T)
         p = self.params
         pre = f"h{i}."
@@ -365,8 +374,32 @@ class TransformerModel:
             att = O.matmul(O.softmax_rows_(scores), v)    # (H, T, d_h)
             if head_offsets is not None:
                 att = O.add(att, O.leaf(head_offsets[i]))
-            if taps is not None:
-                taps.head_acts.append(att)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{exc} in layer {i}") from exc
+        if taps is not None:
+            taps.head_acts.append(att)
+        return att
+
+    def block_tail(self, i: int, x, att, mask: "MaskSet | list[MaskSet] | None" = None,
+                   head_scales: np.ndarray | None = None,
+                   neuron_scales: np.ndarray | None = None, up_offsets=None,
+                   taps: Taps | None = None):
+        """The second half of ``block``: layer ``i``'s head factors times
+        its ``head_outputs`` ``att``, then ``wo``, the residual and the
+        FFN on the block input ``x``; neither input is written."""
+        O = T.ops()
+        lead, (t_len, e_dim) = x.shape[:-2], x.shape[-2:]
+        nb = len(lead)
+        if (mask is not None and not isinstance(mask, MaskSet)
+                and (nb != 1 or len(mask) != lead[0])):
+            raise MaskShapeMismatchError(
+                f"{len(mask)} masks for a batch of shape {tuple(lead)}")
+        head_f = self._unit_factors(mask, head_scales, "head", i)
+        neuron_f = self._unit_factors(mask, neuron_scales, "neuron", i)
+        swap_th = (*range(nb), nb + 1, nb, nb + 2)     # (H, T, d) -> (T, H, d)
+        p = self.params
+        pre = f"h{i}."
+        try:
             if head_f is not None:
                 att = O.mul(att, O.const(          # (H, 1, 1) or (B, H, 1, 1)
                     head_f[..., None, None].astype(self.dtype)))

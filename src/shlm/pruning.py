@@ -108,25 +108,29 @@ def build_mask(cfg: ModelConfig, scores: ScoreVector, spec: PruneSpec) -> MaskSe
 class _DensePass:
     """The dense forward of a group of equal-length eval windows (B, T),
     run once as one batch and kept for every mask slot scored on them:
-    the (B, T, E) input of each block (a read-only array, so the threads
-    scoring the slots can share it) and each window's dense NLL.
+    for each block its (B, T, E) input and its pre-mask ``head_outputs``
+    (B, H, T, d_h), read-only arrays so the threads scoring the slots can
+    share them, and each window's dense NLL.
 
     A masked forward multiplies each layer with no pruned unit by exactly
     1.0, so its values below the first pruned layer equal the dense run
-    bit for bit; ``nll`` resumes the windows with a pruned unit together
-    from the first such layer among them.
+    bit for bit, and so do that layer's head outputs, which no mask
+    touches yet; ``nll`` resumes the windows with a pruned unit together
+    at the ``block_tail`` of the first such layer among them.
     """
 
     def __init__(self, model: TransformerModel, chunks: np.ndarray):
         self.targets = chunks[:, 1:]
         self.count = self.targets.size
-        self.block_inputs = []
+        self.block_inputs, self.head_outputs = [], []
         with T.no_grad():
             x = model.embed(chunks)
             for i in range(model.cfg.num_layers):
-                x.flags.writeable = False
+                att = model.head_outputs(i, x)
+                x.flags.writeable = att.flags.writeable = False
                 self.block_inputs.append(x)
-                x = model.block(i, x)
+                self.head_outputs.append(att)
+                x = model.block_tail(i, x, att)
             logits = model.readout(x)
         self.dense = [_nll_from_logits(z, t) for z, t in zip(logits, self.targets)]
 
@@ -134,9 +138,10 @@ class _DensePass:
         """float64 NLL sum of each window under its own mask, one in
         ``masks`` per window, bit-identical to a full masked forward of
         that window. A window whose mask prunes nothing keeps its dense
-        NLL; the others run as one batch, where a window pruned first at
-        a later layer passes the layers before it with factors of exactly
-        1.0."""
+        NLL; the others run as one batch from the kept head outputs of
+        the first layer any of them prunes, where a window pruned first
+        at a later layer passes the layers before it with factors of
+        exactly 1.0."""
         cfg = model.cfg
         firsts = []
         for mask in masks:
@@ -148,14 +153,15 @@ class _DensePass:
         if not run:
             return out
         first = min(firsts[b] for b in run)
-        x = self.block_inputs[first]
+        x, att = self.block_inputs[first], self.head_outputs[first]
         if len(run) < len(masks):
-            x = x[run]
+            x, att = x[run], att[run]
         # one MaskSet for every window needs no per-window stacking
         mask = (masks[run[0]] if all(masks[b] is masks[run[0]] for b in run)
                 else [masks[b] for b in run])
         with T.no_grad():
-            for i in range(first, cfg.num_layers):
+            x = model.block_tail(first, x, att, mask)
+            for i in range(first + 1, cfg.num_layers):
                 x = model.block(i, x, mask)
             logits = model.readout(x)
         for b, z in zip(run, logits):

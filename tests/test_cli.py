@@ -258,6 +258,25 @@ def test_numeric_field_gets_type_and_minimum(pipeline, tmp_path, capsys,
     assert f"config error: field '{field}': " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flags,field", [
+    ("oracle", ["--window", "65"], "eval.window"),
+    ("sweep", ["--window", "65"], "eval.window"),
+    ("collect", ["--prompt-len", "65"], "prompts.length"),
+])
+def test_length_over_max_seq_len_is_config_error_before_capture(
+        pipeline, tmp_path, capsys, monkeypatch, command, flags, field):
+    # the toy checkpoint holds max_seq_len 64; no capture may run first
+    def no_capture(*args, **kwargs):
+        raise AssertionError("captured before the length check")
+
+    monkeypatch.setattr(cli, "collect_criteria", no_capture)
+    assert _run_bad(pipeline, tmp_path, command, {}, flags) == 2
+    err = capsys.readouterr().err
+    assert f"config error: field '{field}': 65 exceeds" in err
+    assert "max_seq_len 64" in err
+    assert not any((tmp_path / "o").iterdir())
+
+
 @pytest.mark.parametrize("command, flags", [
     ("collect", ["--contextual", "--criterion", "jacov"]),
     ("train-predictor", ["--criterion", "epenas"]),

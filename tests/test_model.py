@@ -34,6 +34,7 @@ from shlm.model import (
     unit_blocks,
     unit_index,
 )
+from shlm.pruning import _DensePass
 
 from .conftest import TINY
 from .oracles import relative_error
@@ -408,6 +409,29 @@ def test_forward_resumed_from_block_input_is_bit_exact():
                 x = model.block(i, x, mask)
             resumed = model.readout(x)
         assert np.array_equal(resumed, full), start
+
+    # a masked pass also starts its first pruned layer at the dense pass's
+    # kept head outputs, which no mask has touched yet
+    kept = _DensePass(model, toks[None])
+    for arr in kept.block_inputs + kept.head_outputs:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    for start in range(cfg.num_layers):
+        for pruned in ([UnitId(start, UnitKind.HEAD, 1)],
+                       [UnitId(start, UnitKind.NEURON, 5)],
+                       [UnitId(start, UnitKind.HEAD, 0),
+                        UnitId(start, UnitKind.NEURON, 2)]):
+            mask = MaskSet.ones(cfg).without(pruned)
+            full = model.forward(toks, mask=mask).logits
+            with T.no_grad():
+                x = model.block_tail(start, kept.block_inputs[start],
+                                     kept.head_outputs[start], mask)
+                for i in range(start + 1, cfg.num_layers):
+                    x = model.block(i, x, mask)
+                resumed = model.readout(x)[0]
+            assert np.array_equal(resumed, full), (start, pruned)
+            assert kept.nll(model, [mask]) == [
+                model.stream_nll(toks, mask=mask, window=len(toks))[0]]
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

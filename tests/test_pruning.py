@@ -180,8 +180,9 @@ def test_oracle_ablation_matches_direct_measurement(trained_model, stream):
 
 
 def test_oracle_ablation_bit_exact_for_every_unit(trained_model, stream):
-    # the oracle reruns only the blocks from the ablated unit's layer on;
-    # each delta must still equal two full stream_nll passes exactly
+    # the oracle resumes each ablated unit's layer at its kept head
+    # outputs and reruns only the blocks after it; each delta must still
+    # equal two full stream_nll passes exactly
     eval_tokens = stream.val[:100]   # windows of 48, 48 and a partial 4
     results = oracle_ablation(trained_model, eval_tokens, window=48)
     base_t, base_c = trained_model.stream_nll(eval_tokens, window=48)
@@ -191,6 +192,21 @@ def test_oracle_ablation_bit_exact_for_every_unit(trained_model, stream):
                                               mask=ones.without([uid]),
                                               window=48)
         assert delta == ab_t / ab_c - base_t / base_c, uid
+
+
+def test_oracle_heads_skip_the_ablated_layers_attention(trained_model, stream,
+                                                       monkeypatch):
+    # one group of 3 windows: the dense pass runs every layer's attention
+    # core (softmax . V) once, and a head ablated in layer l reruns only
+    # the L - 1 - l layers after it, so L + H * L (L - 1) / 2 cores run
+    cores = []
+    real = T.ARRAY.softmax_rows_
+    monkeypatch.setattr(T.ARRAY, "softmax_rows_",
+                        lambda a: cores.append(a.shape[0]) or real(a))
+    oracle_ablation(trained_model, stream.val[:144], scope="heads", window=48)
+    n_layers, n_heads = TINY.num_layers, TINY.num_heads
+    assert len(cores) == n_layers + n_heads * n_layers * (n_layers - 1) // 2
+    assert cores == [3] * len(cores)   # each pass runs the group as one batch
 
 
 def test_oracle_ablation_workers_deterministic(trained_model, stream):
