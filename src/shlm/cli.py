@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,10 +109,10 @@ _OPTIONS = (
     _Option("contextual", "--contextual", ("collect",), type=bool,
             help="per-example scores instead of the aggregate"),
     _Option("loss_on", choices=LOSS_ON),
-    _Option("train.steps", "--steps", ("train-lm",), type=int),
+    _Option("train.steps", "--steps", ("train-lm",), type=int, minimum=0),
     _Option("train.lr", type=float),
     _Option("train.batch_size", type=int, minimum=1),
-    _Option("train.seq_len", type=int),
+    _Option("train.seq_len", type=int, minimum=2),
     _Option("train.weight_decay", type=float),
     _Option("prompts.n", "--n-prompts",
             ("collect", "train-predictor", "eval-predictor", "rank-variance"),
@@ -193,8 +193,9 @@ def _resolve_config(args) -> dict:
         value = node.get(key)
         if value is None and _parent(DEFAULTS, opt.field)[0].get(key) is None:
             continue  # unset: a None default, or a freeform key not given
-        if opt.many and not isinstance(value, list):
-            raise ConfigError(f"field '{opt.field}': expected a list, got {value!r}")
+        if opt.many and (not isinstance(value, list) or not value):
+            raise ConfigError(
+                f"field '{opt.field}': expected a non-empty list, got {value!r}")
         for item in value if opt.many else [value]:
             problem = opt.problem(item)
             if problem is not None:
@@ -276,6 +277,19 @@ def _model_io(cfg: dict, *lengths: str):
             raise ConfigError(f"field '{field}': {node[key]} exceeds the"
                               f" checkpoint's max_seq_len {limit}")
     return model, stream, [ckpt, corpus]
+
+
+def _load_predictor(cfg: dict, model: TransformerModel):
+    """The predictor at ``predictor_path`` and its path; it must have
+    been trained on a model of the checkpoint's config."""
+    path = _input_path(cfg, "predictor_path")
+    predictor = load_predictor(path)
+    want, have = asdict(model.cfg), asdict(predictor.model_config)
+    diff = [f"{k} {have[k]} (checkpoint {want[k]})" for k in want if have[k] != want[k]]
+    if diff:
+        raise ConfigError("field 'predictor_path': trained on another model: "
+                          + ", ".join(diff))
+    return predictor, path
 
 
 def _eval_tokens(cfg: dict, stream) -> np.ndarray:
@@ -432,8 +446,7 @@ def cmd_train_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
 def cmd_eval_predictor(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """fidelity of a trained predictor"""
     model, stream, inputs = _model_io(cfg, "prompts.length")
-    pred_path = _input_path(cfg, "predictor_path")
-    predictor = load_predictor(pred_path)
+    predictor, pred_path = _load_predictor(cfg, model)
     _check_draw(predictor.draw, _prompt_draw(cfg, seed, inputs[1]))
     # Fidelity reads only the held-out examples, and each example depends
     # on its own prompt alone, so only the held-out prompts are scored.
@@ -466,8 +479,7 @@ def cmd_sweep(cfg, seed: int, workers: int, out: Path) -> list[Path]:
         cfg, "eval.window", *(() if cfg["predictor_path"] else ("prompts.length",)))
     eval_tokens = _eval_tokens(cfg, stream)
     if cfg["predictor_path"]:
-        pred_path = _input_path(cfg, "predictor_path")
-        predictor = load_predictor(pred_path)
+        predictor, pred_path = _load_predictor(cfg, model)
         source = contextual_mask_source(predictor)
         topology = predictor.topology
         criterion = predictor.criterion

@@ -322,22 +322,20 @@ class TransformerModel:
                       O.slice_rows(O.leaf(p["pos_emb"]), 0, t_len))
 
     def block(self, i: int, x, mask: "MaskSet | list[MaskSet] | None" = None,
-              head_scales: np.ndarray | None = None,
-              neuron_scales: np.ndarray | None = None, head_offsets=None,
-              up_offsets=None, taps: Taps | None = None):
+              head_offsets=None, up_offsets=None, taps: Taps | None = None):
         """Block ``i`` applied to its input ``x``, (T, E) or a batch
         (B, T, E): causal attention, then the FFN, each added to the
-        residual. ``mask``, the scales and the offsets are the whole-model
-        arguments of ``forward``; the block reads its own layer of each.
-        ``mask`` may also be a list of one MaskSet per sequence of a batch.
+        residual. ``mask`` and the offsets are the whole-model unit hooks
+        of ``forward``; the block reads its own layer of each. ``mask``
+        may also be a list of one MaskSet per sequence of a batch.
         ``taps`` receives the captured values. A non-finite value is
         reported with the layer as well as the op.
 
         The block is its two halves: ``head_outputs`` runs up to the
-        per-head attention output, where no mask or scale acts yet, and
-        ``block_tail`` applies the head factors and runs the rest. A pass
-        that already holds a layer's ``head_outputs`` can start that layer
-        at ``block_tail``, with the bits of the whole block.
+        per-head attention output, where no mask acts yet, and
+        ``block_tail`` applies the head keep factors and runs the rest. A
+        pass that already holds a layer's ``head_outputs`` can start that
+        layer at ``block_tail``, with the bits of the whole block.
 
         Without a tape only three values are checked, each where a later
         op could make a non-finite value finite: the scores before the
@@ -346,8 +344,7 @@ class TransformerModel:
         ``x`` or a tapped value.
         """
         att = self.head_outputs(i, x, head_offsets, taps)
-        return self.block_tail(i, x, att, mask, head_scales, neuron_scales,
-                               up_offsets, taps)
+        return self.block_tail(i, x, att, mask, up_offsets, taps)
 
     def head_outputs(self, i: int, x, head_offsets=None, taps: Taps | None = None):
         """The first half of ``block``: layernorm, QKV, causal softmax and
@@ -381,12 +378,11 @@ class TransformerModel:
         return att
 
     def block_tail(self, i: int, x, att, mask: "MaskSet | list[MaskSet] | None" = None,
-                   head_scales: np.ndarray | None = None,
-                   neuron_scales: np.ndarray | None = None, up_offsets=None,
-                   taps: Taps | None = None):
-        """The second half of ``block``: layer ``i``'s head factors times
-        its ``head_outputs`` ``att``, then ``wo``, the residual and the
-        FFN on the block input ``x``; neither input is written."""
+                   up_offsets=None, taps: Taps | None = None):
+        """The second half of ``block``: layer ``i``'s head keep factors
+        times its ``head_outputs`` ``att``, then ``wo``, the residual and
+        the FFN (with ``up_offsets`` and the neuron keep factors) on the
+        block input ``x``; neither input is written."""
         O = T.ops()
         lead, (t_len, e_dim) = x.shape[:-2], x.shape[-2:]
         nb = len(lead)
@@ -394,15 +390,15 @@ class TransformerModel:
                 and (nb != 1 or len(mask) != lead[0])):
             raise MaskShapeMismatchError(
                 f"{len(mask)} masks for a batch of shape {tuple(lead)}")
-        head_f = self._unit_factors(mask, head_scales, "head", i)
-        neuron_f = self._unit_factors(mask, neuron_scales, "neuron", i)
+        head_f = self._unit_factors(mask, "head", i)
+        neuron_f = self._unit_factors(mask, "neuron", i)
         swap_th = (*range(nb), nb + 1, nb, nb + 2)     # (H, T, d) -> (T, H, d)
         p = self.params
         pre = f"h{i}."
         try:
             if head_f is not None:
-                att = O.mul(att, O.const(          # (H, 1, 1) or (B, H, 1, 1)
-                    head_f[..., None, None].astype(self.dtype)))
+                # (H, 1, 1) or (B, H, 1, 1)
+                att = O.mul(att, O.const(head_f[..., None, None]))
             merged = O.reshape(O.transpose(att, swap_th), (*lead, t_len, e_dim))
             attn_out = O.matmul(merged, O.leaf(p[pre + "wo"]))
             x = O.add(x, attn_out)
@@ -420,7 +416,7 @@ class TransformerModel:
             if neuron_f is not None:
                 if neuron_f.ndim == 2:
                     neuron_f = neuron_f[:, None, :]       # (B, 1, F)
-                hidden = O.mul(hidden, O.const(neuron_f.astype(self.dtype)))
+                hidden = O.mul(hidden, O.const(neuron_f))
             x = O.add_(x, O.matmul(hidden, O.leaf(p[pre + "w_down"])))
             O.check(x, "block output")
         except NonFiniteError as exc:
@@ -437,9 +433,7 @@ class TransformerModel:
                         O.transpose(O.leaf(p["tok_emb"]), (1, 0)))
 
     def forward(self, tokens, mask: MaskSet | None = None, capture: str = CAPTURE_NONE,
-                loss_from: int = 1, head_offsets=None, up_offsets=None,
-                head_scales: np.ndarray | None = None,
-                neuron_scales: np.ndarray | None = None
+                loss_from: int = 1, head_offsets=None, up_offsets=None
                 ) -> "ForwardResult | list[ForwardResult]":
         """Run ``embed``, every ``block`` and ``readout`` on one sequence
         (T,), which gives a ForwardResult, or on a batch of equal-length
@@ -448,10 +442,10 @@ class TransformerModel:
         taped forward keeps its ``loss_tensor``.
         ``loss_from`` is the first predicted position; the loss averages
         next-token NLL over positions loss_from..T-1.
-        ``head_scales``/``neuron_scales`` multiply unit activations with
-        float factors (masking is the 0/1 special case). ``head_offsets``
-        and ``up_offsets`` are taped per-layer additive perturbations used
-        by curvature probes.
+        The unit hooks are ``mask``, which zeroes heads and neurons, and
+        the taped offsets that curvature probes perturb: ``head_offsets[i]``
+        is added to layer i's head outputs and ``up_offsets[i]`` to its
+        ``w_up``.
         A ``CAPTURE_GRADS`` forward back-propagates the sum of the
         sequences' mean losses, so each sequence's gradients are those of
         its own loss, only to the head and neuron taps; no parameter gets
@@ -475,8 +469,7 @@ class TransformerModel:
 
         embed_t = x
         for i in range(cfg.num_layers):
-            x = self.block(i, x, mask, head_scales, neuron_scales,
-                           head_offsets, up_offsets, taps)
+            x = self.block(i, x, mask, head_offsets, up_offsets, taps)
         logits = self.readout(x)
 
         loss_t = None
@@ -523,32 +516,19 @@ class TransformerModel:
             return result(())
         return [result(b) for b in range(len(tokens))]
 
-    def _unit_factors(self, mask: "MaskSet | list[MaskSet] | None",
-                      scales: np.ndarray | None, kind: str,
+    def _unit_factors(self, mask: "MaskSet | list[MaskSet] | None", kind: str,
                       layer: int) -> np.ndarray | None:
-        """Layer ``layer``'s row of the float64 mask-times-scales factors
-        for one unit kind, (W,), or (B, W) for a list of B masks; None when
-        neither is given or all are 1.0."""
-        cfg = self.cfg
-        width = cfg.num_heads if kind == "head" else cfg.ffn_dim
-        base = None
-        if mask is not None:
-            masks = [mask] if isinstance(mask, MaskSet) else mask
-            for one in masks:
-                one.validate_for(cfg)
-            rows = [(one.heads if kind == "head" else one.neurons)[layer]
-                    for one in masks]
-            base = (rows[0] if isinstance(mask, MaskSet)
-                    else np.stack(rows)).astype(np.float64)
-        if scales is not None:
-            scales = np.asarray(scales, dtype=np.float64)
-            if scales.shape != (cfg.num_layers, width):
-                raise MaskShapeMismatchError(
-                    f"{kind} scales shape {scales.shape} !="
-                    f" ({cfg.num_layers}, {width})"
-                )
-            base = scales[layer] if base is None else base * scales[layer]
-        return None if base is None or (base == 1.0).all() else base
+        """Layer ``layer``'s keep factors for one unit kind, 0.0 or 1.0 in
+        the model dtype, (W,), or (B, W) for a list of B masks; None when
+        no mask is given or it keeps every unit of the row."""
+        if mask is None:
+            return None
+        masks = [mask] if isinstance(mask, MaskSet) else mask
+        for one in masks:
+            one.validate_for(self.cfg)
+        rows = [(one.heads if kind == "head" else one.neurons)[layer] for one in masks]
+        keep = rows[0] if isinstance(mask, MaskSet) else np.stack(rows)
+        return None if keep.all() else keep.astype(self.dtype)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import read_container, write_container
-from .criteria import CriterionKind, ScoreVector, _prompt_tokens
+from .criteria import AGGREGATE_ONLY, CriterionKind, ScoreVector, _prompt_tokens
 from .errors import (ConfigMismatchError, DatasetTooSmallError, EmptyHeldoutError,
                      EmptyPromptError, FeatureShapeMismatchError,
                      NoCoveredUnitsError)
@@ -721,6 +721,11 @@ def load_predictor(path) -> Predictor:
         criterion = config["criterion"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigMismatchError(f"{path}: malformed predictor config ({exc!r})") from None
+    if criterion not in [k for k in CriterionKind if k not in AGGREGATE_ONLY]:
+        raise ConfigMismatchError(f"{path}: criterion {criterion!r} is not a per-prompt criterion")
+    draw = config.get("draw")
+    if draw is not None and not isinstance(draw, dict):
+        raise ConfigMismatchError(f"{path}: prompt draw {draw!r} is neither an object nor null")
     covered_arr = tensors.pop("covered", None)
     if covered_arr is None or covered_arr.size != num_units(mcfg):
         raise ConfigMismatchError(f"{path}: missing or mis-sized covered mask")
@@ -735,5 +740,4 @@ def load_predictor(path) -> Predictor:
     return Predictor(config=cfg, model_config=mcfg,
                      criterion=criterion,
                      params={n: a.astype(np.float32) for n, a in tensors.items()},
-                     covered=covered,
-                     draw=config.get("draw"))
+                     covered=covered, draw=draw)

@@ -1,10 +1,12 @@
-"""Shared fixtures: a tiny model config, a deterministic corpus, and
-session-scoped trained models reused by the slower studies."""
+"""Shared fixtures: a tiny model config, a deterministic corpus,
+session-scoped trained models reused by the slower studies, and the
+forward offsets that scale one unit."""
 
 import numpy as np
 import pytest
 
-from shlm.model import ModelConfig, TransformerModel
+from shlm import tensor as T
+from shlm.model import ModelConfig, TransformerModel, UnitKind, unit_at
 from shlm.text import TEMPLATES, ingest_corpus
 from shlm.train import train_lm
 
@@ -74,3 +76,23 @@ def trained_models(stream, trained_model):
     for seed in range(1, 5):
         models[seed] = train_tiny(stream.train, seed=seed)
     return models
+
+
+def scale_unit_offsets(capture, flat: int, eps: float) -> dict:
+    """``forward`` keyword arguments that scale unit ``flat`` (canonical
+    order) of the model ``capture`` came from by (1 - eps), on the
+    capture's tokens: a head's output gets -eps times itself, a neuron's
+    ``w_up`` column -eps times itself (a ReLU commutes with a positive
+    scale), and every other offset is 0.0. At eps = 1 this is the mask
+    that removes the unit."""
+    head_offsets = [np.zeros_like(a) for a in capture.head_acts]
+    up_offsets = [np.zeros_like(w) for w in capture.up_weights]
+    uid = unit_at(capture.cfg, flat)
+    if uid.kind == UnitKind.HEAD:
+        acts = capture.head_acts[uid.layer]
+        head_offsets[uid.layer][uid.index] = -eps * acts[uid.index]
+    else:
+        w_up = capture.up_weights[uid.layer]
+        up_offsets[uid.layer][:, uid.index] = -eps * w_up[:, uid.index]
+    return {"head_offsets": [T.constant(a) for a in head_offsets],
+            "up_offsets": [T.constant(w) for w in up_offsets]}

@@ -44,7 +44,7 @@ from shlm.pruning import PruneSpec, oracle_ablation, sparsity_sweep
 from shlm.text import make_fewshot_prompts
 from shlm.train import train_lm
 
-from .conftest import TINY, toy_text
+from .conftest import TINY, scale_unit_offsets, toy_text
 from .gradcheck_cases import ALL_CASES, max_relative_error
 from .oracles import relative_error
 
@@ -196,20 +196,16 @@ def test_criterion_04_first_order_sensitivity(capsys, sensitivity_model,
         cap = sensitivity_model.forward(toks, capture=CAPTURE_GRADS)
         base = cap.loss
         for flat in range(num_units(cfg)):
-            head_scales = np.ones((cfg.num_layers, cfg.num_heads))
-            neuron_scales = np.ones((cfg.num_layers, cfg.ffn_dim))
             if flat < nh:
                 l, k = divmod(flat, cfg.num_heads)
-                head_scales[l, k] = 1.0 - eps
                 signed = float((cap.head_acts[l][k] *
                                 cap.head_grads[l][k]).sum())
             else:
                 l, k = divmod(flat - nh, cfg.ffn_dim)
-                neuron_scales[l, k] = 1.0 - eps
                 signed = float((cap.neuron_acts[l][:, k] *
                                 cap.neuron_grads[l][:, k]).sum())
-            scaled = sensitivity_model.forward(toks, head_scales=head_scales,
-                                               neuron_scales=neuron_scales)
+            scaled = sensitivity_model.forward(
+                toks, **scale_unit_offsets(cap, flat, eps))
             err = abs((base - scaled.loss) - eps * signed)
             bound = 0.05 * eps * abs(signed) + 1e-9
             worst_ratio = max(worst_ratio, err / bound)

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from shlm.analytics import perplexity
-from shlm.checkpoint import load_checkpoint, read_container, write_container
+from shlm.checkpoint import (load_checkpoint, read_container, save_checkpoint,
+                             write_container)
 from shlm import cli
 from shlm.cli import _corpus_prompts, main
-from shlm.model import CAPTURE_GRADS, TransformerModel
+from shlm.model import CAPTURE_GRADS, ModelConfig, TransformerModel
 from shlm.predictor import (build_dataset, load_predictor, predictor_fidelity,
                             save_predictor)
 from shlm.text import ingest_corpus
@@ -173,15 +174,22 @@ def _write_malformed(case: str, pipeline: Path, bad: Path) -> None:
         pconfig, ptensors = read_container(pipeline / "pred" / "predictor.bin")
         if case == "predictor_config_missing":
             del pconfig["predictor_config"]
-        else:   # a config naming more hidden layers than the net holds
+        elif case == "predictor_hidden_layers":   # more than the net holds
             pconfig["predictor_config"]["hidden_layers"] += 1
+        elif case == "predictor_criterion_bogus":
+            pconfig["criterion"] = "bogus"
+        elif case == "predictor_criterion_aggregate_only":
+            pconfig["criterion"] = "jacov"
+        else:   # a prompt draw that is no object
+            pconfig["draw"] = [1, 2]
         write_container(bad, pconfig, ptensors)
 
 
 @pytest.mark.parametrize("case", [
     "config_block_is_a_list", "tensor_name_not_utf8", "model_config_missing",
     "zero_layers", "fractional_layers", "predictor_config_missing",
-    "predictor_hidden_layers"])
+    "predictor_hidden_layers", "predictor_criterion_bogus",
+    "predictor_criterion_aggregate_only", "predictor_draw_list"])
 def test_malformed_container_is_an_error_message(pipeline, tmp_path, capsys,
                                                  case):
     bad = tmp_path / "bad.bin"
@@ -190,14 +198,15 @@ def test_malformed_container_is_an_error_message(pipeline, tmp_path, capsys,
               "--corpus", str(pipeline / "corpus.txt"),
               "--out", str(tmp_path / "o")]
     if case.startswith("predictor_"):
-        argv = ["sweep", "--checkpoint", str(pipeline / "lm" / "model.bin"),
-                "--predictor", str(bad)]
+        runs = [[command, "--checkpoint", str(pipeline / "lm" / "model.bin"),
+                 "--predictor", str(bad)] for command in ("sweep", "eval-predictor")]
     else:
-        argv = ["collect", "--checkpoint", str(bad)]
-    assert main(argv + inputs) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ")
-    assert "Traceback" not in err
+        runs = [["collect", "--checkpoint", str(bad)]]
+    for argv in runs:
+        assert main(argv + inputs) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
 
 
 def test_bad_sparsity_is_config_error(tmp_path, pipeline, capsys):
@@ -230,6 +239,9 @@ def _run_bad(pipeline, tmp_path, command, patch, flags):
     ("train-lm", {"tokenizer": "bogus"}, "tokenizer"),
     # checked in a section the command does not read, too
     ("flops", {"oracle": {"scope": "bogus"}}, "oracle.scope"),
+    # a flag takes one value or more; a config-file list must hold as many
+    ("fewshot", {"fewshot": {"tasks": []}}, "fewshot.tasks"),
+    ("sweep", {"prune": {"sparsities": []}}, "prune.sparsities"),
 ])
 def test_config_enum_value_gets_flag_check(pipeline, tmp_path, capsys,
                                            command, patch, field):
@@ -251,11 +263,38 @@ def test_config_enum_value_gets_flag_check(pipeline, tmp_path, capsys,
     ("flops", {}, ["--p1", "0"], "flops.p1"),
     ("collect", {}, ["--n-prompts", "0"], "prompts.n"),
     ("eval-predictor", {}, ["--n-prompts", "-1"], "prompts.n"),
+    ("train-lm", {"train": {"steps": -3}}, [], "train.steps"),
+    ("train-lm", {"train": {"seq_len": 1}}, [], "train.seq_len"),
 ])
 def test_numeric_field_gets_type_and_minimum(pipeline, tmp_path, capsys,
                                              command, patch, flags, field):
     assert _run_bad(pipeline, tmp_path, command, patch, flags) == 2
     assert f"config error: field '{field}': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "eval-predictor"])
+def test_predictor_of_another_model_is_config_error_before_capture(
+        pipeline, tmp_path, capsys, monkeypatch, command):
+    # the toy predictor was trained on a 2-layer model; this checkpoint
+    # has 3 layers of the same width
+    def no_capture(*args, **kwargs):
+        raise AssertionError("captured before the model check")
+
+    for name in ("build_dataset", "collect_criteria", "sparsity_sweep"):
+        monkeypatch.setattr(cli, name, no_capture)
+    ckpt = tmp_path / "model3.bin"
+    save_checkpoint(TransformerModel(
+        ModelConfig(**{**TOY_CONFIG["model"], "num_layers": 3}), seed=0), ckpt)
+    rc = main([command, "--config", str(pipeline / "cfg.json"),
+               "--checkpoint", str(ckpt),
+               "--predictor", str(pipeline / "pred" / "predictor.bin"),
+               "--corpus", str(pipeline / "corpus.txt"),
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: field 'predictor_path': ")
+    assert "num_layers 2 (checkpoint 3)" in err
+    assert not any((tmp_path / "o").iterdir())
 
 
 @pytest.mark.parametrize("command,flags,field", [

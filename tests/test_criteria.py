@@ -46,7 +46,7 @@ from shlm.model import (
 )
 from shlm.text import make_fewshot_prompts
 
-from .conftest import TINY
+from .conftest import TINY, scale_unit_offsets
 
 _CFG = ModelConfig(num_layers=2, embed_dim=8, num_heads=2, head_dim=4,
                    ffn_dim=6, vocab_size=16, max_seq_len=16)
@@ -487,20 +487,15 @@ def test_plainact_first_order_prediction(trained_model):
     rng = np.random.default_rng(9)
     flats = rng.choice(num_units(TINY), size=10, replace=False)
     for flat in flats:
-        head_scales = np.ones((TINY.num_layers, TINY.num_heads))
-        neuron_scales = np.ones((TINY.num_layers, TINY.ffn_dim))
         if flat < num_head_units(TINY):
             l, k = divmod(int(flat), TINY.num_heads)
-            head_scales[l, k] = 1.0 - eps
             signed = float((cap.head_acts[l][k] * cap.head_grads[l][k]).sum())
         else:
             rest = int(flat) - num_head_units(TINY)
             l, k = divmod(rest, TINY.ffn_dim)
-            neuron_scales[l, k] = 1.0 - eps
             signed = float((cap.neuron_acts[l][:, k] *
                             cap.neuron_grads[l][:, k]).sum())
-        scaled = model.forward(toks, head_scales=head_scales,
-                               neuron_scales=neuron_scales)
+        scaled = model.forward(toks, **scale_unit_offsets(cap, int(flat), eps))
         drop = dense_loss - scaled.loss
         assert abs(drop - eps * signed) <= 0.05 * eps * abs(signed) + 1e-9
 

@@ -36,7 +36,7 @@ from shlm.model import (
 )
 from shlm.pruning import _DensePass
 
-from .conftest import TINY
+from .conftest import TINY, scale_unit_offsets
 from .oracles import relative_error
 
 _SMALL = ModelConfig(num_layers=2, embed_dim=8, num_heads=2, head_dim=4,
@@ -207,6 +207,21 @@ def test_mask_union_forward_identical():
     out1 = model.forward(toks, mask=stepwise).logits
     out2 = model.forward(toks, mask=union).logits
     assert np.array_equal(out1, out2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unit_scaled_by_zero_through_offsets_equals_its_mask(dtype):
+    # the offsets that scale a unit by (1 - eps), as the first-order
+    # sensitivity checks use them, remove it at eps = 1 with the bits of
+    # the mask that removes it
+    cfg = dataclasses.replace(TINY, num_layers=3, ffn_dim=64)
+    model = TransformerModel(cfg, seed=3, dtype=dtype)
+    toks = _tokens(16, seed=4)
+    cap = model.forward(toks, capture=CAPTURE_ACTIVATIONS)
+    for flat in range(num_units(cfg)):
+        masked = model.forward(toks, mask=MaskSet.ones(cfg).without([unit_at(cfg, flat)]))
+        scaled = model.forward(toks, **scale_unit_offsets(cap, flat, 1.0))
+        assert np.array_equal(scaled.logits, masked.logits), flat
 
 
 def test_capture_exposes_expected_shapes(trained_model):
@@ -447,21 +462,23 @@ def test_nonfinite_names_layer_with_and_without_tape():
         model.forward(toks)
 
 
-def _mode_variants(cfg):
+def _mode_variants(cfg, dtype=np.float32):
     rng = np.random.default_rng(7)
     mask = MaskSet.ones(cfg).without([
         UnitId(0, UnitKind.HEAD, 1), UnitId(cfg.num_layers - 1, UnitKind.HEAD, 0),
         UnitId(0, UnitKind.NEURON, 3), UnitId(1, UnitKind.NEURON, 0)])
+    # an offset that is no 0/1 factor; its (E, F) shape does not depend on T
+    up_offsets = [T.constant(0.02 * rng.standard_normal((cfg.embed_dim, cfg.ffn_dim)),
+                             dtype=dtype) for _ in range(cfg.num_layers)]
     return {
         "unmasked": {},
         "mask": {"mask": mask},
-        "scales": {"head_scales": rng.uniform(0.0, 2.0, (cfg.num_layers, cfg.num_heads)),
-                   "neuron_scales": rng.uniform(0.0, 2.0, (cfg.num_layers, cfg.ffn_dim))},
+        "up_offsets": {"up_offsets": up_offsets},
     }
 
 
 @pytest.mark.parametrize("cfg", [ModelConfig(), TINY], ids=["default", "tiny"])
-@pytest.mark.parametrize("variant", ["unmasked", "mask", "scales"])
+@pytest.mark.parametrize("variant", ["unmasked", "mask", "up_offsets"])
 def test_array_mode_logits_equal_taped(cfg, variant):
     model = TransformerModel(cfg, seed=4)
     toks = _tokens(cfg.max_seq_len, seed=5)
@@ -474,7 +491,7 @@ def test_array_mode_logits_equal_taped(cfg, variant):
     assert free.loss == taped.loss
 
 
-@pytest.mark.parametrize("variant", ["unmasked", "mask", "scales"])
+@pytest.mark.parametrize("variant", ["unmasked", "mask", "up_offsets"])
 def test_array_mode_captures_equal_taped(variant):
     # the taped forward writes in place into nothing, so an array-mode
     # in-place write into a tap would show here
@@ -585,7 +602,7 @@ def test_batched_forward_equals_per_sequence(dtype, capture):
     for cfg in (ModelConfig(), TINY):
         model = TransformerModel(cfg, seed=2, dtype=dtype)
         masks = _per_sequence_masks(cfg, 5)
-        variants = {**_mode_variants(cfg), "masks": {"mask": masks},
+        variants = {**_mode_variants(cfg, dtype), "masks": {"mask": masks},
                     "mask tuple": {"mask": tuple(masks)}}
         for variant, kwargs in variants.items():
             # the kwargs of the first row alone and of each row alone
