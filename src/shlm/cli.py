@@ -110,14 +110,14 @@ _OPTIONS = (
             help="per-example scores instead of the aggregate"),
     _Option("loss_on", choices=LOSS_ON),
     _Option("train.steps", "--steps", ("train-lm",), type=int, minimum=0),
-    _Option("train.lr", type=float),
+    _Option("train.lr", type=float, minimum=0),
     _Option("train.batch_size", type=int, minimum=1),
     _Option("train.seq_len", type=int, minimum=2),
-    _Option("train.weight_decay", type=float),
+    _Option("train.weight_decay", type=float, minimum=0),
     _Option("prompts.n", "--n-prompts",
             ("collect", "train-predictor", "eval-predictor", "rank-variance"),
             type=int, minimum=1),
-    _Option("prompts.length", "--prompt-len", ("collect",), type=int, minimum=1),
+    _Option("prompts.length", "--prompt-len", ("collect",), type=int, minimum=2),
     _Option("predictor.topology", "--topology", ("train-predictor",),
             choices=TOPOLOGIES),
     _Option("prune.strategy", "--strategy", ("sweep",),
@@ -134,7 +134,7 @@ _OPTIONS = (
             many=True),
     _Option("fewshot.n", type=int, minimum=1),
     _Option("oracle.scope", choices=SCOPES),
-    _Option("oracle.max_units", "--max-units", ("oracle",), type=int),
+    _Option("oracle.max_units", "--max-units", ("oracle",), type=int, minimum=1),
     _Option("flops.preset", "--model-preset", ("flops",),
             choices=tuple(sorted(MODEL_PRESETS))),
     _Option("flops.topology", "--topology", ("flops",), choices=TOPOLOGIES),

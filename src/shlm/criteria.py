@@ -194,6 +194,7 @@ def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
               ("up_offsets", capture.up_grads, capture.up_weights, 0))
     parts = []
     for name, grads, factors, axis in probes:
+        grads = list(grads)   # up_grads forms a layer on each read
         shape, size = grads[0].shape, grads[0].size
         g = np.concatenate([x.reshape(-1) for x in grads]).astype(np.float64)
 
@@ -227,13 +228,14 @@ def _grad_blocks(captures: list[ForwardResult]):
     depend on its own rows alone, so slicing keeps their bits and bounds
     the temporaries.
     """
-    for rows_of in (lambda c, i: c.head_grads[i].mean(axis=1),
-                    lambda c, i: c.up_grads[i].T):
-        for layer in range(captures[0].cfg.num_layers):
-            rows = [rows_of(c, layer) for c in captures]   # (units, dim) each
-            block = np.empty((len(rows[0]), len(rows), rows[0].shape[1]))
-            for j, example in enumerate(rows):
-                block[:, j] = example
+    cfg = captures[0].cfg
+    for rows_of, (units, dim) in (
+            (lambda c, i: c.head_grads[i].mean(axis=1), (cfg.num_heads, cfg.head_dim)),
+            (lambda c, i: c.up_grads[i].T, (cfg.ffn_dim, cfg.embed_dim))):
+        for layer in range(cfg.num_layers):
+            block = np.empty((units, len(captures), dim))
+            for j, capture in enumerate(captures):   # each layer read once
+                block[:, j] = rows_of(capture, layer)
             for start in range(0, len(block), _CORR_UNITS):
                 yield block[start:start + _CORR_UNITS]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -200,10 +200,10 @@ class ForwardResult:
     neuron_acts: list[np.ndarray] | None = None    # per layer (T, F), post-ReLU pre-mask
     attn_outs: list[np.ndarray] | None = None      # per layer (T, E), pre-residual
     layer_outs: list[np.ndarray] | None = None     # per layer (T, E), post-block
-    head_grads: list[np.ndarray] | None = None
-    neuron_grads: list[np.ndarray] | None = None
+    head_grads: list[np.ndarray] | None = None     # per layer dL/d head_acts
+    neuron_grads: list[np.ndarray] | None = None   # per layer dL/d neuron_acts
     up_weights: list[np.ndarray] | None = None     # per layer (E, F), read-only views
-    up_grads: list[np.ndarray] | None = None
+    up_grads: Sequence[np.ndarray] | None = None   # per layer (E, F), formed on read
 
 
 @dataclass
@@ -449,8 +449,10 @@ class TransformerModel:
         A ``CAPTURE_GRADS`` forward back-propagates the sum of the
         sequences' mean losses, so each sequence's gradients are those of
         its own loss, only to the head and neuron taps; no parameter gets
-        a ``.grad``. Each sequence's ``up_grads`` (dL/dw_up) are formed
-        from its FFN input and its neuron gradients. It needs the tape;
+        a ``.grad``. Each sequence's ``up_grads`` (dL/dw_up) is an
+        ``UpGrads``: it keeps that sequence's FFN inputs and forms a
+        layer's (E, F) gradient from them and the neuron gradients and
+        activations each time it is read. It needs the tape;
         under ``no_grad`` the forward runs on arrays and ``loss_tensor``
         is None.
         """
@@ -499,18 +501,21 @@ class TransformerModel:
             fields["head_grads"], fields["neuron_grads"] = (
                 [np.zeros_like(t.data) if t.grad is None else t.grad for t in ts]
                 for ts in (taps.head_acts, taps.neuron_acts))
-            fields["up_grads"] = [
-                _up_grad(h2.data, g, act.data) for h2, g, act in
-                zip(taps.ffn_inputs, fields["neuron_grads"], taps.neuron_acts)]
+            ffn_inputs = [t.data for t in taps.ffn_inputs]
         loss_v = None if loss_t is None else O.value(loss_t)
 
         def result(b) -> ForwardResult:
+            per_seq = {name: [a[b] for a in v] if isinstance(v, list) else v[b]
+                       for name, v in fields.items()}
+            if capture == CAPTURE_GRADS:
+                per_seq["up_grads"] = UpGrads([a[b] for a in ffn_inputs],
+                                              per_seq["neuron_grads"],
+                                              per_seq["neuron_acts"])
             return ForwardResult(
                 cfg=cfg, loss=None if loss_v is None else float(loss_v[b]),
                 n_predicted=n_pred, up_weights=up_weights,
                 loss_tensor=loss_t if tokens.ndim == 1 and O is T.TAPED else None,
-                **{name: [a[b] for a in v] if isinstance(v, list) else v[b]
-                   for name, v in fields.items()})
+                **per_seq)
 
         if tokens.ndim == 1:
             return result(())
@@ -563,15 +568,28 @@ class TransformerModel:
         return total, count
 
 
-def _up_grad(ffn_in: np.ndarray, neuron_grad: np.ndarray,
-             neuron_act: np.ndarray) -> np.ndarray:
-    """dL/dw_up of each sequence, (E, F) or (B, E, F): the FFN input's
-    transpose times the ReLU's VJP of the neuron gradient, a gemm per
-    sequence, bit-identical to the ``w_up.grad`` of a backward to the
-    parameter (adding 0.0 turns -0.0 into +0.0, as that zeroed buffer does)."""
-    grad = np.matmul(np.swapaxes(ffn_in, -1, -2), neuron_grad * (neuron_act > 0))
-    grad += 0.0
-    return grad
+class UpGrads(Sequence):
+    """One sequence's per-layer dL/dw_up, (E, F) each, formed on read.
+
+    It holds the capture's per-layer FFN inputs (T, E), neuron gradients
+    and post-ReLU activations (T, F); ``[i]`` is layer i's FFN input
+    transposed times the ReLU's VJP of its neuron gradient, the one gemm
+    a lone sequence's capture runs, bit-identical to the ``w_up.grad`` of
+    a backward to the parameter. Nothing is cached: every read is a new
+    array, so a consumer that reads each layer once keeps at most one
+    layer alive."""
+
+    def __init__(self, ffn_inputs, neuron_grads, neuron_acts):
+        self._parts = list(zip(ffn_inputs, neuron_grads, neuron_acts))
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        ffn_in, neuron_grad, neuron_act = self._parts[i]
+        grad = ffn_in.T @ (neuron_grad * (neuron_act > 0))
+        grad += 0.0   # -0.0 to +0.0, as the parameter's zeroed grad buffer gives
+        return grad
 
 
 def _nll_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:

@@ -265,6 +265,11 @@ def test_config_enum_value_gets_flag_check(pipeline, tmp_path, capsys,
     ("eval-predictor", {}, ["--n-prompts", "-1"], "prompts.n"),
     ("train-lm", {"train": {"steps": -3}}, [], "train.steps"),
     ("train-lm", {"train": {"seq_len": 1}}, [], "train.seq_len"),
+    # a capture predicts from the second token on
+    ("collect", {}, ["--prompt-len", "1"], "prompts.length"),
+    ("train-lm", {"train": {"lr": -1.0}}, [], "train.lr"),
+    ("train-lm", {"train": {"weight_decay": -0.5}}, [], "train.weight_decay"),
+    ("oracle", {}, ["--max-units", "0"], "oracle.max_units"),
 ])
 def test_numeric_field_gets_type_and_minimum(pipeline, tmp_path, capsys,
                                              command, patch, flags, field):

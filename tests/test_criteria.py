@@ -1,6 +1,9 @@
 """Criterion scores: hand oracles, invariances, and the collection driver."""
 
 import csv
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -269,7 +272,12 @@ def test_jacov_epenas_blocks_equal_per_unit_reference(trained_model):
                                       capture=CAPTURE_GRADS) for _ in range(5)]
     for cap in captures:   # one zero-variance head and neuron
         cap.head_grads[1][2][:] = 0.0
+        # up_grads forms a new array on each read; materialize it so the
+        # planted column is what every later read sees
+        cap.up_grads = [g.copy() for g in cap.up_grads]
         cap.up_grads[0][:, 5] = 0.0
+    for uid in (UnitId(1, UnitKind.HEAD, 2), UnitId(0, UnitKind.NEURON, 5)):
+        assert not _per_unit_grads(captures, unit_index(TINY, uid)).any()
     labels = np.array([0, 1, 0, 2, 1])   # same- and cross-class pairs
     iu, ju = np.triu_indices(len(captures), k=1)
     same = labels[iu] == labels[ju]
@@ -284,6 +292,38 @@ def test_jacov_epenas_blocks_equal_per_unit_reference(trained_model):
         want_epenas[flat] = float(pairs[same].mean()) - float(pairs[~same].mean())
     assert np.array_equal(score_jacov(captures), want_jacov)
     assert np.array_equal(score_epenas(captures, labels), want_epenas)
+
+
+_PLAINACT_COLLECT = """
+import numpy as np
+from shlm.cli import _steady_heap
+from shlm.criteria import collect_criteria
+from shlm.model import ModelConfig, TransformerModel
+
+def peak_kb():   # this process's own peak; a child's ru_maxrss starts at its parent's
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+_steady_heap()   # the heap thresholds main() runs collect under
+model = TransformerModel(ModelConfig(), seed=0)
+prompts = list(np.random.default_rng(0).integers(0, 256, size=(24, 16)))
+before = peak_kb()
+collect_criteria(model, prompts, "plainact")
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/status")
+def test_grad_capture_forms_up_grads_one_layer_at_a_time():
+    """A 24 x 16-token plainact collect on the default config raises the
+    peak RSS by its one batched tape and the per-sequence captures (about
+    28 MB), not also by every prompt's (E, F) up-projection gradient of
+    every layer at once (24 x 4 x 256 KB more, about 52 MB in all)."""
+    proc = subprocess.run([sys.executable, "-c", _PLAINACT_COLLECT],
+                          capture_output=True, text=True, check=True)
+    growth_mb = int(proc.stdout.split()[-1]) / 1024
+    assert growth_mb < 38, growth_mb
 
 
 def test_epenas_errors():

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import types
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -567,14 +568,39 @@ def test_capture_keeps_read_only_views_of_the_up_weights():
             w_up[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_up_grads_are_formed_on_read_with_the_bits_of_a_full_backward(dtype):
+    # each layer of a batched capture's up_grads equals the 1-D capture's
+    # and the w_up.grad of a full backward of that sequence alone, bit for
+    # bit; every read is a fresh array, so a write never reaches the next
+    model = TransformerModel(TINY, seed=5, dtype=dtype)
+    toks = np.stack([_tokens(10, seed=s) for s in range(3)])
+    batch = model.forward(toks, capture=CAPTURE_GRADS)
+    for row, res in zip(toks, batch):
+        alone = model.forward(row, capture=CAPTURE_GRADS)
+        model.zero_grads()
+        T.backward(model.forward(row).loss_tensor)
+        assert len(res.up_grads) == len(alone.up_grads) == TINY.num_layers
+        for i in range(TINY.num_layers):
+            want = model.params[f"h{i}.w_up"].grad
+            got = res.up_grads[i]
+            for ref in (want, alone.up_grads[i], res.up_grads[i]):
+                assert _same_bits(got, ref), i
+            got[...] = 7.0
+            assert _same_bits(res.up_grads[i], want), i
+            assert not np.shares_memory(res.up_grads[i], res.up_grads[i])
+
+
 # every ForwardResult field a batched forward fills per sequence
 _RESULT_FIELDS = [f.name for f in dataclasses.fields(ForwardResult)
                   if f.name not in ("cfg", "loss_tensor")]
 
 
 def _same_bits(a, b) -> bool:
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same_bits, a, b))
+    # any sequence (a list, or the up_grads formed on read) element by element
+    if isinstance(a, Sequence) and not isinstance(a, str):
+        return (isinstance(b, Sequence) and len(a) == len(b)
+                and all(map(_same_bits, a, b)))
     if isinstance(a, np.ndarray):
         return (a.dtype == b.dtype and a.shape == b.shape
                 and a.tobytes() == b.tobytes())
