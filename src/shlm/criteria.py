@@ -162,54 +162,69 @@ def score_nwot(capture: ForwardResult) -> np.ndarray:
 
 
 def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
-                capture: ForwardResult | None = None) -> np.ndarray:
+                capture: ForwardResult | list[ForwardResult] | None = None,
+                workers: int = 1) -> np.ndarray:
     """Hessian-gradient probe: L1 norm of -(H g) elementwise-times the
     activation (heads) or up-projection column (neurons).
 
-    Runs in float64; a float32 model is widened first and captures its
-    own gradients. Three taped passes per prompt: the gradient capture,
-    which is both the Hessian's direction and its base gradient, then one
-    step pass per probe (head offsets, up-projection offsets). A passed
-    ``capture`` must come from a float64 ``CAPTURE_GRADS`` forward of this
-    model on these ``tokens`` with this ``loss_from``; one whose logit
-    rows or predicted count disagree raises ``CaptureMismatchError``.
+    ``tokens`` is one prompt (T,), which gives its score vector, or a
+    batch (B, T) of prompts scored from one ``loss_from``, which gives a
+    (B, units) array whose rows equal each prompt's own scores bit for
+    bit. Runs in float64; a float32 model is widened first and captures
+    its own gradients. The taped passes are one gradient capture of the
+    batch, which gives every prompt's direction and base gradient, one
+    head-offset pass of the batch, each prompt stepping along its own
+    gradient, and one up-offset pass per prompt, striped across
+    ``workers`` threads: a batch of up offsets would hold B * L * E * F
+    float64 values in each of its arrays. A passed ``capture`` (a list
+    of B for a batch) must come from a float64 ``CAPTURE_GRADS`` forward
+    of this model on these ``tokens`` with this ``loss_from``; one whose
+    logit rows or predicted count disagree raises ``CaptureMismatchError``.
     """
-    if capture is not None:
-        for what, got, want in (("logit rows", capture.logits.shape[0], len(tokens)),
-                                ("n_predicted", capture.n_predicted,
-                                 len(tokens) - loss_from)):
+    batch = np.asarray(tokens, dtype=np.int64)
+    single = batch.ndim == 1
+    if single:
+        batch = batch[None]
+        capture = None if capture is None else [capture]
+    t_len = batch.shape[1]
+    for cap in capture or ():
+        for what, got, want in (("logit rows", cap.logits.shape[0], t_len),
+                                ("n_predicted", cap.n_predicted, t_len - loss_from)):
             if got != want:
                 raise CaptureMismatchError(
                     f"grasp: capture has {what} {got}, expected {want}"
-                    f" for {len(tokens)} tokens from loss_from {loss_from}")
+                    f" for {t_len} tokens from loss_from {loss_from}")
     if model.dtype != np.float64:
         model = model.to_dtype(np.float64)
         capture = None
-    if capture is None or capture.head_grads is None:
-        capture = model.forward(tokens, capture=CAPTURE_GRADS, loss_from=loss_from)
-    n_layers = model.cfg.num_layers
-    # one probe per unit kind: (forward offset, its gradient, the factor
-    # the Hessian-gradient product is multiplied by, the reduced axes)
-    probes = (("head_offsets", capture.head_grads, capture.head_acts, (1, 2)),
-              ("up_offsets", capture.up_grads, capture.up_weights, 0))
-    parts = []
-    for name, grads, factors, axis in probes:
-        grads = list(grads)   # up_grads forms a layer on each read
-        shape, size = grads[0].shape, grads[0].size
-        g = np.concatenate([x.reshape(-1) for x in grads]).astype(np.float64)
+    if capture is None or any(cap.head_grads is None for cap in capture):
+        capture = model.forward(batch, capture=CAPTURE_GRADS, loss_from=loss_from)
 
-        def loss(flat, name=name, shape=shape, size=size):
-            offsets = [T.reshape(T.slice_rows(flat, i * size, (i + 1) * size), shape)
-                       for i in range(n_layers)]
-            return model.forward(tokens, loss_from=loss_from,
-                                 **{name: offsets}).loss_tensor
+    def hv(rows: np.ndarray, name: str, grads: list) -> list:
+        """H g for each row of ``rows`` along its own gradient ``grads``
+        (per layer, batch axis first), the offsets starting at zero."""
+        def loss(offsets):
+            return model.forward(rows, loss_from=loss_from,
+                                 **{name: offsets})[0].loss_tensor
 
-        zero = T.Tensor(np.zeros_like(g), dtype=np.float64)
-        hv = T.hessian_vector_product(loss, zero, T.Tensor(g), eps=_GRASP_EPS,
-                                      grad0=g).data
-        parts.append(np.stack([np.abs(-h.reshape(shape) * f).sum(axis=axis)
-                               for h, f in zip(np.split(hv, n_layers), factors)]))
-    return _flat_scores(*parts)
+        zero = [np.broadcast_to(0.0, g.shape) for g in grads]   # holds no memory
+        return T.hessian_vector_product(loss, zero, grads, eps=_GRASP_EPS, grad0=grads)
+
+    heads = hv(batch, "head_offsets",
+               [np.stack(layer) for layer in zip(*(cap.head_grads for cap in capture))])
+
+    def neurons(b: int) -> np.ndarray:
+        grads = [g[None] for g in capture[b].up_grads]   # formed once per layer
+        return np.stack([np.abs(-h[0] * f).sum(axis=0) for h, f in
+                         zip(hv(batch[b:b + 1], "up_offsets", grads),
+                             capture[b].up_weights)])
+
+    scores = np.stack([
+        _flat_scores(np.stack([np.abs(-h[b] * f).sum(axis=(1, 2))
+                               for h, f in zip(heads, cap.head_acts)]), neuron)
+        for b, (cap, neuron) in enumerate(
+            zip(capture, run_striped(range(len(batch)), neurons, workers)))])
+    return scores[0] if single else scores
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +347,12 @@ def collect_criteria(model: TransformerModel, prompts, kind,
     Prompts of one length and ``loss_from`` are captured together, in
     the chunks of ``batch_groups`` striped across the workers; every
     prompt's capture, and so its scores, equal a capture of that prompt
-    alone, bit for bit. GraSP's offset passes run per prompt. Returns a
-    list of per-example ScoreVectors, or a single aggregated ScoreVector
-    when ``aggregate`` is set. jacov and epenas are only available
-    aggregated.
+    alone, bit for bit. GraSP runs ``score_grasp`` on each chunk in
+    turn: its capture and head probe are one batched pass each, and its
+    up-projection probes run per prompt, striped across the workers.
+    Returns a list of per-example ScoreVectors, or a single aggregated
+    ScoreVector when ``aggregate`` is set. jacov and epenas are only
+    available aggregated.
     """
     kind = CriterionKind(kind)
     if kind in AGGREGATE_ONLY and not aggregate:
@@ -346,41 +363,38 @@ def collect_criteria(model: TransformerModel, prompts, kind,
         raise ValueError(f"loss_on must be 'all' or 'target', got {loss_on!r}")
 
     parts = [_prompt_parts(p, loss_on) for p in prompts]
-    capture_mode = CAPTURE_GRADS if needs_grads(kind) else CAPTURE_ACTIVATIONS
-    grad_mode = contextlib.nullcontext if needs_grads(kind) else T.no_grad
-    scoring_model = model.to_dtype(np.float64) if kind == CriterionKind.GRASP else model
-
     chunks = batch_groups([len(tokens) for tokens, _, _ in parts],
                           keys=[(len(tokens), loss_from)
                                 for tokens, loss_from, _ in parts])
+    if kind == CriterionKind.GRASP:
+        wide = model.to_dtype(np.float64)
+        raw: list = [None] * len(parts)
+        for members in chunks:
+            rows = score_grasp(wide, np.stack([parts[i][0] for i in members]),
+                               loss_from=parts[members[0]][1], workers=workers)
+            for idx, row in zip(members, rows):
+                raw[idx] = row
+    else:
+        capture_mode = CAPTURE_GRADS if needs_grads(kind) else CAPTURE_ACTIVATIONS
+        grad_mode = contextlib.nullcontext if needs_grads(kind) else T.no_grad
 
-    def capture_chunk(members: list[int]):
-        tokens = np.stack([parts[i][0] for i in members])
-        with grad_mode():   # entered in the worker: the mode is per thread
-            return scoring_model.forward(tokens, capture=capture_mode,
-                                         loss_from=parts[members[0]][1])
+        def capture_chunk(members: list[int]):
+            tokens = np.stack([parts[i][0] for i in members])
+            with grad_mode():   # entered in the worker: the mode is per thread
+                return model.forward(tokens, capture=capture_mode,
+                                     loss_from=parts[members[0]][1])
 
-    captures: list = [None] * len(parts)
-    for members, results in zip(chunks, run_striped(chunks, capture_chunk, workers)):
-        for idx, capture in zip(members, results):
-            captures[idx] = capture
-
-    if kind == CriterionKind.JACOV:
-        values = score_jacov(captures)
-        return ScoreVector(values, kind.value, example_id=None)
-    if kind == CriterionKind.EPENAS:
-        labels = [label for _, _, label in parts]
-        values = score_epenas(captures, labels)
-        return ScoreVector(values, kind.value, example_id=None)
-
-    def score_one(idx: int):
-        tokens, loss_from, _ = parts[idx]
-        return score_contextual(captures[idx], kind, model=scoring_model,
-                                tokens=tokens, loss_from=loss_from)
-
-    # only GraSP's taped offset passes are worth a thread per prompt
-    raw = run_striped(range(len(parts)), score_one,
-                      workers if kind == CriterionKind.GRASP else 1)
+        captures: list = [None] * len(parts)
+        for members, results in zip(chunks, run_striped(chunks, capture_chunk, workers)):
+            for idx, capture in zip(members, results):
+                captures[idx] = capture
+        if kind == CriterionKind.JACOV:
+            return ScoreVector(score_jacov(captures), kind.value, example_id=None)
+        if kind == CriterionKind.EPENAS:
+            labels = [label for _, _, label in parts]
+            return ScoreVector(score_epenas(captures, labels), kind.value,
+                               example_id=None)
+        raw = [score_contextual(capture, kind) for capture in captures]
 
     if aggregate:
         return ScoreVector(np.mean(np.stack(raw), axis=0), kind.value, example_id=None)

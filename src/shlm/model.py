@@ -194,7 +194,7 @@ class ForwardResult:
     logits: np.ndarray
     loss: float | None
     n_predicted: int
-    loss_tensor: "T.Tensor | None" = None          # taped 1-D forwards only
+    loss_tensor: "T.Tensor | None" = None          # taped forwards (see forward)
     embed: np.ndarray | None = None
     head_acts: list[np.ndarray] | None = None      # per layer (H, T, d_h), pre-mask
     neuron_acts: list[np.ndarray] | None = None    # per layer (T, F), post-ReLU pre-mask
@@ -438,14 +438,18 @@ class TransformerModel:
         """Run ``embed``, every ``block`` and ``readout`` on one sequence
         (T,), which gives a ForwardResult, or on a batch of equal-length
         sequences (B, T), which gives a list of B ForwardResults, each
-        bit-identical to that sequence's own 1-D forward; only a 1-D
-        taped forward keeps its ``loss_tensor``.
+        bit-identical to that sequence's own 1-D forward.
         ``loss_from`` is the first predicted position; the loss averages
-        next-token NLL over positions loss_from..T-1.
+        next-token NLL over positions loss_from..T-1. A taped forward
+        keeps the loss on its tape in ``loss_tensor``: 0-d for one
+        sequence, and for a batch the (B,) tensor of every sequence's
+        loss, shared by the batch's results. A batched gradient capture
+        keeps none, so its tape goes once its own backward has run.
         The unit hooks are ``mask``, which zeroes heads and neurons, and
         the taped offsets that curvature probes perturb: ``head_offsets[i]``
         is added to layer i's head outputs and ``up_offsets[i]`` to its
-        ``w_up``.
+        ``w_up``. An offset with a leading batch axis gives each sequence
+        of a batch its own, (B, H, T, d_h) or (B, E, F).
         A ``CAPTURE_GRADS`` forward back-propagates the sum of the
         sequences' mean losses, so each sequence's gradients are those of
         its own loss, only to the head and neuron taps; no parameter gets
@@ -503,6 +507,7 @@ class TransformerModel:
                 for ts in (taps.head_acts, taps.neuron_acts))
             ffn_inputs = [t.data for t in taps.ffn_inputs]
         loss_v = None if loss_t is None else O.value(loss_t)
+        keep_loss = O is T.TAPED and (tokens.ndim == 1 or capture != CAPTURE_GRADS)
 
         def result(b) -> ForwardResult:
             per_seq = {name: [a[b] for a in v] if isinstance(v, list) else v[b]
@@ -514,7 +519,7 @@ class TransformerModel:
             return ForwardResult(
                 cfg=cfg, loss=None if loss_v is None else float(loss_v[b]),
                 n_predicted=n_pred, up_weights=up_weights,
-                loss_tensor=loss_t if tokens.ndim == 1 and O is T.TAPED else None,
+                loss_tensor=loss_t if keep_loss else None,
                 **per_seq)
 
         if tokens.ndim == 1:

@@ -593,44 +593,73 @@ def backward(loss: Tensor, wrt=None) -> None:
 # Hessian-vector products
 
 
-def hessian_vector_product(loss_fn, a: Tensor, v: Tensor, eps: float = 1e-4,
-                           grad0=None) -> Tensor:
-    """Finite difference of gradients along ``v``: H(a) @ v.
+def hessian_vector_product(loss_fn, a, v, eps: float = 1e-4, grad0=None):
+    """Finite difference of gradients along ``v``: H(a) @ v, row by row.
 
-    ``loss_fn`` maps a tensor shaped like ``a`` to a scalar loss. The
-    direction is normalized internally, so ``eps`` is an absolute step.
+    ``a`` is a list of arrays, such as one offset per layer, that share a
+    leading axis of B independent rows; ``v`` and ``grad0`` are lists of
+    arrays shaped like them, and ``loss_fn`` maps a list of leaf tensors
+    shaped like ``a`` to the (B,) losses of the rows, row b reading only
+    row b of each leaf. Row b steps from row b of ``a`` along row b of
+    ``v`` alone, normalized by the norm of that row of every array of
+    ``v``, flattened and joined in list order, so ``eps`` is an absolute
+    step; its product is (g1_b - g0_b) * (|v_b| / eps), a list of float64
+    arrays shaped like ``a``, formed in place in the gradient buffers of
+    the step pass. One taped pass steps every row at once. ``a`` and
+    ``v`` may also be Tensors, with ``loss_fn`` mapping a tensor shaped
+    like ``a`` to a scalar loss: one row, whose product is a Tensor of
+    ``a``'s dtype.
+
     ``grad0``, when given, is the gradient of ``loss_fn`` at ``a`` that
     the caller already holds; it replaces the first of the two taped
     gradient passes, so the product costs one. Each gradient pass
-    differentiates only its argument: tensors that ``loss_fn`` closes
+    differentiates only its arguments: tensors that ``loss_fn`` closes
     over, such as model parameters, get no ``grad``.
     """
     if eps <= 0:
         raise DomainError("hessian_vector_product: eps must be positive")
-    if v.shape != a.shape:
-        raise ShapeMismatchError(f"hessian_vector_product: v {v.shape} vs a {a.shape}")
-    if grad0 is not None and np.shape(grad0) != a.shape:
-        raise ShapeMismatchError(
-            f"hessian_vector_product: grad0 {np.shape(grad0)} vs a {a.shape}")
-    norm = float(np.linalg.norm(v.data))
-    if norm == 0.0:
+    if isinstance(a, Tensor):   # one row; the list form checks the shapes
+        (hv,) = hessian_vector_product(
+            lambda xs: reshape(loss_fn(reshape(xs[0], a.shape)), (1,)),
+            [a.data[None]], [v.data[None]], eps,
+            None if grad0 is None else [np.asarray(grad0)[None]])
+        return Tensor(hv[0].astype(a.dtype))
+
+    shapes = [np.shape(x) for x in a]
+    for name, arrays in (("v", v), ("grad0", grad0)):
+        if arrays is not None and [np.shape(x) for x in arrays] != shapes:
+            raise ShapeMismatchError(f"hessian_vector_product: {name} shapes"
+                                     f" {[np.shape(x) for x in arrays]} vs a {shapes}")
+    rows = shapes[0][0]
+    if any(shape[:1] != (rows,) for shape in shapes):
+        raise ShapeMismatchError(f"hessian_vector_product: {shapes} share no row axis")
+    norms = np.array([np.linalg.norm(np.concatenate([np.reshape(x[b], -1) for x in v]))
+                      for b in range(rows)], dtype=np.float64)
+    if not norms.all():
         raise ZeroVectorError("hessian_vector_product: direction has zero norm")
 
-    def grad_at(point: np.ndarray) -> np.ndarray:
-        x = Tensor(point, requires_grad=True, dtype=a.dtype)
-        out = loss_fn(x)
-        backward(out, wrt=(x,))
-        if x.grad is None:
-            return np.zeros_like(point)
-        return np.asarray(x.grad, dtype=np.float64)
+    def per_row(values: np.ndarray, ndim: int) -> np.ndarray:
+        return values.reshape((rows,) + (1,) * (ndim - 1))
 
-    base = np.asarray(a.data, dtype=np.float64)
-    step = eps * np.asarray(v.data, dtype=np.float64) / norm
+    def grad_at(points: list) -> list:
+        xs = [Tensor(point, requires_grad=True) for point in points]
+        backward(tsum(loss_fn(xs)), wrt=xs)
+        return [np.zeros(x.shape) if x.grad is None
+                else np.asarray(x.grad, dtype=np.float64) for x in xs]
+
+    def stepped(base, direction) -> np.ndarray:
+        point = eps * np.asarray(direction, dtype=np.float64)
+        point /= per_row(norms, point.ndim)
+        point += base
+        return point.astype(np.asarray(base).dtype, copy=False)
+
     if grad0 is None:
-        g0 = grad_at(base.astype(a.dtype))
+        g0 = grad_at([np.array(x) for x in a])
     else:
-        g0 = np.asarray(grad0, dtype=np.float64)
-    g1 = grad_at((base + step).astype(a.dtype))
-    hv = (g1 - g0) * (norm / eps)
-    _check_finite(hv, "hessian_vector_product")
-    return Tensor(hv.astype(a.dtype))
+        g0 = [np.asarray(g, dtype=np.float64) for g in grad0]
+    hv = grad_at([stepped(base, d) for base, d in zip(a, v)])
+    for diff, g in zip(hv, g0):
+        diff -= g
+        diff *= per_row(norms / eps, diff.ndim)
+        _check_finite(diff, "hessian_vector_product")
+    return hv

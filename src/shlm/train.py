@@ -12,37 +12,63 @@ from .errors import EmptyCorpusError, NonFiniteError
 from .model import TransformerModel
 
 
+_STEP_CHUNK = 65_536   # elements of a parameter updated at a time
+
+
 class AdamW:
-    """Adam with decoupled weight decay; state kept in numpy."""
+    """Adam with decoupled weight decay; state kept in numpy.
+
+    ``step`` updates each parameter in place, ``_STEP_CHUNK`` elements at
+    a time through two scratch buffers reused across chunks and
+    parameters, so it allocates no parameter-sized temporary; every
+    element goes through the same ops in the same order as the whole-array
+    formula, with the same bits. Parameters must be C-contiguous, so that
+    a flat view of each, and of its moment buffers, writes through.
+    """
 
     def __init__(self, params: list[T.Tensor], lr: float, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.01):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
+        self.beta1, self.beta2 = (float(b) for b in betas)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        sizes: dict = {}
+        for p in self.params:
+            if not p.data.flags.c_contiguous:
+                raise ValueError("AdamW: parameters must be C-contiguous")
+            sizes[p.dtype] = max(sizes.get(p.dtype, 0), min(p.size, _STEP_CHUNK))
+        self._scratch = {dtype: (np.empty(n, dtype), np.empty(n, dtype))
+                         for dtype, n in sizes.items()}
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
+        decay = 1.0 - self.lr * self.weight_decay
+        for p, m_all, v_all in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            g = p.grad
-            if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            p.data -= self.lr * update
+            flat = [x.reshape(-1) for x in (p.data, p.grad, m_all, v_all)]
+            s1, s2 = self._scratch[p.dtype]
+            for start in range(0, p.size, _STEP_CHUNK):
+                w, g, m, v = (x[start:start + _STEP_CHUNK] for x in flat)
+                tmp, den = s1[:len(w)], s2[:len(w)]
+                if self.weight_decay:
+                    w *= decay
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=tmp)             # (1 - b1) * g
+                v *= b2
+                v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - b2, out=tmp)
+                np.divide(m, bias1, out=tmp)                       # m / bias1
+                np.sqrt(np.divide(v, bias2, out=den), out=den)
+                den += self.eps
+                tmp /= den                                         # the update
+                w -= np.multiply(tmp, self.lr, out=tmp)            # lr * update
 
     def zero_grad(self) -> None:
         for p in self.params:

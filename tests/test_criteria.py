@@ -294,7 +294,7 @@ def test_jacov_epenas_blocks_equal_per_unit_reference(trained_model):
     assert np.array_equal(score_epenas(captures, labels), want_epenas)
 
 
-_PLAINACT_COLLECT = """
+_COLLECT_PEAK = """
 import numpy as np
 from shlm.cli import _steady_heap
 from shlm.criteria import collect_criteria
@@ -307,9 +307,9 @@ def peak_kb():   # this process's own peak; a child's ru_maxrss starts at its pa
 
 _steady_heap()   # the heap thresholds main() runs collect under
 model = TransformerModel(ModelConfig(), seed=0)
-prompts = list(np.random.default_rng(0).integers(0, 256, size=(24, 16)))
+prompts = list(np.random.default_rng(0).integers(0, 256, size=({n}, 16)))
 before = peak_kb()
-collect_criteria(model, prompts, "plainact")
+collect_criteria(model, prompts, "{kind}")
 print(peak_kb() - before)
 """
 
@@ -320,7 +320,8 @@ def test_grad_capture_forms_up_grads_one_layer_at_a_time():
     peak RSS by its one batched tape and the per-sequence captures (about
     28 MB), not also by every prompt's (E, F) up-projection gradient of
     every layer at once (24 x 4 x 256 KB more, about 52 MB in all)."""
-    proc = subprocess.run([sys.executable, "-c", _PLAINACT_COLLECT],
+    script = _COLLECT_PEAK.format(n=24, kind="plainact")
+    proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
     growth_mb = int(proc.stdout.split()[-1]) / 1024
     assert growth_mb < 38, growth_mb
@@ -418,7 +419,10 @@ def test_collect_equals_per_prompt_reference(trained_model, monkeypatch, kind,
     monkeypatch.undo()
     want = _per_prompt_reference(trained_model, prompts, kind, aggregate, loss_on)
     assert max(sizes) * 16 <= model_mod._BATCH_TOKENS
-    assert sum(sizes) == len(prompts) and sizes.count(32) == 1
+    # GraSP runs each chunk twice, its capture and its head probe, and
+    # each prompt's up-projection probe as a batch of one
+    passes = 3 if kind == "grasp" else 1
+    assert sum(sizes) == passes * len(prompts) and sizes.count(32) == min(passes, 2)
     got = [got] if aggregate else got
     assert len(got) == len(want)
     for vec, ref in zip(got, want):
@@ -609,8 +613,20 @@ def test_grasp_rejects_mismatched_capture(trained_model):
         score_grasp(model, toks, loss_from=3, capture=cap)
 
 
-def test_grasp_collect_runs_three_backward_passes_per_prompt(trained_model,
-                                                             monkeypatch):
+def _grasp_prompts():
+    """Four equal-length windows (one chunk), a shorter window and two
+    (head, tail) pairs of different lengths: four capture chunks."""
+    rng = np.random.default_rng(31)
+    windows = [rng.integers(0, TINY.vocab_size, size=14) for _ in range(4)]
+    pairs = make_fewshot_prompts("reverse", shots=1, n=2, seed=8)
+    assert len({len(criteria._prompt_tokens(p)) for p in pairs}) == 2
+    return windows[:2] + [pairs[0], windows[2][:9]] + windows[2:] + [pairs[1]]
+
+
+def test_grasp_collect_runs_two_backward_passes_per_chunk_and_one_per_prompt(
+        trained_model, monkeypatch):
+    # the capture and the head probe run once per capture chunk, the
+    # up-projection probe once per prompt
     calls = []
     real = T.backward
 
@@ -619,9 +635,56 @@ def test_grasp_collect_runs_three_backward_passes_per_prompt(trained_model,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(T, "backward", counting)
-    prompts = make_fewshot_prompts("copy", shots=1, n=2, seed=4)
-    collect_criteria(trained_model, prompts, "grasp")
-    assert len(calls) == 3 * len(prompts)
+    mixed = _grasp_prompts()
+    equal = [p for p in mixed if not isinstance(p, tuple) and len(p) == 14]
+    assert len(equal) == 4
+    for prompts, chunks in ((equal, 1), (mixed, 4)):
+        calls.clear()
+        collect_criteria(trained_model, prompts, "grasp")
+        assert len(calls) == 2 * chunks + len(prompts), (len(prompts), chunks)
+
+
+@pytest.mark.parametrize("loss_on", ["all", "target"])
+def test_batched_grasp_equals_per_prompt_and_five_pass(trained_model, loss_on):
+    # collect's batched head probe gives every prompt the bits of its own
+    # score_grasp and of the five-pass reference, in chunks of equal-length
+    # prompts, of mixed lengths and of (head, tail) pairs, at 1 and 3 workers
+    prompts = _grasp_prompts()
+    got = {w: collect_criteria(trained_model, prompts, "grasp", loss_on=loss_on,
+                               workers=w) for w in (1, 3)}
+    for i, prompt in enumerate(prompts):
+        tokens, loss_from, _ = criteria._prompt_parts(prompt, loss_on)
+        want = _grasp_five_pass(trained_model, tokens, loss_from=loss_from)
+        assert np.array_equal(score_grasp(trained_model, tokens, loss_from), want)
+        for vecs in got.values():
+            assert vecs[i].values.tobytes() == ScoreVector(want, "grasp").values.tobytes()
+
+
+def test_batched_score_grasp_with_capture_equals_per_prompt(trained_model):
+    # a float64 model and a passed batched capture: each row of the batch
+    # equals the prompt's own score_grasp and the five-pass reference
+    model = trained_model.to_dtype(np.float64)
+    toks = np.stack([p for p in _grasp_prompts() if len(p) == 14])
+    caps = model.forward(toks, capture=CAPTURE_GRADS, loss_from=3)
+    batch = score_grasp(model, toks, loss_from=3, capture=caps)
+    assert batch.shape == (len(toks), num_units(TINY))
+    for row, tokens, cap in zip(batch, toks, caps):
+        assert np.array_equal(row, score_grasp(model, tokens, 3, capture=cap))
+        assert np.array_equal(row, _grasp_five_pass(model, tokens, 3, capture=cap))
+    assert np.array_equal(score_grasp(trained_model, toks, loss_from=3), batch)
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/status")
+def test_grasp_collect_probes_without_flat_vectors():
+    """A 4 x 16-token grasp collect on the default config raises the peak
+    RSS by its float64 model copy, one batched capture and head probe and
+    one prompt's up-projection probe (about 25 MB), not by a dozen
+    L * E * F float64 vectors of a flat up-offset probe (about 36 MB)."""
+    script = _COLLECT_PEAK.format(n=4, kind="grasp")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    growth_mb = int(proc.stdout.split()[-1]) / 1024
+    assert growth_mb < 28, growth_mb
 
 
 def test_write_scores_csv(tmp_path, trained_model):

@@ -647,8 +647,16 @@ def test_batched_forward_equals_per_sequence(dtype, capture):
                                                loss_from=loss_from, **row_kwargs)
                                  for row, row_kwargs in zip(toks, rows)]
                     assert len(batch) == len(toks) and len(one) == 1
-                    for res, ref in zip(batch + one, alone + alone[:1]):
-                        assert res.loss_tensor is None
+                    for b, (res, ref) in enumerate(zip(batch + one, alone + alone[:1])):
+                        # a taped batch that captures no gradients shares
+                        # the (B,) tensor of its sequences' losses
+                        if array_mode or capture == CAPTURE_GRADS:
+                            assert res.loss_tensor is None
+                        else:
+                            owner, row = (batch, b) if b < len(batch) else (one, 0)
+                            assert res.loss_tensor is owner[0].loss_tensor
+                            assert (res.loss_tensor.data[row:row + 1].tobytes()
+                                    == ref.loss_tensor.data.tobytes())
                         for name in _RESULT_FIELDS:
                             assert _same_bits(getattr(res, name), getattr(ref, name)), (
                                 cfg.embed_dim, variant, t_len, array_mode, name)

@@ -11,7 +11,7 @@ import pytest
 from shlm import tensor as T
 from shlm.errors import EmptyCorpusError, NonFiniteError
 from shlm.model import TransformerModel
-from shlm.train import AdamW, cosine_lr, train_lm
+from shlm.train import _STEP_CHUNK, AdamW, cosine_lr, train_lm
 
 from .conftest import TINY
 
@@ -32,6 +32,40 @@ def test_adamw_weight_decay_shrinks_params():
     x.grad = np.array([0.0])
     opt.step()
     assert x.data[0] < 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adamw_chunked_step_equals_whole_array_formula(dtype, weight_decay):
+    # parameters below one chunk, of exactly one and of a size that is not
+    # a multiple of it, through steps at changing learning rates
+    rng = np.random.default_rng(7)
+    shapes = [(7,), (256, _STEP_CHUNK // 256), (3, (2 * _STEP_CHUNK + 123) // 3)]
+    params = [T.Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+              for s in shapes]
+    opt = AdamW(params, lr=1e-3, weight_decay=weight_decay)
+    want = [p.data.copy() for p in params]
+    moments = [(np.zeros_like(w), np.zeros_like(w)) for w in want]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t, lr in enumerate((1e-3, 3e-3, 2e-4), start=1):
+        opt.lr = lr
+        grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        opt.step()
+        bias1, bias2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for w, (m, v), g in zip(want, moments, grads):
+            if weight_decay:
+                w *= 1.0 - lr * weight_decay
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            w -= lr * ((m / bias1) / (np.sqrt(v / bias2) + eps))
+        for p, w, (m, v), m_got, v_got in zip(params, want, moments, opt._m, opt._v):
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == w.tobytes(), (t, p.shape)
+            assert m_got.tobytes() == m.tobytes() and v_got.tobytes() == v.tobytes()
 
 
 def test_cosine_schedule_endpoints():
