@@ -127,7 +127,7 @@ _OPTIONS = (
     _Option("prune.protect_first_layer", type=bool),
     _Option("eval.window", "--window", ("sweep", "oracle"), type=int, minimum=2),
     _Option("eval.max_tokens", "--max-tokens", ("sweep", "fewshot", "oracle"),
-            type=int, minimum=1),
+            type=int, minimum=2),
     _Option("fewshot.tasks", "--tasks", ("fewshot",), choices=tuple(TEMPLATES),
             many=True),
     _Option("fewshot.shots", "--shots", ("fewshot",), type=int, minimum=0,

@@ -32,9 +32,9 @@ import numpy as np
 from . import tensor as T
 from .errors import (
     BatchTooSmallError,
-    CaptureMismatchError,
     ContextualUnsupportedError,
     MissingCaptureError,
+    ShapeMismatchError,
     SingleClassError,
 )
 from .model import (
@@ -44,9 +44,9 @@ from .model import (
     ModelConfig,
     TransformerModel,
     _flat_scores,
-    all_units,
     batch_groups,
     run_striped,
+    unit_rows,
 )
 
 NEG_INF = float("-inf")  # sentinel for log-of-zero nwot scores
@@ -162,43 +162,26 @@ def score_nwot(capture: ForwardResult) -> np.ndarray:
 
 
 def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
-                capture: ForwardResult | list[ForwardResult] | None = None,
                 workers: int = 1) -> np.ndarray:
     """Hessian-gradient probe: L1 norm of -(H g) elementwise-times the
     activation (heads) or up-projection column (neurons).
 
-    ``tokens`` is one prompt (T,), which gives its score vector, or a
-    batch (B, T) of prompts scored from one ``loss_from``, which gives a
-    (B, units) array whose rows equal each prompt's own scores bit for
-    bit. Runs in float64; a float32 model is widened first and captures
-    its own gradients. The taped passes are one gradient capture of the
-    batch, which gives every prompt's direction and base gradient, one
+    ``tokens`` is a batch (B, T) of prompts scored from one ``loss_from``;
+    the result is (B, units), and each row equals that prompt's scores in
+    a batch of its own, bit for bit. Runs in float64: a float32 model is
+    widened first. The taped passes are the batch's own gradient capture,
+    which gives every prompt's direction and base gradient, one
     head-offset pass of the batch, each prompt stepping along its own
     gradient, and one up-offset pass per prompt, striped across
     ``workers`` threads: a batch of up offsets would hold B * L * E * F
-    float64 values in each of its arrays. A passed ``capture`` (a list
-    of B for a batch) must come from a float64 ``CAPTURE_GRADS`` forward
-    of this model on these ``tokens`` with this ``loss_from``; one whose
-    logit rows or predicted count disagree raises ``CaptureMismatchError``.
+    float64 values in each of its arrays.
     """
     batch = np.asarray(tokens, dtype=np.int64)
-    single = batch.ndim == 1
-    if single:
-        batch = batch[None]
-        capture = None if capture is None else [capture]
-    t_len = batch.shape[1]
-    for cap in capture or ():
-        for what, got, want in (("logit rows", cap.logits.shape[0], t_len),
-                                ("n_predicted", cap.n_predicted, t_len - loss_from)):
-            if got != want:
-                raise CaptureMismatchError(
-                    f"grasp: capture has {what} {got}, expected {want}"
-                    f" for {t_len} tokens from loss_from {loss_from}")
+    if batch.ndim != 2:
+        raise ShapeMismatchError(f"grasp: tokens must be (B, T), got {batch.shape}")
     if model.dtype != np.float64:
         model = model.to_dtype(np.float64)
-        capture = None
-    if capture is None or any(cap.head_grads is None for cap in capture):
-        capture = model.forward(batch, capture=CAPTURE_GRADS, loss_from=loss_from)
+    capture = model.forward(batch, capture=CAPTURE_GRADS, loss_from=loss_from)
 
     def hv(rows: np.ndarray, name: str, grads: list) -> list:
         """H g for each row of ``rows`` along its own gradient ``grads``
@@ -219,12 +202,11 @@ def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
                          zip(hv(batch[b:b + 1], "up_offsets", grads),
                              capture[b].up_weights)])
 
-    scores = np.stack([
+    return np.stack([
         _flat_scores(np.stack([np.abs(-h[b] * f).sum(axis=(1, 2))
                                for h, f in zip(heads, cap.head_acts)]), neuron)
         for b, (cap, neuron) in enumerate(
             zip(capture, run_striped(range(len(batch)), neurons, workers)))])
-    return scores[0] if single else scores
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +305,17 @@ def _prompt_parts(prompt, loss_on: str):
     return tokens, head if loss_on == "target" else 1, int(tokens[head])
 
 
-def score_contextual(capture: ForwardResult, kind: CriterionKind,
-                     model: TransformerModel | None = None,
-                     tokens: np.ndarray | None = None,
-                     loss_from: int = 1) -> np.ndarray:
+def score_contextual(capture: ForwardResult, kind: CriterionKind) -> np.ndarray:
+    """One prompt's scores from its capture, for a table criterion or
+    nwot; grasp probes the model itself (``score_grasp``)."""
     kind = CriterionKind(kind)
     if kind in AGGREGATE_ONLY:
         raise ContextualUnsupportedError(f"{kind.value} is aggregate-only")
-    if kind in _REDUCTIONS:
-        return _table_score(capture, kind)
+    if kind == CriterionKind.GRASP:
+        raise MissingCaptureError("grasp probes the model: use score_grasp")
     if kind == CriterionKind.NWOT:
         return score_nwot(capture)
-    if model is None or tokens is None:
-        raise MissingCaptureError("grasp scoring needs the model and tokens")
-    return score_grasp(model, tokens, loss_from=loss_from, capture=capture)
+    return _table_score(capture, kind)
 
 
 def collect_criteria(model: TransformerModel, prompts, kind,
@@ -414,7 +393,7 @@ def write_scores_csv(scores, cfg: ModelConfig, csv_path, meta: dict | None = Non
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["example_id", "layer", "kind", "index", "score"])
-        units = [(u.layer, u.kind.value, u.index) for u in all_units(cfg)]
+        units = unit_rows(cfg)
         for vec in scores:
             example = "aggregate" if vec.example_id is None else vec.example_id
             values = vec.values.tolist()

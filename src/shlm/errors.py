@@ -80,10 +80,6 @@ class SingleClassError(ShlmError):
     pass
 
 
-class CaptureMismatchError(ShlmError):
-    pass
-
-
 # pruning
 class BudgetExceedsUnitsError(ShlmError):
     pass

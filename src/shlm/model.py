@@ -92,13 +92,11 @@ def num_head_units(cfg: ModelConfig) -> int:
 
 def unit_index(cfg: ModelConfig, uid: UnitId) -> int:
     """Canonical flat position: all heads layer-major, then all neurons."""
-    if uid.kind == UnitKind.HEAD:
-        if not (0 <= uid.layer < cfg.num_layers and 0 <= uid.index < cfg.num_heads):
-            raise ValueError(f"unit out of range: {uid}")
-        return uid.layer * cfg.num_heads + uid.index
-    if not (0 <= uid.layer < cfg.num_layers and 0 <= uid.index < cfg.ffn_dim):
+    head = uid.kind == UnitKind.HEAD
+    width = cfg.num_heads if head else cfg.ffn_dim
+    if not (0 <= uid.layer < cfg.num_layers and 0 <= uid.index < width):
         raise ValueError(f"unit out of range: {uid}")
-    return num_head_units(cfg) + uid.layer * cfg.ffn_dim + uid.index
+    return (0 if head else num_head_units(cfg)) + uid.layer * width + uid.index
 
 
 def unit_at(cfg: ModelConfig, flat: int) -> UnitId:
@@ -111,8 +109,16 @@ def unit_at(cfg: ModelConfig, flat: int) -> UnitId:
     return UnitId(flat // cfg.ffn_dim, UnitKind.NEURON, flat % cfg.ffn_dim)
 
 
+def unit_rows(cfg: ModelConfig) -> list[tuple[int, str, int]]:
+    """(layer, kind value, index) of every unit, in canonical order."""
+    return [(layer, kind.value, index) for kind, width in
+            ((UnitKind.HEAD, cfg.num_heads), (UnitKind.NEURON, cfg.ffn_dim))
+            for layer in range(cfg.num_layers) for index in range(width)]
+
+
 def all_units(cfg: ModelConfig) -> list[UnitId]:
-    return [unit_at(cfg, i) for i in range(num_units(cfg))]
+    return [UnitId(layer, UnitKind(kind), index)
+            for layer, kind, index in unit_rows(cfg)]
 
 
 def unit_blocks(cfg: ModelConfig, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +199,6 @@ class ForwardResult:
     cfg: ModelConfig
     logits: np.ndarray
     loss: float | None
-    n_predicted: int
     loss_tensor: "T.Tensor | None" = None          # taped forwards (see forward)
     embed: np.ndarray | None = None
     head_acts: list[np.ndarray] | None = None      # per layer (H, T, d_h), pre-mask
@@ -440,11 +445,12 @@ class TransformerModel:
         sequences (B, T), which gives a list of B ForwardResults, each
         bit-identical to that sequence's own 1-D forward.
         ``loss_from`` is the first predicted position; the loss averages
-        next-token NLL over positions loss_from..T-1. A taped forward
-        keeps the loss on its tape in ``loss_tensor``: 0-d for one
-        sequence, and for a batch the (B,) tensor of every sequence's
-        loss, shared by the batch's results. A batched gradient capture
-        keeps none, so its tape goes once its own backward has run.
+        next-token NLL over positions loss_from..T-1, and is None when
+        that range is empty. A taped forward keeps the loss on its tape
+        in ``loss_tensor``: 0-d for one sequence, and for a batch the
+        (B,) tensor of every sequence's loss, shared by the batch's
+        results. A batched gradient capture keeps none, so its tape goes
+        once its own backward has run.
         The unit hooks are ``mask``, which zeroes heads and neurons, and
         the taped offsets that curvature probes perturb: ``head_offsets[i]``
         is added to layer i's head outputs and ``up_offsets[i]`` to its
@@ -478,13 +484,9 @@ class TransformerModel:
             x = self.block(i, x, mask, head_offsets, up_offsets, taps)
         logits = self.readout(x)
 
-        loss_t = None
-        n_pred = 0
-        if t_len >= 2 and 1 <= loss_from <= t_len - 1:
-            n_pred = t_len - loss_from
-            loss_t = O.cross_entropy(
-                O.slice_rows(logits, loss_from - 1, t_len - 1, axis=-2),
-                tokens[..., loss_from:])
+        loss_t = (O.cross_entropy(O.slice_rows(logits, loss_from - 1, t_len - 1, axis=-2),
+                                  tokens[..., loss_from:])
+                  if 1 <= loss_from <= t_len - 1 else None)
 
         fields = {"logits": O.value(logits)}
         up_weights = None
@@ -518,8 +520,7 @@ class TransformerModel:
                                               per_seq["neuron_acts"])
             return ForwardResult(
                 cfg=cfg, loss=None if loss_v is None else float(loss_v[b]),
-                n_predicted=n_pred, up_weights=up_weights,
-                loss_tensor=loss_t if keep_loss else None,
+                up_weights=up_weights, loss_tensor=loss_t if keep_loss else None,
                 **per_seq)
 
         if tokens.ndim == 1:
@@ -548,12 +549,12 @@ class TransformerModel:
         tokens = np.asarray(tokens, dtype=np.int64)
         window = self.cfg.max_seq_len if window is None else int(window)
         if window < 2:
-            raise ValueError("stream_nll: window must be >= 2")
+            raise ValueError("eval_windows: window must be >= 2")
         # only the last window can be shorter than 2
         chunks = [tokens[s:s + window] for s in range(0, len(tokens), window)]
         chunks = [c for c in chunks if len(c) >= 2]
         if not chunks:
-            raise EmptyStreamError("stream_nll: nothing to predict in the stream")
+            raise EmptyStreamError("eval_windows: nothing to predict in the stream")
         return chunks
 
     def stream_nll(self, tokens,

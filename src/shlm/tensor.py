@@ -21,12 +21,13 @@ round differently.
 
 ``backward(..., wrt=tensors)`` differentiates only the nodes on a path
 from the listed tensors to the loss. A VJP closure
-is called as ``vjp(g, need)``: ``need`` holds one flag per parent, or is
-None when every parent is wanted, and a closure may return None for a
-parent whose flag is off (``matmul`` does; the other ops ignore the
-flags). Every child of a differentiated node is itself differentiated,
-so each adjoint that is still computed sums the same terms in the same
-order and comes out bit-identical to a full pass.
+is called as ``vjp(g, need)``: ``need`` holds one flag per parent, all
+True when every parent is wanted, and a closure may return None for a
+parent whose flag is off (the two-parent ops ``add``, ``sub``, ``mul``
+and ``matmul`` do; the other ops ignore the flags). Every child of a
+differentiated node is itself differentiated, so each adjoint that is
+still computed sums the same terms in the same order and comes out
+bit-identical to a full pass.
 
 A taped op records its node whenever a parent requires a gradient, and
 checks its output for non-finite values. The network ops also have an
@@ -44,7 +45,6 @@ tape on in every other.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import threading
 from types import SimpleNamespace
 
@@ -171,7 +171,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
 
     def vjp(g, need):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if need[0] else None,
+                _unbroadcast(g, b.shape) if need[1] else None)
 
     return _from_op(a.data + b.data, (a, b), "add", vjp)
 
@@ -180,7 +181,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "sub")
 
     def vjp(g, need):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if need[0] else None,
+                _unbroadcast(-g, b.shape) if need[1] else None)
 
     return _from_op(a.data - b.data, (a, b), "sub", vjp)
 
@@ -189,7 +191,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
 
     def vjp(g, need):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if need[0] else None,
+                _unbroadcast(g * a.data, b.shape) if need[1] else None)
 
     return _from_op(a.data * b.data, (a, b), "mul", vjp)
 
@@ -309,12 +312,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"matmul: batch dims differ, {a.shape} @ {b.shape}") from exc
 
     def vjp(g, need):
-        ga = gb = None
-        if need is None or need[0]:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if need is None or need[1]:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        return (_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+                if need[0] else None,
+                _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+                if need[1] else None)
 
     return _from_op(data, (a, b), "matmul", vjp)
 
@@ -503,9 +504,6 @@ def ops() -> SimpleNamespace:
 # ---------------------------------------------------------------------------
 # backward pass
 
-# the need flags of a pass that wants every parent
-_EVERY_PARENT = itertools.repeat(True)
-
 
 def backward(loss: Tensor, wrt=None) -> None:
     """Accumulate d(loss)/dt into ``t.grad`` for each tensor in ``wrt``,
@@ -519,13 +517,13 @@ def backward(loss: Tensor, wrt=None) -> None:
     another, give a shared leaf the bits of one pass over their sum (see
     the module docstring).
 
-    With ``wrt`` given, only *needed* nodes are differentiated: a node
-    is needed if it is in ``wrt`` or has a needed parent. A node that is
-    not needed gets no VJP call, and each VJP is told which of its
-    parents are needed, so ``matmul`` skips the product for the others.
-    The result is bit-identical to a full pass: every child of a needed
-    node is needed, so each needed adjoint sums the same terms in the
-    same order.
+    Each VJP is told which of its parents take a gradient, so the
+    two-parent ops skip the product for a constant. With ``wrt`` given,
+    only *needed* nodes are differentiated: a node is needed if it is in
+    ``wrt`` or has a needed parent. A node that is not needed gets no VJP
+    call, nor a flag from its children. The result is bit-identical to a
+    full pass: every child of a needed node is needed, so each needed
+    adjoint sums the same terms in the same order.
     """
     if loss.size != 1:
         raise NotScalarError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -570,14 +568,12 @@ def backward(loss: Tensor, wrt=None) -> None:
             node._accumulate(g)
         if node._vjp is None:
             continue
-        need = None
-        if needed is not None:
-            need = tuple(id(p) in needed for p in node._parents)
-            if not any(need):
-                continue
-        for parent, pg, want in zip(node._parents, node._vjp(g, need),
-                                    need or _EVERY_PARENT):
-            if not want or not (parent.requires_grad or parent._parents):
+        need = tuple([p.requires_grad if needed is None else id(p) in needed
+                      for p in node._parents])
+        if not any(need):
+            continue
+        for parent, pg, want in zip(node._parents, node._vjp(g, need), need):
+            if not want:
                 continue
             if not parent._parents:
                 parent._accumulate(pg)
@@ -605,10 +601,8 @@ def hessian_vector_product(loss_fn, a, v, eps: float = 1e-4, grad0=None):
     ``v``, flattened and joined in list order, so ``eps`` is an absolute
     step; its product is (g1_b - g0_b) * (|v_b| / eps), a list of float64
     arrays shaped like ``a``, formed in place in the gradient buffers of
-    the step pass. One taped pass steps every row at once. ``a`` and
-    ``v`` may also be Tensors, with ``loss_fn`` mapping a tensor shaped
-    like ``a`` to a scalar loss: one row, whose product is a Tensor of
-    ``a``'s dtype.
+    the step pass. One taped pass steps every row at once; a single
+    vector is one row, a (1, n) array in a list of one.
 
     ``grad0``, when given, is the gradient of ``loss_fn`` at ``a`` that
     the caller already holds; it replaces the first of the two taped
@@ -618,13 +612,6 @@ def hessian_vector_product(loss_fn, a, v, eps: float = 1e-4, grad0=None):
     """
     if eps <= 0:
         raise DomainError("hessian_vector_product: eps must be positive")
-    if isinstance(a, Tensor):   # one row; the list form checks the shapes
-        (hv,) = hessian_vector_product(
-            lambda xs: reshape(loss_fn(reshape(xs[0], a.shape)), (1,)),
-            [a.data[None]], [v.data[None]], eps,
-            None if grad0 is None else [np.asarray(grad0)[None]])
-        return Tensor(hv[0].astype(a.dtype))
-
     shapes = [np.shape(x) for x in a]
     for name, arrays in (("v", v), ("grad0", grad0)):
         if arrays is not None and [np.shape(x) for x in arrays] != shapes:

@@ -103,15 +103,14 @@ def test_criterion_02_autodiff_gradients(capsys):
         q = (a + a.T) / 2.0
         qc = T.constant(q, dtype=np.float64)
 
-        def loss_fn(x):
-            row = T.reshape(x, (1, n))
-            return T.scale(T.tsum(T.mul(T.matmul(row, qc), row)), 0.5)
+        def loss_fn(xs):
+            row = xs[0]   # (1, n)
+            return T.reshape(T.scale(T.tsum(T.mul(T.matmul(row, qc), row)), 0.5), (1,))
 
-        point = T.Tensor(rng.standard_normal(n), dtype=np.float64)
+        point = rng.standard_normal(n)[None]
         v = rng.standard_normal(n)
-        hv = T.hessian_vector_product(loss_fn, point,
-                                      T.Tensor(v, dtype=np.float64))
-        worst_hvp = max(worst_hvp, relative_error(hv.data, q @ v))
+        (hv,) = T.hessian_vector_product(loss_fn, [point], [v[None]])
+        worst_hvp = max(worst_hvp, relative_error(hv[0], q @ v))
     elapsed = time.perf_counter() - t0
     ok = worst_grad <= 1e-4 and worst_hvp <= 1e-3 and elapsed < 60.0
     _verdict(capsys, 2, "op gradients vs central differences, HVP vs Qv", ok,

@@ -270,6 +270,8 @@ def test_config_enum_value_gets_flag_check(pipeline, tmp_path, capsys,
     ("train-lm", {"train": {"lr": -1.0}}, [], "train.lr"),
     ("train-lm", {"train": {"weight_decay": -0.5}}, [], "train.weight_decay"),
     ("oracle", {}, ["--max-units", "0"], "oracle.max_units"),
+    # an eval window predicts from its second token on
+    ("sweep", {}, ["--max-tokens", "1"], "eval.max_tokens"),
 ])
 def test_numeric_field_gets_type_and_minimum(pipeline, tmp_path, capsys,
                                              command, patch, flags, field):

@@ -27,9 +27,9 @@ from shlm.criteria import (
 )
 from shlm.errors import (
     BatchTooSmallError,
-    CaptureMismatchError,
     ContextualUnsupportedError,
     MissingCaptureError,
+    ShapeMismatchError,
     SingleClassError,
 )
 from shlm.model import (
@@ -56,8 +56,7 @@ _CFG = ModelConfig(num_layers=2, embed_dim=8, num_heads=2, head_dim=4,
 
 
 def _fake_capture(cfg, t_len, rng, grads=True):
-    res = ForwardResult(cfg=cfg, logits=np.zeros((t_len, cfg.vocab_size)),
-                        loss=1.0, n_predicted=t_len - 1)
+    res = ForwardResult(cfg=cfg, logits=np.zeros((t_len, cfg.vocab_size)), loss=1.0)
     shape_h = (cfg.num_heads, t_len, cfg.head_dim)
     res.head_acts = [rng.standard_normal(shape_h) for _ in range(cfg.num_layers)]
     res.neuron_acts = [np.abs(rng.standard_normal((t_len, cfg.ffn_dim)))
@@ -72,8 +71,7 @@ def _fake_capture(cfg, t_len, rng, grads=True):
 
 
 def _scale_grads(cap, c):
-    out = ForwardResult(cfg=cap.cfg, logits=cap.logits, loss=cap.loss,
-                        n_predicted=cap.n_predicted)
+    out = ForwardResult(cfg=cap.cfg, logits=cap.logits, loss=cap.loss)
     out.head_acts = cap.head_acts
     out.neuron_acts = cap.neuron_acts
     out.up_weights = cap.up_weights
@@ -161,16 +159,17 @@ def test_missing_capture_fields_rejected():
     cap = _fake_capture(_CFG, 4, rng, grads=False)
     with pytest.raises(MissingCaptureError):
         score_contextual(cap, "gradnorm")
-    bare = ForwardResult(cfg=_CFG, logits=np.zeros((4, 16)), loss=1.0, n_predicted=3)
+    bare = ForwardResult(cfg=_CFG, logits=np.zeros((4, 16)), loss=1.0)
     with pytest.raises(MissingCaptureError):
         score_contextual(bare, "l2norm")
+    with pytest.raises(MissingCaptureError, match="score_grasp"):
+        score_contextual(cap, "grasp")
 
 
 def _vec_capture(cfg, head_vecs, up_cols):
     """Capture whose unit gradient vectors are fully controlled."""
     t_len = 3
-    res = ForwardResult(cfg=cfg, logits=np.zeros((t_len, cfg.vocab_size)),
-                        loss=1.0, n_predicted=t_len - 1)
+    res = ForwardResult(cfg=cfg, logits=np.zeros((t_len, cfg.vocab_size)), loss=1.0)
     res.head_acts = [np.zeros((cfg.num_heads, t_len, cfg.head_dim))
                      for _ in range(cfg.num_layers)]
     res.neuron_acts = [np.zeros((t_len, cfg.ffn_dim)) for _ in range(cfg.num_layers)]
@@ -389,20 +388,22 @@ def _chunk_sizes(monkeypatch) -> list:
 
 
 def _per_prompt_reference(model, prompts, kind, aggregate, loss_on):
-    """collect_criteria's result from one taped 1-D capture per prompt."""
+    """collect_criteria's result from one taped 1-D capture per prompt,
+    or for grasp one score_grasp batch of one per prompt."""
     kind = CriterionKind(kind)
     parts = [criteria._prompt_parts(p, loss_on) for p in prompts]
-    scoring = model.to_dtype(np.float64) if kind == CriterionKind.GRASP else model
+    if kind == CriterionKind.GRASP:
+        raw = [score_grasp(model, tokens[None], loss_from)[0]
+               for tokens, loss_from, _ in parts]
+        return [np.mean(np.stack(raw), axis=0)] if aggregate else raw
     capture = CAPTURE_GRADS if needs_grads(kind) else CAPTURE_ACTIVATIONS
-    caps = [scoring.forward(tokens, capture=capture, loss_from=loss_from)
+    caps = [model.forward(tokens, capture=capture, loss_from=loss_from)
             for tokens, loss_from, _ in parts]
     if kind == CriterionKind.JACOV:
         return [score_jacov(caps)]
     if kind == CriterionKind.EPENAS:
         return [score_epenas(caps, [label for _, _, label in parts])]
-    raw = [score_contextual(cap, kind, model=scoring, tokens=tokens,
-                            loss_from=loss_from)
-           for cap, (tokens, loss_from, _) in zip(caps, parts)]
+    raw = [score_contextual(cap, kind) for cap in caps]
     return [np.mean(np.stack(raw), axis=0)] if aggregate else raw
 
 
@@ -545,23 +546,23 @@ def test_plainact_first_order_prediction(trained_model):
 
 
 def test_grasp_runs_and_is_finite(trained_model):
-    toks = np.arange(14) % 256
+    toks = np.arange(14)[None] % 256
     scores = score_grasp(trained_model, toks)
-    assert scores.shape == (num_units(TINY),)
+    assert scores.shape == (1, num_units(TINY))
     assert np.all(np.isfinite(scores))
     assert np.all(scores >= 0)
     again = score_grasp(trained_model, toks)
     assert np.array_equal(scores, again)
+    with pytest.raises(ShapeMismatchError, match=r"\(B, T\)"):
+        score_grasp(trained_model, toks[0])
 
 
-def _grasp_five_pass(model, tokens, loss_from=1, eps=1e-4, capture=None):
-    """GraSP as two full finite-difference HVPs, each taking its own
-    base gradient: five taped passes per prompt."""
+def _grasp_five_pass(model, tokens, loss_from=1, eps=1e-4):
+    """GraSP as two full finite-difference HVPs over one flat vector,
+    each taking its own base gradient: five taped passes per prompt."""
     if model.dtype != np.float64:
         model = model.to_dtype(np.float64)
-        capture = None
-    if capture is None:
-        capture = model.forward(tokens, capture=CAPTURE_GRADS, loss_from=loss_from)
+    capture = model.forward(tokens, capture=CAPTURE_GRADS, loss_from=loss_from)
     n_layers = model.cfg.num_layers
     parts = []
     for name, grads, factors, axis in (
@@ -570,14 +571,15 @@ def _grasp_five_pass(model, tokens, loss_from=1, eps=1e-4, capture=None):
         shape, size = grads[0].shape, grads[0].size
         g = np.concatenate([x.reshape(-1) for x in grads]).astype(np.float64)
 
-        def loss(flat, name=name, shape=shape, size=size):
+        def loss(xs, name=name, shape=shape, size=size):
+            flat = T.reshape(xs[0], (n_layers * size,))   # the (1, n) row
             offsets = [T.reshape(T.slice_rows(flat, i * size, (i + 1) * size), shape)
                        for i in range(n_layers)]
-            return model.forward(tokens, loss_from=loss_from,
-                                 **{name: offsets}).loss_tensor
+            return T.reshape(model.forward(tokens, loss_from=loss_from,
+                                           **{name: offsets}).loss_tensor, (1,))
 
-        zero = T.Tensor(np.zeros_like(g), dtype=np.float64)
-        hv = T.hessian_vector_product(loss, zero, T.Tensor(g), eps=eps).data
+        hv = T.hessian_vector_product(loss, [np.zeros((1, g.size))], [g[None]],
+                                      eps=eps)[0][0]
         parts.append(np.stack([np.abs(-h.reshape(shape) * f).sum(axis=axis)
                                for h, f in zip(np.split(hv, n_layers), factors)]))
     return _flat_scores(*parts)
@@ -586,14 +588,13 @@ def _grasp_five_pass(model, tokens, loss_from=1, eps=1e-4, capture=None):
 def test_grasp_equals_five_pass_reference(trained_model):
     # float32 fixture: both sides widen it and capture their own gradients
     toks = np.arange(14) % 256
-    assert np.array_equal(score_grasp(trained_model, toks),
+    assert np.array_equal(score_grasp(trained_model, toks[None])[0],
                           _grasp_five_pass(trained_model, toks))
-    # float64 model with a passed capture
+    # float64 model
     model = trained_model.to_dtype(np.float64)
     toks = np.frombuffer(b"Q:abc A:abc\nQ:de A:", dtype=np.uint8).astype(np.int64)
-    cap = model.forward(toks, capture=CAPTURE_GRADS)
-    assert np.array_equal(score_grasp(model, toks, capture=cap),
-                          _grasp_five_pass(model, toks, capture=cap))
+    assert np.array_equal(score_grasp(model, toks[None])[0],
+                          _grasp_five_pass(model, toks))
     # a (head, tail) prompt scored on its target only
     head, tail = make_fewshot_prompts("copy", shots=1, n=1, seed=2)[0]
     assert len(head) > 1
@@ -601,16 +602,6 @@ def test_grasp_equals_five_pass_reference(trained_model):
     want = _grasp_five_pass(trained_model, np.concatenate([head, tail]),
                             loss_from=len(head))
     assert np.array_equal(vec.values, want.astype(np.float32))
-
-
-def test_grasp_rejects_mismatched_capture(trained_model):
-    model = trained_model.to_dtype(np.float64)
-    toks = np.arange(10) % 256
-    cap = model.forward(toks, capture=CAPTURE_GRADS)
-    with pytest.raises(CaptureMismatchError, match="logit rows 10, expected 9"):
-        score_grasp(model, toks[:9], capture=cap)
-    with pytest.raises(CaptureMismatchError, match="n_predicted 9, expected 7"):
-        score_grasp(model, toks, loss_from=3, capture=cap)
 
 
 def _grasp_prompts():
@@ -655,22 +646,21 @@ def test_batched_grasp_equals_per_prompt_and_five_pass(trained_model, loss_on):
     for i, prompt in enumerate(prompts):
         tokens, loss_from, _ = criteria._prompt_parts(prompt, loss_on)
         want = _grasp_five_pass(trained_model, tokens, loss_from=loss_from)
-        assert np.array_equal(score_grasp(trained_model, tokens, loss_from), want)
+        assert np.array_equal(score_grasp(trained_model, tokens[None], loss_from)[0], want)
         for vecs in got.values():
             assert vecs[i].values.tobytes() == ScoreVector(want, "grasp").values.tobytes()
 
 
 def test_batched_score_grasp_with_capture_equals_per_prompt(trained_model):
-    # a float64 model and a passed batched capture: each row of the batch
-    # equals the prompt's own score_grasp and the five-pass reference
+    # a float64 model's batch, scored with the batch's own capture: each
+    # row equals the prompt's score_grasp alone and the five-pass reference
     model = trained_model.to_dtype(np.float64)
     toks = np.stack([p for p in _grasp_prompts() if len(p) == 14])
-    caps = model.forward(toks, capture=CAPTURE_GRADS, loss_from=3)
-    batch = score_grasp(model, toks, loss_from=3, capture=caps)
+    batch = score_grasp(model, toks, loss_from=3)
     assert batch.shape == (len(toks), num_units(TINY))
-    for row, tokens, cap in zip(batch, toks, caps):
-        assert np.array_equal(row, score_grasp(model, tokens, 3, capture=cap))
-        assert np.array_equal(row, _grasp_five_pass(model, tokens, 3, capture=cap))
+    for row, tokens in zip(batch, toks):
+        assert np.array_equal(row, score_grasp(model, tokens[None], 3)[0])
+        assert np.array_equal(row, _grasp_five_pass(model, tokens, 3))
     assert np.array_equal(score_grasp(trained_model, toks, loss_from=3), batch)
 
 

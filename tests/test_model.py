@@ -29,6 +29,7 @@ from shlm.model import (
     UnitId,
     UnitKind,
     _flat_scores,
+    _nll_from_logits,
     all_units,
     num_units,
     unit_at,
@@ -99,7 +100,8 @@ def test_forward_shapes_and_determinism():
     a = model.forward(toks)
     b = model.forward(toks)
     assert a.logits.shape == (10, TINY.vocab_size)
-    assert a.n_predicted == 9
+    # the loss is the mean over the 9 predicted positions
+    assert abs(a.loss - _nll_from_logits(a.logits, toks[1:]) / 9) <= 1e-5
     assert np.array_equal(a.logits, b.logits)
 
 
@@ -121,7 +123,7 @@ def test_forward_length_limits():
     with pytest.raises(EmptyStreamError):
         model.forward(np.array([], dtype=np.int64))
     short = model.forward(np.array([3]))
-    assert short.loss is None and short.n_predicted == 0
+    assert short.loss is None and short.loss_tensor is None
 
 
 def test_identity_mask_is_bit_exact():
@@ -362,7 +364,6 @@ def test_loss_from_restricts_positions():
     toks = _tokens(7, vocab=_SMALL.vocab_size, seed=8)
     full = model.forward(toks)
     tail = model.forward(toks, loss_from=4)
-    assert tail.n_predicted == 3
     logits = full.logits
     want = 0.0
     for pos in range(3, 6):

@@ -207,6 +207,20 @@ def test_cross_entropy_rejects_bad_targets():
         T.cross_entropy(logits, np.array([0, 5]))
 
 
+def test_binary_vjps_skip_a_parent_they_are_not_asked_for():
+    rng = np.random.default_rng(0)
+    for op in (T.add, T.sub, T.mul, T.matmul):
+        a, b = (T.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+                for _ in range(2))
+        out = op(a, b)
+        g = rng.standard_normal(out.shape).astype(out.dtype)
+        full = out._vjp(g, (True, True))
+        ga, gb = out._vjp(g, (False, True))
+        assert ga is None and np.array_equal(gb, full[1]), op.__name__
+        ga, gb = out._vjp(g, (True, False))
+        assert gb is None and np.array_equal(ga, full[0]), op.__name__
+
+
 def test_hvp_matches_quadratic():
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -215,14 +229,14 @@ def test_hvp_matches_quadratic():
         q = (a + a.T) / 2.0
         qc = T.constant(q, dtype=np.float64)
 
-        def loss_fn(x):
-            row = T.reshape(x, (1, n))
-            return T.scale(T.tsum(T.mul(T.matmul(row, qc), row)), 0.5)
+        def loss_fn(xs):
+            row = xs[0]   # (1, n)
+            return T.reshape(T.scale(T.tsum(T.mul(T.matmul(row, qc), row)), 0.5), (1,))
 
-        point = T.Tensor(rng.standard_normal(n), dtype=np.float64)
+        point = rng.standard_normal(n)[None]
         v = rng.standard_normal(n)
-        hv = T.hessian_vector_product(loss_fn, point, T.Tensor(v, dtype=np.float64))
-        assert relative_error(hv.data, q @ v) <= 1e-3, f"seed {seed}"
+        (hv,) = T.hessian_vector_product(loss_fn, [point], [v[None]])
+        assert relative_error(hv[0], q @ v) <= 1e-3, f"seed {seed}"
 
 
 def test_hvp_with_base_gradient_is_bit_identical():
@@ -232,27 +246,27 @@ def test_hvp_with_base_gradient_is_bit_identical():
         a = rng.standard_normal((n, n))
         qc = T.constant((a + a.T) / 2.0, dtype=np.float64)
 
-        def loss_fn(x):
-            row = T.reshape(x, (1, n))
-            return T.scale(T.tsum(T.mul(T.matmul(row, qc), row)), 0.5)
+        def loss_fn(xs):
+            row = xs[0]   # (1, n)
+            return T.reshape(T.scale(T.tsum(T.mul(T.matmul(row, qc), row)), 0.5), (1,))
 
-        point = T.Tensor(rng.standard_normal(n), dtype=np.float64)
-        v = T.Tensor(rng.standard_normal(n), dtype=np.float64)
-        x = T.Tensor(point.data, requires_grad=True, dtype=np.float64)
-        T.backward(loss_fn(x))
-        want = T.hessian_vector_product(loss_fn, point, v)
-        got = T.hessian_vector_product(loss_fn, point, v, grad0=x.grad)
-        assert np.array_equal(got.data, want.data), f"seed {seed}"
+        point = rng.standard_normal(n)[None]
+        v = rng.standard_normal(n)[None]
+        x = T.Tensor(point, requires_grad=True, dtype=np.float64)
+        T.backward(T.tsum(loss_fn([x])))
+        (want,) = T.hessian_vector_product(loss_fn, [point], [v])
+        (got,) = T.hessian_vector_product(loss_fn, [point], [v], grad0=[x.grad])
+        assert np.array_equal(got, want), f"seed {seed}"
     with pytest.raises(ShapeMismatchError):
-        T.hessian_vector_product(loss_fn, point, v, grad0=np.zeros(n + 1))
+        T.hessian_vector_product(loss_fn, [point], [v], grad0=[np.zeros((1, n + 1))])
 
 
 def test_hvp_rejects_zero_direction():
-    def loss_fn(x):
-        return T.tsum(T.square(x))
+    def loss_fn(xs):
+        return T.reshape(T.tsum(T.square(xs[0])), (1,))
 
-    a = T.Tensor(np.ones(3), dtype=np.float64)
+    a = [np.ones((1, 3))]
     with pytest.raises(ZeroVectorError):
-        T.hessian_vector_product(loss_fn, a, T.Tensor(np.zeros(3), dtype=np.float64))
+        T.hessian_vector_product(loss_fn, a, [np.zeros((1, 3))])
     with pytest.raises(DomainError):
-        T.hessian_vector_product(loss_fn, a, T.Tensor(np.ones(3)), eps=0.0)
+        T.hessian_vector_product(loss_fn, a, [np.ones((1, 3))], eps=0.0)
