@@ -220,21 +220,22 @@ def _grad_blocks(captures: list[ForwardResult]):
     Heads use the position-mean of the activation gradient (length
     head_dim, well-defined across prompts of different lengths); neurons
     use the up-projection column gradient (length embed_dim). Each
-    (kind, layer) block is filled in place, C-contiguous, so each row
-    reduces in the same order as on its own; a unit's correlations
+    (kind, layer) block is filled in place in the gradients' dtype, and
+    each slice is widened (exactly) as it is yielded, C-contiguous, so
+    each row reduces in the same order as on its own; a unit's correlations
     depend on its own rows alone, so slicing keeps their bits and bounds
     the temporaries.
     """
-    cfg = captures[0].cfg
+    cfg, dtype = captures[0].cfg, captures[0].head_grads[0].dtype
     for rows_of, (units, dim) in (
             (lambda c, i: c.head_grads[i].mean(axis=1), (cfg.num_heads, cfg.head_dim)),
             (lambda c, i: c.up_grads[i].T, (cfg.ffn_dim, cfg.embed_dim))):
         for layer in range(cfg.num_layers):
-            block = np.empty((units, len(captures), dim))
+            block = np.empty((units, len(captures), dim), dtype)
             for j, capture in enumerate(captures):   # each layer read once
                 block[:, j] = rows_of(capture, layer)
             for start in range(0, len(block), _CORR_UNITS):
-                yield block[start:start + _CORR_UNITS]
+                yield block[start:start + _CORR_UNITS].astype(np.float64, copy=False)
 
 
 def _corrcoef_rows(m: np.ndarray) -> np.ndarray:

@@ -20,14 +20,14 @@ Summing each sequence's parts first and then adding the sums would
 round differently.
 
 ``backward(..., wrt=tensors)`` differentiates only the nodes on a path
-from the listed tensors to the loss. A VJP closure
-is called as ``vjp(g, need)``: ``need`` holds one flag per parent, all
-True when every parent is wanted, and a closure may return None for a
-parent whose flag is off (the two-parent ops ``add``, ``sub``, ``mul``
-and ``matmul`` do; the other ops ignore the flags). Every child of a
-differentiated node is itself differentiated, so each adjoint that is
-still computed sums the same terms in the same order and comes out
-bit-identical to a full pass.
+from the listed tensors to the loss. A VJP closure is called as
+``vjp(g, need)``: ``need`` holds one flag per parent, all True when
+every parent is wanted, and a closure may return None for a parent
+whose flag is off (``add``, ``sub``, ``mul``, ``matmul`` and
+``layernorm`` do; the other ops have one parent or return views).
+Every child of a differentiated node is itself differentiated, so each
+adjoint that is still computed sums the same terms in the same order
+and comes out bit-identical to a full pass.
 
 A taped op records its node whenever a parent requires a gradient, and
 checks its output for non-finite values. The network ops also have an
@@ -40,12 +40,20 @@ and checks for non-finite values where it chooses. ``no_grad`` selects
 the namespace and nothing else: a taped op called directly always
 tapes. The mode is per thread: entering it in one thread leaves the
 tape on in every other.
+
+In both namespaces ``add_``, ``scale_``, ``relu_`` and ``softmax_rows_``
+write their result into their first argument, which must be a temporary
+that nothing else reads. Taped, they do so when it is an op's result
+that owns its buffer and the result fits it, and allocate otherwise. No
+VJP reads a value they overwrite: ``relu``'s and ``softmax_rows``' read
+their own output, ``add``'s and ``scale``'s nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -119,9 +127,17 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, adopt: bool = False) -> None:
+        """Add ``g`` into ``grad``. With ``adopt``, a first ``g`` that owns a
+        writeable C-contiguous buffer of this shape and dtype becomes ``grad``;
+        ``g += 0.0`` gives it the bits of ``zeros + g`` (-0.0 turns +0.0)."""
         g = np.asarray(g, dtype=self.data.dtype)
         if self.grad is None:
+            if (adopt and g.base is None and g.flags.writeable and g.flags.c_contiguous
+                    and g.shape == self.data.shape and self.data.flags.c_contiguous):
+                g += 0.0
+                self.grad = g
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += g.reshape(self.data.shape)
 
@@ -146,14 +162,27 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str, vjp) -> Ten
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
+    """Sum a broadcast gradient back down to ``shape`` (``g`` itself if it has it)."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    return g
+
+
+def _into(a: Tensor, inplace: bool, b: np.ndarray | None = None) -> np.ndarray | None:
+    """The array an ``inplace`` op writes its result into: ``a``'s, when
+    ``a`` is an op's result that owns its writeable buffer and the other
+    operand ``b`` neither grows its shape nor widens its dtype; else None,
+    and the op allocates."""
+    d = a.data
+    if (not inplace or a._op == "leaf" or d.base is not None or not d.flags.writeable
+            or b is not None and (np.broadcast_shapes(d.shape, b.shape) != d.shape
+                                  or np.result_type(d, b) != d.dtype)):
+        return None
+    return d
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
@@ -167,14 +196,14 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
 # elementwise ops
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
     _binary_shapes(a, b, "add")
 
     def vjp(g, need):
         return (_unbroadcast(g, a.shape) if need[0] else None,
                 _unbroadcast(g, b.shape) if need[1] else None)
 
-    return _from_op(a.data + b.data, (a, b), "add", vjp)
+    return _from_op(np.add(a.data, b.data, out=_into(a, inplace, b.data)), (a, b), "add", vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -197,22 +226,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(a.data * b.data, (a, b), "mul", vjp)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a: Tensor, c: float, inplace: bool = False) -> Tensor:
     c = float(c)
 
     def vjp(g, need):
         return (g * c,)
 
-    return _from_op(a.data * c, (a,), "scale", vjp)
+    return _from_op(np.multiply(a.data, c, out=_into(a, inplace)), (a,), "scale", vjp)
 
 
-def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
+def relu(a: Tensor, inplace: bool = False) -> Tensor:
+    """max(a, 0); the VJP masks with ``out > 0``, which equals ``a > 0``."""
+    into = _into(a, inplace)
+    out = _relu_(a.data.copy() if into is None else into)
 
     def vjp(g, need):
-        return (g * keep,)
+        return (g * (out > 0),)
 
-    return _from_op(_relu_(a.data.copy()), (a,), "relu", vjp)
+    return _from_op(out, (a,), "relu", vjp)
 
 
 def square(a: Tensor) -> Tensor:
@@ -320,9 +351,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (a, b), "matmul", vjp)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
+def softmax_rows(a: Tensor, inplace: bool = False) -> Tensor:
     """Softmax over the last axis."""
-    s = _softmax_rows(a.data)
+    s = _softmax_rows(a.data, out=_into(a, inplace))
 
     def vjp(g, need):
         inner = (g * s).sum(axis=-1, keepdims=True)
@@ -342,15 +373,16 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 
     def vjp(g, need):
         lead = tuple(range(g.ndim - 1))
-        dbeta = g.sum(axis=lead) if lead else g
-        dgamma = (g * y).sum(axis=lead) if lead else g * y
-        dy = g * gamma.data
-        da = inv * (
-            dy
-            - dy.mean(axis=-1, keepdims=True)
-            - y * (dy * y).mean(axis=-1, keepdims=True)
-        )
-        return da.astype(a.dtype), dgamma.astype(gamma.dtype), dbeta.astype(beta.dtype)
+        da = dgamma = dbeta = None
+        if need[0]:
+            dy = g * gamma.data
+            da = (inv * (dy - dy.mean(axis=-1, keepdims=True)
+                         - y * (dy * y).mean(axis=-1, keepdims=True))).astype(a.dtype, copy=False)
+        if need[1]:
+            dgamma = ((g * y).sum(axis=lead) if lead else g * y).astype(gamma.dtype, copy=False)
+        if need[2]:
+            dbeta = (g.sum(axis=lead) if lead else g).astype(beta.dtype, copy=False)
+        return da, dgamma, dbeta
 
     out = (y * gamma.data + beta.data).astype(a.dtype, copy=False)
     return _from_op(out, (a, gamma, beta), "layernorm", vjp)
@@ -387,8 +419,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # array forms
 #
 # The forward math of the network ops on plain arrays, shared by both
-# modes. An op whose name ends in ``_`` may overwrite its first argument
-# and returns it: pass it only a temporary that nothing else holds.
+# modes. An op whose name ends in ``_`` overwrites its first argument
+# and returns it, as the ``_`` ops of both namespaces do.
 
 
 def _relu_(a: np.ndarray) -> np.ndarray:
@@ -476,9 +508,10 @@ def _cross_entropy(logits: np.ndarray, targets):
 # both modes: a matmul's bits can depend on its operands' memory layout.
 TAPED = SimpleNamespace(
     leaf=lambda t: t, const=constant, value=lambda t: t.data,
-    check=lambda value, op: None, add=add, add_=add, mul=mul, scale_=scale,
-    matmul=matmul, reshape=reshape, transpose=transpose, layernorm=layernorm,
-    relu_=relu, softmax_rows_=softmax_rows, embedding_lookup=embedding_lookup,
+    check=lambda value, op: None, add=add, add_=partial(add, inplace=True), mul=mul,
+    scale_=partial(scale, inplace=True), matmul=matmul, reshape=reshape,
+    transpose=transpose, layernorm=layernorm, relu_=partial(relu, inplace=True),
+    softmax_rows_=partial(softmax_rows, inplace=True), embedding_lookup=embedding_lookup,
     slice_rows=slice_rows, cross_entropy=cross_entropy, mean_rows=mean_rows,
     stack_rows=stack_rows,
 )
@@ -575,8 +608,8 @@ def backward(loss: Tensor, wrt=None) -> None:
         for parent, pg, want in zip(node._parents, node._vjp(g, need), need):
             if not want:
                 continue
-            if not parent._parents:
-                parent._accumulate(pg)
+            if not parent._parents:   # g itself may be passed on: adopt only new arrays
+                parent._accumulate(pg, adopt=pg is not g)
                 continue
             key = id(parent)
             if key in adjoint:

@@ -308,22 +308,39 @@ _steady_heap()   # the heap thresholds main() runs collect under
 model = TransformerModel(ModelConfig(), seed=0)
 prompts = list(np.random.default_rng(0).integers(0, 256, size=({n}, 16)))
 before = peak_kb()
-collect_criteria(model, prompts, "{kind}")
+collect_criteria(model, prompts, "{kind}", aggregate={aggregate})
 print(peak_kb() - before)
 """
+
+
+def _collect_growth_mb(n: int, kind: str, aggregate: bool = False) -> float:
+    """The VmHWM growth of one collect of ``n`` random 16-token prompts on
+    the default config, in a fresh process."""
+    script = _COLLECT_PEAK.format(n=n, kind=kind, aggregate=aggregate)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout.split()[-1]) / 1024
 
 
 @pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/status")
 def test_grad_capture_forms_up_grads_one_layer_at_a_time():
     """A 24 x 16-token plainact collect on the default config raises the
     peak RSS by its one batched tape and the per-sequence captures (about
-    28 MB), not also by every prompt's (E, F) up-projection gradient of
-    every layer at once (24 x 4 x 256 KB more, about 52 MB in all)."""
-    script = _COLLECT_PEAK.format(n=24, kind="plainact")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, check=True)
-    growth_mb = int(proc.stdout.split()[-1]) / 1024
-    assert growth_mb < 38, growth_mb
+    21 MB), not also by every prompt's (E, F) up-projection gradient of
+    every layer at once (24 x 4 x 256 KB more), nor by a tape that keeps
+    each taped ``_`` op's input beside its result (about 28 MB)."""
+    growth_mb = _collect_growth_mb(24, "plainact")
+    assert growth_mb < 25, growth_mb
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/status")
+def test_jacov_collect_fills_gradient_blocks_in_the_capture_dtype():
+    """A 16 x 16-token aggregate jacov collect on the default config
+    raises the peak RSS by about 25 MB: its tape, without the inputs of
+    the taped ``_`` ops, and float32 gradient blocks widened one slice of
+    units at a time, not whole float64 blocks (about 36 MB)."""
+    growth_mb = _collect_growth_mb(16, "jacov", aggregate=True)
+    assert growth_mb < 29, growth_mb
 
 
 def test_epenas_errors():
@@ -670,10 +687,7 @@ def test_grasp_collect_probes_without_flat_vectors():
     RSS by its float64 model copy, one batched capture and head probe and
     one prompt's up-projection probe (about 25 MB), not by a dozen
     L * E * F float64 vectors of a flat up-offset probe (about 36 MB)."""
-    script = _COLLECT_PEAK.format(n=4, kind="grasp")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, check=True)
-    growth_mb = int(proc.stdout.split()[-1]) / 1024
+    growth_mb = _collect_growth_mb(4, "grasp")
     assert growth_mb < 28, growth_mb
 
 

@@ -221,6 +221,103 @@ def test_binary_vjps_skip_a_parent_they_are_not_asked_for():
         assert gb is None and np.array_equal(ga, full[0]), op.__name__
 
 
+def test_layernorm_vjp_skips_the_affine_parents_it_is_not_asked_for():
+    rng = np.random.default_rng(1)
+    x, gamma, beta = (T.Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for shape in ((2, 3, 5), (5,), (5,)))
+    out = T.layernorm(x, gamma, beta)
+    g = rng.standard_normal(out.shape).astype(out.dtype)
+    full = out._vjp(g, (True, True, True))
+    da, dgamma, dbeta = out._vjp(g, (True, False, False))
+    assert dgamma is None and dbeta is None
+    assert np.array_equal(da, full[0])
+
+
+# the taped ``_`` ops, the args after ``a``, and their out-of-place op
+_INPLACE = [
+    ("add_", lambda rng: (T.Tensor(rng.standard_normal(4), requires_grad=True),), T.add),
+    ("scale_", lambda rng: (0.37,), T.scale),
+    ("relu_", lambda rng: (), T.relu),
+    ("softmax_rows_", lambda rng: (), T.softmax_rows),
+]
+
+
+def _inplace_run(op, make_args, seed: int):
+    """``op`` on a (3, 4) matmul result, projected to a scalar and
+    back-propagated: (a, result, grads of every leaf)."""
+    rng = np.random.default_rng(seed)
+    x, w = (T.Tensor(rng.standard_normal(shape), requires_grad=True)
+            for shape in ((3, 5), (5, 4)))
+    args = make_args(rng)
+    a = T.matmul(x, w)
+    out = op(a, *args)
+    T.backward(T.tsum(T.mul(out, T.constant(rng.standard_normal(out.shape)))))
+    leaves = [x, w, *(t for t in args if isinstance(t, T.Tensor))]
+    return a, out, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("name,make_args,plain", _INPLACE, ids=[c[0] for c in _INPLACE])
+def test_taped_inplace_op_writes_into_a_temporary_with_the_same_bits(name, make_args, plain):
+    want_a, want, want_grads = _inplace_run(plain, make_args, 3)
+    a, out, grads = _inplace_run(getattr(T.TAPED, name), make_args, 3)
+    assert out.data is a.data
+    assert not np.shares_memory(want.data, want_a.data)
+    assert np.array_equal(out.data, want.data)
+    for got, ref in zip(grads, want_grads):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name,make_args,plain", _INPLACE, ids=[c[0] for c in _INPLACE])
+def test_taped_inplace_op_leaves_a_leaf_constant_or_view_unwritten(name, make_args, plain):
+    op, rng = getattr(T.TAPED, name), np.random.default_rng(4)
+    args = make_args(rng)
+    view = T.transpose(T.matmul(T.Tensor(rng.standard_normal((4, 5))),
+                                T.Tensor(rng.standard_normal((5, 3)))), (1, 0))
+    for a in (T.Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+              T.constant(rng.standard_normal((3, 4))), view):
+        before = a.data.copy()
+        out = op(a, *args)
+        assert np.array_equal(a.data, before) and not np.shares_memory(out.data, a.data)
+        assert np.array_equal(out.data, plain(a, *args).data)
+
+
+def test_taped_add_falls_back_when_the_result_outgrows_a():
+    rng = np.random.default_rng(5)
+    a = T.matmul(*(T.Tensor(rng.standard_normal(shape), dtype=np.float32)
+                   for shape in ((1, 2), (2, 4))))
+    before = a.data.copy()
+    for b in (T.Tensor(rng.standard_normal((3, 4)), dtype=np.float32),   # grows the shape
+              T.Tensor(rng.standard_normal((1, 4)), dtype=np.float64)):   # widens the dtype
+        out = T.TAPED.add_(a, b)
+        assert np.array_equal(a.data, before) and not np.shares_memory(out.data, a.data)
+        assert out.shape == np.broadcast_shapes(a.shape, b.shape)
+        assert out.dtype == np.result_type(a.data, b.data)
+
+
+def _probe(parent, seed: np.ndarray):
+    """A scalar whose VJP hands ``parent`` the array ``seed`` itself."""
+    return T._from_op(np.asarray(0.0), (parent,), "probe", lambda g, need: (seed,))
+
+
+def test_a_leaf_never_adopts_an_adjoint_it_shares():
+    want = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    for build in (lambda x: T.add(x, x),                           # g itself, twice
+                  lambda x: T.add(T.reshape(x, (2, 3)),          # views of g
+                                  T.transpose(T.transpose(x, (1, 0)), (1, 0)))):
+        seed = want.copy()
+        x = T.Tensor(np.zeros((2, 3)), requires_grad=True)
+        T.backward(_probe(build(x), seed))
+        assert np.array_equal(x.grad, 2.0 * want)
+        assert not np.shares_memory(x.grad, seed)
+        assert np.array_equal(seed, want)
+
+
+def test_an_adopted_gradient_has_the_bits_of_zeros_plus_g():
+    x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    T.backward(T.tsum(T.scale(x, -0.0)))    # a fresh contribution of -0.0s
+    assert np.array_equal(x.grad, np.zeros(3)) and not np.signbit(x.grad).any()
+
+
 def test_hvp_matches_quadratic():
     for seed in range(5):
         rng = np.random.default_rng(seed)

@@ -170,7 +170,7 @@ print(peak_kb() - before)
 @pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/status")
 def test_train_keeps_one_sequence_tape_alive():
     """One default-config step (8 x 64 tokens) raises the peak RSS by the
-    grads, the AdamW state and one sequence's tape (about 17 MB), not by
+    grads, the AdamW state and one sequence's tape (about 15 MB), not by
     all eight tapes at once (about 54 MB)."""
     proc = subprocess.run([sys.executable, "-c", _ONE_STEP],
                           capture_output=True, text=True, check=True)
