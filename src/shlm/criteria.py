@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -43,6 +42,7 @@ from .model import (
     ForwardResult,
     ModelConfig,
     TransformerModel,
+    _CAPTURE_TOKENS,
     _flat_scores,
     batch_groups,
     run_striped,
@@ -113,31 +113,40 @@ def _require(capture: ForwardResult, attr: str, kind: CriterionKind) -> list:
 # (T, head_dim) and neurons over their column. Per unit: l2norm is the L2
 # norm of the activation, gradnorm that of the loss gradient, plainact the
 # L1 norm of activation times gradient and fisher that product's mean
-# square.
+# square. The product grows in a float64 copy of the first field, the
+# prompt's own; the up-projection weights come second, so a chunk's one
+# widened copy of them is only read (IEEE multiplication commutes).
 _REDUCTIONS = {
     CriterionKind.L2NORM: (("head_acts",), ("neuron_acts",),
                            np.square, np.sum, np.sqrt),
     CriterionKind.GRADNORM: (("head_grads",), ("up_grads",),
                              np.square, np.sum, np.sqrt),
     CriterionKind.PLAINACT: (("head_acts", "head_grads"),
-                             ("up_weights", "up_grads"), np.abs, np.sum, None),
+                             ("up_grads", "up_weights"), np.abs, np.sum, None),
     CriterionKind.FISHER: (("head_acts", "head_grads"),
-                           ("up_weights", "up_grads"), np.square, np.mean, None),
+                           ("up_grads", "up_weights"), np.square, np.mean, None),
 }
 # SNIP's |x| * |dL/dx| equals |x * dL/dx| bit for bit in IEEE arithmetic,
 # so on this model family it is plainact
 _REDUCTIONS[CriterionKind.SNIP] = _REDUCTIONS[CriterionKind.PLAINACT]
 
 
-def _table_score(capture: ForwardResult, kind: CriterionKind) -> np.ndarray:
+def _table_score(capture: ForwardResult, kind: CriterionKind,
+                 widened: dict | None = None) -> np.ndarray:
+    """A table criterion's scores. ``widened`` maps a field name to its
+    per-layer arrays already in float64, read in place of the capture's:
+    the up-projection weights, which every prompt of a chunk shares."""
     head_fields, neuron_fields, elementwise, reduce, final = _REDUCTIONS[kind]
+    widened = widened or {}
     parts = []
     for names, axis in ((head_fields, (1, 2)), (neuron_fields, 0)):
         per_layer = []
-        for layer in zip(*[_require(capture, name, kind) for name in names]):
-            x = functools.reduce(np.multiply,
-                                 [a.astype(np.float64) for a in layer])
-            per_layer.append(reduce(elementwise(x), axis=axis))
+        for first, *rest in zip(*[widened.get(name) or _require(capture, name, kind)
+                                  for name in names]):
+            x = first.astype(np.float64)   # a new array, written in place below
+            for a in rest:
+                np.multiply(x, a, out=x)
+            per_layer.append(reduce(elementwise(x, out=x), axis=axis))
         stacked = np.stack(per_layer)
         parts.append(stacked if final is None else final(stacked))
     return _flat_scores(*parts)
@@ -319,17 +328,33 @@ def score_contextual(capture: ForwardResult, kind: CriterionKind) -> np.ndarray:
     return _table_score(capture, kind)
 
 
+def _score_chunk(captures: list[ForwardResult], kind: CriterionKind) -> list:
+    """``score_contextual`` of every capture of one batched forward, bit
+    for bit; the up-projection weights they share are widened once."""
+    if kind == CriterionKind.NWOT:
+        return [score_nwot(capture) for capture in captures]
+    widened = {}
+    if "up_weights" in _REDUCTIONS[kind][1]:
+        widened["up_weights"] = [w.astype(np.float64) for w in captures[0].up_weights]
+    return [_table_score(capture, kind, widened) for capture in captures]
+
+
 def collect_criteria(model: TransformerModel, prompts, kind,
                      aggregate: bool = False, loss_on: str = "all",
                      workers: int = 1):
     """Score every unit on each prompt.
 
     Prompts of one length and ``loss_from`` are captured together, in
-    the chunks of ``batch_groups`` striped across the workers; every
-    prompt's capture, and so its scores, equal a capture of that prompt
-    alone, bit for bit. GraSP runs ``score_grasp`` on each chunk in
-    turn: its capture and head probe are one batched pass each, and its
-    up-projection probes run per prompt, striped across the workers.
+    the chunks of ``batch_groups`` (at most ``_CAPTURE_TOKENS`` tokens
+    each) striped across the workers; every prompt's capture, and so
+    its scores, equal a capture of that prompt alone, bit for bit. A
+    criterion scored per prompt scores each chunk in the job that
+    captured it, so a collect holds one chunk's tape and captures per
+    worker whatever its prompt count; jacov and epenas correlate
+    gradients across prompts and keep every capture. GraSP runs
+    ``score_grasp`` on each chunk in turn: its capture and head probe
+    are one batched pass each, and its up-projection probes run per
+    prompt, striped across the workers.
     Returns a list of per-example ScoreVectors, or a single aggregated
     ScoreVector when ``aggregate`` is set. jacov and epenas are only
     available aggregated.
@@ -343,38 +368,44 @@ def collect_criteria(model: TransformerModel, prompts, kind,
         raise ValueError(f"loss_on must be 'all' or 'target', got {loss_on!r}")
 
     parts = [_prompt_parts(p, loss_on) for p in prompts]
-    chunks = batch_groups([len(tokens) for tokens, _, _ in parts],
+    chunks = batch_groups([len(tokens) for tokens, _, _ in parts], _CAPTURE_TOKENS,
                           keys=[(len(tokens), loss_from)
                                 for tokens, loss_from, _ in parts])
+
+    def batch(members: list[int]):
+        return np.stack([parts[i][0] for i in members]), parts[members[0]][1]
+
+    def in_prompt_order(per_chunk) -> list:
+        out: list = [None] * len(parts)
+        for members, rows in zip(chunks, per_chunk):
+            for idx, row in zip(members, rows):
+                out[idx] = row
+        return out
+
     if kind == CriterionKind.GRASP:
         wide = model.to_dtype(np.float64)
-        raw: list = [None] * len(parts)
-        for members in chunks:
-            rows = score_grasp(wide, np.stack([parts[i][0] for i in members]),
-                               loss_from=parts[members[0]][1], workers=workers)
-            for idx, row in zip(members, rows):
-                raw[idx] = row
+        raw = in_prompt_order(score_grasp(wide, *batch(members), workers=workers)
+                              for members in chunks)
     else:
         capture_mode = CAPTURE_GRADS if needs_grads(kind) else CAPTURE_ACTIVATIONS
         grad_mode = contextlib.nullcontext if needs_grads(kind) else T.no_grad
 
         def capture_chunk(members: list[int]):
-            tokens = np.stack([parts[i][0] for i in members])
+            tokens, loss_from = batch(members)
             with grad_mode():   # entered in the worker: the mode is per thread
-                return model.forward(tokens, capture=capture_mode,
-                                     loss_from=parts[members[0]][1])
+                return model.forward(tokens, capture=capture_mode, loss_from=loss_from)
 
-        captures: list = [None] * len(parts)
-        for members, results in zip(chunks, run_striped(chunks, capture_chunk, workers)):
-            for idx, capture in zip(members, results):
-                captures[idx] = capture
-        if kind == CriterionKind.JACOV:
-            return ScoreVector(score_jacov(captures), kind.value, example_id=None)
-        if kind == CriterionKind.EPENAS:
+        if kind in AGGREGATE_ONLY:
+            captures = in_prompt_order(run_striped(chunks, capture_chunk, workers))
+            if kind == CriterionKind.JACOV:
+                return ScoreVector(score_jacov(captures), kind.value, example_id=None)
             labels = [label for _, _, label in parts]
             return ScoreVector(score_epenas(captures, labels), kind.value,
                                example_id=None)
-        raw = [score_contextual(capture, kind) for capture in captures]
+        # scored in the job that captured it, a chunk's captures go
+        # before that worker's next chunk runs
+        raw = in_prompt_order(run_striped(
+            chunks, lambda members: _score_chunk(capture_chunk(members), kind), workers))
 
     if aggregate:
         return ScoreVector(np.mean(np.stack(raw), axis=0), kind.value, example_id=None)

@@ -33,7 +33,12 @@ CAPTURE_GRADS = "grads"
 _CAPTURE_MODES = (CAPTURE_NONE, CAPTURE_ACTIVATIONS, CAPTURE_GRADS)
 
 _NEG_ATTN = -1e9  # additive score for future positions
-_BATCH_TOKENS = 512   # tokens per batched forward: one default train-lm step of 8 x 64
+# Tokens per batched forward (``batch_groups``). A masked-eval group is
+# untaped and keeps only its activations, so larger groups cost little
+# memory: 512 runs the oracle's three 128-token windows as one. A capture
+# chunk keeps its tape and captures until it is scored: 256 bounds that.
+_BATCH_TOKENS = 512
+_CAPTURE_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -607,18 +612,19 @@ def _nll_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float((lse - picked).sum())
 
 
-def batch_groups(lengths, keys=None) -> list[list[int]]:
+def batch_groups(lengths, budget: int, keys=None) -> list[list[int]]:
     """Item indices grouped for batched forwards: the items of one key
     (by default, of one length) in input order, keys in order of first
-    appearance, split into groups of at most ``_BATCH_TOKENS`` tokens
-    (at least one item each)."""
+    appearance, split into groups of at most ``budget`` tokens (at least
+    one item each): ``_BATCH_TOKENS`` for masked eval, ``_CAPTURE_TOKENS``
+    for captures."""
     lengths = list(lengths)
     by_key: dict = {}
     for idx, key in enumerate(lengths if keys is None else keys):
         by_key.setdefault(key, []).append(idx)
     groups = []
     for members in by_key.values():
-        size = max(1, _BATCH_TOKENS // lengths[members[0]])
+        size = max(1, budget // lengths[members[0]])
         groups += [members[s:s + size] for s in range(0, len(members), size)]
     return groups
 

@@ -23,6 +23,7 @@ from .model import (
     ModelConfig,
     TransformerModel,
     UnitId,
+    _BATCH_TOKENS,
     _nll_from_logits,
     batch_groups,
     num_units,
@@ -175,8 +176,9 @@ def _masked_totals(model: TransformerModel, eval_tokens, window: int | None,
     total and the prediction count. ``masks_for(chunk)`` gives one
     window's masks, one per slot, in one order for every window.
 
-    The windows run in the groups of ``batch_groups``: consecutive
-    windows of one length, since only the last window can be shorter.
+    The windows run in the groups of ``batch_groups`` of at most
+    ``_BATCH_TOKENS`` tokens: consecutive windows of one length, since
+    only the last window can be shorter.
     Each group gets one batched dense pass; its windows' masks are then
     asked for in window order on the calling thread, and each slot's
     masks resume together in one batched pass, the slots striped across
@@ -186,7 +188,7 @@ def _masked_totals(model: TransformerModel, eval_tokens, window: int | None,
     totals: list[float] = []
     dense, count = 0.0, 0
     windows = model.eval_windows(eval_tokens, window)
-    for group in batch_groups(len(chunk) for chunk in windows):
+    for group in batch_groups((len(chunk) for chunk in windows), _BATCH_TOKENS):
         dp = _DensePass(model, np.stack([windows[w] for w in group]))
         slots = list(zip(*(masks_for(windows[w]) for w in group)))
         nlls = run_striped(slots, lambda masks: dp.nll(model, masks), workers)

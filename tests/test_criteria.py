@@ -323,14 +323,16 @@ def _collect_growth_mb(n: int, kind: str, aggregate: bool = False) -> float:
 
 
 @pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/status")
-def test_grad_capture_forms_up_grads_one_layer_at_a_time():
-    """A 24 x 16-token plainact collect on the default config raises the
-    peak RSS by its one batched tape and the per-sequence captures (about
-    21 MB), not also by every prompt's (E, F) up-projection gradient of
-    every layer at once (24 x 4 x 256 KB more), nor by a tape that keeps
-    each taped ``_`` op's input beside its result (about 28 MB)."""
-    growth_mb = _collect_growth_mb(24, "plainact")
-    assert growth_mb < 25, growth_mb
+@pytest.mark.parametrize("n,bound_mb", [(24, 18), (96, 20)])
+def test_grad_capture_forms_up_grads_one_layer_at_a_time(n, bound_mb):
+    """A plainact collect of 16-token prompts on the default config raises
+    the peak RSS by one 256-token chunk's tape and captures, scored
+    before the next chunk runs (about 14.5 MB for 24 prompts, 16.5 MB for
+    96), not by every prompt's capture at once (21 and 57 MB), nor also
+    by every prompt's (E, F) up-projection gradient of every layer at
+    once (n x 4 x 256 KB more)."""
+    growth_mb = _collect_growth_mb(n, "plainact")
+    assert growth_mb < bound_mb, growth_mb
 
 
 @pytest.mark.skipif(platform.system() != "Linux", reason="reads /proc/self/status")
@@ -382,8 +384,8 @@ def test_collect_aggregate_jacov_epenas(trained_model):
 
 def _mixed_prompts():
     """Few-shot pairs of several lengths, then 16-token windows: 36 of
-    them are 576 tokens, over the 512-token capture budget, so that group
-    runs as two chunks."""
+    them are 576 tokens, over twice the 256-token capture budget, so that
+    group runs as three chunks (16, 16 and 4 windows)."""
     rng = np.random.default_rng(21)
     windows = [rng.integers(0, TINY.vocab_size, size=16) for _ in range(36)]
     pairs = (make_fewshot_prompts("reverse", shots=1, n=5, seed=5)
@@ -436,11 +438,12 @@ def test_collect_equals_per_prompt_reference(trained_model, monkeypatch, kind,
                            loss_on=loss_on)
     monkeypatch.undo()
     want = _per_prompt_reference(trained_model, prompts, kind, aggregate, loss_on)
-    assert max(sizes) * 16 <= model_mod._BATCH_TOKENS
+    assert max(sizes) * 16 <= model_mod._CAPTURE_TOKENS
     # GraSP runs each chunk twice, its capture and its head probe, and
     # each prompt's up-projection probe as a batch of one
     passes = 3 if kind == "grasp" else 1
-    assert sum(sizes) == passes * len(prompts) and sizes.count(32) == min(passes, 2)
+    assert sum(sizes) == passes * len(prompts)
+    assert sizes.count(16) == 2 * min(passes, 2)
     got = [got] if aggregate else got
     assert len(got) == len(want)
     for vec, ref in zip(got, want):
@@ -504,6 +507,32 @@ def test_no_stage_clones_the_model(trained_model, stream, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("kind", ["plainact", "l2norm", "nwot", "grasp"])
+def test_collect_frees_each_chunk_before_the_next(trained_model, monkeypatch, kind):
+    """Every ForwardResult of one capture chunk is gone when the next
+    chunk's capture starts: a per-prompt criterion scores each chunk as
+    soon as it is captured."""
+    import weakref
+
+    alive, starts, forward = set(), [], TransformerModel.forward
+
+    def spy(self, tokens, *args, **kwargs):
+        if kwargs.get("capture") in (CAPTURE_ACTIVATIONS, CAPTURE_GRADS):   # not a probe
+            starts.append(len(alive))
+        results = forward(self, tokens, *args, **kwargs)
+        for result in results if isinstance(results, list) else [results]:
+            alive.add(id(result))
+            weakref.finalize(result, alive.discard, id(result))
+        return results
+
+    rng = np.random.default_rng(4)
+    windows = [rng.integers(0, TINY.vocab_size, size=16) for _ in range(40)]
+    monkeypatch.setattr(TransformerModel, "forward", spy)
+    collect_criteria(trained_model, windows, kind, workers=1)
+    assert starts == [0, 0, 0]   # three chunks of 16, 16 and 8 windows
+    assert not alive
+
+
 def test_stages_start_no_more_threads_than_jobs(trained_model, monkeypatch):
     import concurrent.futures
 
@@ -521,9 +550,9 @@ def test_stages_start_no_more_threads_than_jobs(trained_model, monkeypatch):
     assert run_striped([5], lambda job: -job, workers=3) == [-5]   # inline
     assert run_striped(range(7), lambda job: job, workers=3) == list(range(7))
     assert started == [2, 3]
-    # 40 windows of 16 tokens are two capture chunks
+    # 24 windows of 16 tokens are two capture chunks, of 16 and 8
     rng = np.random.default_rng(3)
-    windows = [rng.integers(0, TINY.vocab_size, size=16) for _ in range(40)]
+    windows = [rng.integers(0, TINY.vocab_size, size=16) for _ in range(24)]
     started.clear()
     collect_criteria(trained_model, windows, "plainact", workers=3)
     assert started == [2]
