@@ -28,24 +28,21 @@ _DTYPE_FOR_TAG = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def write_container(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", VERSION)
-    cfg_bytes = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob += struct.pack("<I", len(cfg_bytes))
-    blob += cfg_bytes
-    for name, arr in tensors.items():
-        arr = np.asarray(arr)
+    """Write the header, then each tensor's record straight to ``path``;
+    every dtype is checked first, so a ``FormatError`` leaves no file."""
+    arrays = {name: np.asarray(arr) for name, arr in tensors.items()}
+    for name, arr in arrays.items():
         if arr.dtype not in _TAG_FOR_DTYPE:
             raise FormatError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-        name_bytes = name.encode("utf-8")
-        blob += struct.pack("<I", len(name_bytes))
-        blob += name_bytes
-        blob += struct.pack("<I", arr.ndim)
-        blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        blob += struct.pack("<B", _TAG_FOR_DTYPE[arr.dtype])
-        blob += arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes(order="C")
-    Path(path).write_bytes(bytes(blob))
+    cfg_bytes = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(cfg_bytes)) + cfg_bytes)
+        for name, arr in arrays.items():
+            name_bytes = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(name_bytes)}sI{arr.ndim}QB", len(name_bytes),
+                                 name_bytes, arr.ndim, *arr.shape,
+                                 _TAG_FOR_DTYPE[arr.dtype]))
+            fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).data)
 
 
 class _Reader:

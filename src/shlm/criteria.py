@@ -45,7 +45,9 @@ from .model import (
     _CAPTURE_TOKENS,
     _flat_scores,
     batch_groups,
+    num_units,
     run_striped,
+    unit_blocks,
     unit_rows,
 )
 
@@ -132,28 +134,32 @@ _REDUCTIONS[CriterionKind.SNIP] = _REDUCTIONS[CriterionKind.PLAINACT]
 
 
 def _table_score(capture: ForwardResult, kind: CriterionKind,
-                 widened: dict | None = None) -> np.ndarray:
-    """A table criterion's scores. ``widened`` maps a field name to its
-    per-layer arrays already in float64, read in place of the capture's:
-    the up-projection weights, which every prompt of a chunk shares."""
+                 widened: dict | None = None, first_layer: int = 0) -> np.ndarray:
+    """A table criterion's scores of the layers from ``first_layer`` on;
+    an earlier layer's units score 0. ``widened`` maps a field name to
+    its per-layer arrays already in float64, read in place of the
+    capture's: the up-projection weights, which every prompt of a chunk
+    shares."""
     head_fields, neuron_fields, elementwise, reduce, final = _REDUCTIONS[kind]
     widened = widened or {}
     parts = []
-    for names, axis in ((head_fields, (1, 2)), (neuron_fields, 0)):
-        per_layer = []
-        for first, *rest in zip(*[widened.get(name) or _require(capture, name, kind)
-                                  for name in names]):
+    for names, axis, block in ((head_fields, (1, 2), capture.cfg.num_heads),
+                               (neuron_fields, 0, capture.cfg.ffn_dim)):
+        sources = [widened.get(name) or _require(capture, name, kind) for name in names]
+        scores = np.zeros((capture.cfg.num_layers, block))
+        for layer in range(first_layer, len(scores)):
+            first, *rest = (source[layer] for source in sources)
             x = first.astype(np.float64)   # a new array, written in place below
             for a in rest:
                 np.multiply(x, a, out=x)
-            per_layer.append(reduce(elementwise(x, out=x), axis=axis))
-        stacked = np.stack(per_layer)
-        parts.append(stacked if final is None else final(stacked))
+            scores[layer] = reduce(elementwise(x, out=x), axis=axis)
+        parts.append(scores if final is None else final(scores))
     return _flat_scores(*parts)
 
 
-def score_nwot(capture: ForwardResult) -> np.ndarray:
-    """log of the mean squared distance of activations from 1.
+def score_nwot(capture: ForwardResult, first_layer: int = 0) -> np.ndarray:
+    """log of the mean squared distance of activations from 1, for the
+    layers from ``first_layer`` on; an earlier layer's units score 0.
 
     Heads are reduced to one value per position by averaging channels.
     A unit with zero mean square gets the -inf sentinel (always pruned
@@ -165,9 +171,13 @@ def score_nwot(capture: ForwardResult) -> np.ndarray:
 
     acts = _require(capture, "head_acts", CriterionKind.NWOT)        # (H, T, d_h)
     hidden = _require(capture, "neuron_acts", CriterionKind.NWOT)    # (T, F)
-    return _flat_scores(
-        np.stack([log_ms(a.astype(np.float64).mean(axis=2), 1) for a in acts]),
-        np.stack([log_ms(h.astype(np.float64), 0) for h in hidden]))
+    cfg = capture.cfg
+    heads = np.zeros((cfg.num_layers, cfg.num_heads))
+    neurons = np.zeros((cfg.num_layers, cfg.ffn_dim))
+    for layer in range(first_layer, cfg.num_layers):
+        heads[layer] = log_ms(acts[layer].astype(np.float64).mean(axis=2), 1)
+        neurons[layer] = log_ms(hidden[layer].astype(np.float64), 0)
+    return _flat_scores(heads, neurons)
 
 
 def score_grasp(model: TransformerModel, tokens: np.ndarray, loss_from: int = 1,
@@ -328,21 +338,26 @@ def score_contextual(capture: ForwardResult, kind: CriterionKind) -> np.ndarray:
     return _table_score(capture, kind)
 
 
-def _score_chunk(captures: list[ForwardResult], kind: CriterionKind) -> list:
+def _score_chunk(captures: list[ForwardResult], kind: CriterionKind,
+                 first_layer: int = 0) -> list:
     """``score_contextual`` of every capture of one batched forward, bit
-    for bit; the up-projection weights they share are widened once."""
+    for bit, on the layers from ``first_layer`` on; the up-projection
+    weights they share are widened once, for those layers."""
     if kind == CriterionKind.NWOT:
-        return [score_nwot(capture) for capture in captures]
+        return [score_nwot(capture, first_layer) for capture in captures]
     widened = {}
     if "up_weights" in _REDUCTIONS[kind][1]:
-        widened["up_weights"] = [w.astype(np.float64) for w in captures[0].up_weights]
-    return [_table_score(capture, kind, widened) for capture in captures]
+        weights = captures[0].up_weights
+        widened["up_weights"] = [None] * first_layer + [
+            w.astype(np.float64) for w in weights[first_layer:]]
+    return [_table_score(capture, kind, widened, first_layer) for capture in captures]
 
 
 def collect_criteria(model: TransformerModel, prompts, kind,
                      aggregate: bool = False, loss_on: str = "all",
-                     workers: int = 1):
-    """Score every unit on each prompt.
+                     workers: int = 1, first_layer: int = 0):
+    """Score every unit of the layers from ``first_layer`` on, on each
+    prompt.
 
     Prompts of one length and ``loss_from`` are captured together, in
     the chunks of ``batch_groups`` (at most ``_CAPTURE_TOKENS`` tokens
@@ -355,6 +370,12 @@ def collect_criteria(model: TransformerModel, prompts, kind,
     ``score_grasp`` on each chunk in turn: its capture and head probe
     are one batched pass each, and its up-projection probes run per
     prompt, striped across the workers.
+    A gradient capture differentiates only the layers from
+    ``first_layer`` on (``TransformerModel.forward``), the table
+    criteria and nwot score only those layers, and every score vector
+    marks an earlier layer's units uncovered and holds 0 for them; each
+    covered unit's score has the bits of a collect of every layer. GraSP
+    probes every layer and drops the earlier ones' scores.
     Returns a list of per-example ScoreVectors, or a single aggregated
     ScoreVector when ``aggregate`` is set. jacov and epenas are only
     available aggregated.
@@ -382,6 +403,16 @@ def collect_criteria(model: TransformerModel, prompts, kind,
                 out[idx] = row
         return out
 
+    covered = np.zeros(num_units(model.cfg), dtype=bool)
+    for block in unit_blocks(model.cfg, covered):
+        block[first_layer:] = True
+    uncovered = ~covered
+
+    def vector(values, example_id) -> ScoreVector:
+        sv = ScoreVector(values, kind.value, example_id=example_id, covered=covered.copy())
+        sv.values[uncovered] = 0.0
+        return sv
+
     if kind == CriterionKind.GRASP:
         wide = model.to_dtype(np.float64)
         raw = in_prompt_order(score_grasp(wide, *batch(members), workers=workers)
@@ -393,23 +424,24 @@ def collect_criteria(model: TransformerModel, prompts, kind,
         def capture_chunk(members: list[int]):
             tokens, loss_from = batch(members)
             with grad_mode():   # entered in the worker: the mode is per thread
-                return model.forward(tokens, capture=capture_mode, loss_from=loss_from)
+                return model.forward(tokens, capture=capture_mode, loss_from=loss_from,
+                                     first_layer=first_layer)
 
         if kind in AGGREGATE_ONLY:
             captures = in_prompt_order(run_striped(chunks, capture_chunk, workers))
             if kind == CriterionKind.JACOV:
-                return ScoreVector(score_jacov(captures), kind.value, example_id=None)
+                return vector(score_jacov(captures), None)
             labels = [label for _, _, label in parts]
-            return ScoreVector(score_epenas(captures, labels), kind.value,
-                               example_id=None)
+            return vector(score_epenas(captures, labels), None)
         # scored in the job that captured it, a chunk's captures go
         # before that worker's next chunk runs
         raw = in_prompt_order(run_striped(
-            chunks, lambda members: _score_chunk(capture_chunk(members), kind), workers))
+            chunks, lambda members: _score_chunk(capture_chunk(members), kind,
+                                                 first_layer), workers))
 
     if aggregate:
-        return ScoreVector(np.mean(np.stack(raw), axis=0), kind.value, example_id=None)
-    return [ScoreVector(v, kind.value, example_id=i) for i, v in enumerate(raw)]
+        return vector(np.mean(np.stack(raw), axis=0), None)
+    return [vector(v, i) for i, v in enumerate(raw)]
 
 
 # ---------------------------------------------------------------------------

@@ -443,8 +443,8 @@ class TransformerModel:
                         O.transpose(O.leaf(p["tok_emb"]), (1, 0)))
 
     def forward(self, tokens, mask: MaskSet | None = None, capture: str = CAPTURE_NONE,
-                loss_from: int = 1, head_offsets=None, up_offsets=None
-                ) -> "ForwardResult | list[ForwardResult]":
+                loss_from: int = 1, head_offsets=None, up_offsets=None,
+                first_layer: int = 0) -> "ForwardResult | list[ForwardResult]":
         """Run ``embed``, every ``block`` and ``readout`` on one sequence
         (T,), which gives a ForwardResult, or on a batch of equal-length
         sequences (B, T), which gives a list of B ForwardResults, each
@@ -469,11 +469,18 @@ class TransformerModel:
         layer's (E, F) gradient from them and the neuron gradients and
         activations each time it is read. It needs the tape;
         under ``no_grad`` the forward runs on arrays and ``loss_tensor``
-        is None.
+        is None. ``first_layer`` is the first layer a gradient capture
+        differentiates: only the taps of that layer and later ones are
+        passed to ``T.backward``, so the backward stops at that layer's
+        input, and each of their gradients has the bits of a capture of
+        every layer. An earlier layer's head and neuron gradients are
+        zeros, as for any tap the loss does not reach.
         """
         cfg = self.cfg
         if capture not in _CAPTURE_MODES:
             raise ValueError(f"unknown capture mode {capture!r}")
+        if not 0 <= first_layer <= cfg.num_layers:
+            raise ValueError(f"first_layer {first_layer} outside [0, {cfg.num_layers}]")
         O = T.ops()
         if capture == CAPTURE_GRADS and O is not T.TAPED:
             raise EmptyTapeError("forward: gradient capture needs the tape,"
@@ -508,7 +515,8 @@ class TransformerModel:
                 raise EmptyStreamError(
                     "forward: gradient capture needs at least 2 tokens past loss_from"
                 )
-            T.backward(T.tsum(loss_t), wrt=taps.head_acts + taps.neuron_acts)
+            T.backward(T.tsum(loss_t), wrt=taps.head_acts[first_layer:]
+                       + taps.neuron_acts[first_layer:])
             fields["head_grads"], fields["neuron_grads"] = (
                 [np.zeros_like(t.data) if t.grad is None else t.grad for t in ts]
                 for ts in (taps.head_acts, taps.neuron_acts))

@@ -23,8 +23,8 @@ from .criteria import AGGREGATE_ONLY, CriterionKind, ScoreVector, _prompt_tokens
 from .errors import (ConfigMismatchError, DatasetTooSmallError, EmptyHeldoutError,
                      EmptyPromptError, FeatureShapeMismatchError,
                      NoCoveredUnitsError)
-from .model import (MaskSet, ModelConfig, Taps, TransformerModel,
-                    num_units, unit_blocks)
+from .model import (_CAPTURE_TOKENS, MaskSet, ModelConfig, Taps, TransformerModel,
+                    batch_groups, num_units, unit_blocks)
 from .pruning import PruneSpec, build_mask
 from .train import AdamW, check_grads, cosine_lr
 
@@ -195,7 +195,12 @@ def extract_features(model: TransformerModel, prompt, topology: str,
                      stride: int = 2):
     """Predictor input for one prompt, from a dense forward pass run
     without a tape and only as far as the feature's last layer; its shape
-    is ``_feature_shape``.
+    is ``_feature_shape``. A (B, T) batch of equal-length token rows
+    gives the (B, ...) stack of their features from one batched pass,
+    each with the bits of its prompt's own. One code path serves both,
+    reading positions from the end, so a single prompt runs unbatched: as
+    a batch of one, a 16-token window's feature took 2-3% longer on the
+    default model.
 
     shadow: layer-0 attention output at the last position.
     dejavu: stacked post-host-layer last-token states, one row per host.
@@ -213,14 +218,14 @@ def extract_features(model: TransformerModel, prompt, topology: str,
         if topology == "shadow":
             taps = Taps()
             model.block(0, x, taps=taps)
-            return taps.attn_outs[0][-1].astype(np.float32)
+            return taps.attn_outs[0][..., -1, :].astype(np.float32)
         hosts = dejavu_hosts(model.cfg, stride)
         rows = []
         for i in range(hosts[-1] + 1):
             x = model.block(i, x)
             if i in hosts:
-                rows.append(x[-1])
-    return np.stack(rows).astype(np.float32)
+                rows.append(x[..., -1, :])
+    return np.stack(rows, axis=-2).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +304,15 @@ def build_dataset(model: TransformerModel, prompts, criterion,
                   stride: int = 2, loss_on: str = "all",
                   workers: int = 1) -> CriteriaDataset:
     """Score each prompt with a contextual criterion and pair those
-    targets with predictor features from the same dense forward."""
+    targets with its predictor features.
+
+    The scores come from ``collect_criteria`` from the topology's first
+    covered layer on (1 for shadow and dejavu, 0 for fullseq), so a
+    gradient capture differentiates only the layers the predictor
+    scores. The features come afterwards from one ``extract_features``
+    pass per ``batch_groups`` group of equal-length prompts, at the
+    capture budget ``_CAPTURE_TOKENS``; each equals that prompt's own
+    feature bit for bit."""
     from .criteria import collect_criteria
 
     kind = CriterionKind(criterion)
@@ -307,23 +320,26 @@ def build_dataset(model: TransformerModel, prompts, criterion,
         raise ValueError(f"unknown topology {topology!r}")
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
-    if any(_prompt_tokens(p).size == 0 for p in prompts):
+    tokens = [_prompt_tokens(p) for p in prompts]
+    if any(t.size == 0 for t in tokens):
         raise EmptyPromptError("dataset prompts must be non-empty")
 
-    per_example = collect_criteria(model, prompts, kind, aggregate=False,
-                                   loss_on=loss_on, workers=workers)
-    topo_cov = covered_units(model.cfg, topology)
-    features, targets = [], []
-    covered = None
-    for prompt, sv in zip(prompts, per_example):
-        cov = sv.covered & topo_cov
-        if covered is None:
-            covered = cov
-        masked = ScoreVector(sv.values, sv.criterion, sv.example_id, cov)
-        features.append(extract_features(model, prompt, topology, stride))
-        targets.append(normalize_scores(model.cfg, masked, normalization))
+    cfg = model.cfg
+    per_example = collect_criteria(
+        model, prompts, kind, aggregate=False, loss_on=loss_on, workers=workers,
+        first_layer=min(covered_layers(cfg, topology), default=cfg.num_layers))
+    features: list = [None] * len(tokens)
+    for members in batch_groups([len(t) for t in tokens], _CAPTURE_TOKENS):
+        feats = extract_features(model, np.stack([tokens[i] for i in members]),
+                                 topology, stride)
+        for i, feat in zip(members, feats):
+            features[i] = feat
+    covered = covered_units(cfg, topology)
+    targets = [normalize_scores(cfg, ScoreVector(sv.values, sv.criterion,
+                                                 sv.example_id, covered),
+                                normalization) for sv in per_example]
     return CriteriaDataset(
-        model_config=model.cfg, topology=topology, criterion=kind.value,
+        model_config=cfg, topology=topology, criterion=kind.value,
         normalization=normalization, stride=stride, features=features,
         targets=np.asarray(targets, dtype=np.float64), covered=covered)
 

@@ -1,5 +1,6 @@
 """Checkpoint container format and model round-trips."""
 
+import hashlib
 from dataclasses import asdict
 
 import numpy as np
@@ -17,7 +18,8 @@ from shlm.checkpoint import (
 )
 from shlm.errors import ConfigMismatchError, FormatError, ShlmError
 from shlm.model import ModelConfig, TransformerModel
-from shlm.predictor import (PredictorConfig, build_dataset, load_predictor,
+from shlm.predictor import (Predictor, PredictorConfig, _init_encoder, _init_mlp,
+                            build_dataset, covered_units, load_predictor,
                             save_predictor, train_predictor)
 
 from .conftest import TINY
@@ -107,6 +109,41 @@ def test_magic_is_first_four_bytes(tmp_path):
     path = tmp_path / "m.shlm"
     write_container(path, {}, {})
     assert path.read_bytes()[:4] == MAGIC == b"SHLM"
+
+
+_PINNED_CFG = ModelConfig(num_layers=1, embed_dim=8, num_heads=2, head_dim=4,
+                          ffn_dim=8, vocab_size=16, max_seq_len=8)
+
+
+def test_container_bytes_are_pinned(tmp_path):
+    # a seeded model and an untrained fullseq predictor, both built from
+    # generator draws alone, so their containers' bytes are fixed
+    cfg = _PINNED_CFG
+    pcfg = PredictorConfig(topology="fullseq", hidden_dim=4)
+    covered = covered_units(cfg, "fullseq")
+    rng = np.random.default_rng(0)
+    params = {**_init_encoder(rng, cfg.embed_dim),
+              **_init_mlp(rng, "", cfg.embed_dim, 4, pcfg.hidden_layers, covered.size)}
+    predictor = Predictor(config=pcfg, model_config=cfg, criterion="plainact",
+                          params=params, covered=covered, draw={"seed": 1})
+    save_checkpoint(TransformerModel(cfg, seed=0), tmp_path / "model.bin")
+    save_predictor(predictor, tmp_path / "predictor.bin")
+    digests = {kind: hashlib.sha256((tmp_path / f"{kind}.bin").read_bytes()).hexdigest()
+               for kind in ("model", "predictor")}
+    assert digests == {
+        "model": "10c803b8adeb904cb6428e5cfed2bf083373f48748f7adb7904e6a31cd318d73",
+        "predictor": "f2aca6969279041ff1a72bde0186130ad19350125002adabc04cf3ceefe2c761"}
+    save_predictor(load_predictor(tmp_path / "predictor.bin"), tmp_path / "again.bin")
+    assert ((tmp_path / "again.bin").read_bytes()
+            == (tmp_path / "predictor.bin").read_bytes())
+
+
+def test_unsupported_dtype_leaves_no_file(tmp_path):
+    path = tmp_path / "c.shlm"
+    with pytest.raises(FormatError, match="'b'"):
+        write_container(path, {"kind": "demo"},
+                        {"a": np.zeros(3, np.float32), "b": np.zeros(3, np.int64)})
+    assert not path.exists()
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from shlm.checkpoint import (load_checkpoint, read_container, save_checkpoint,
                              write_container)
 from shlm import cli
 from shlm.cli import _corpus_prompts, main
-from shlm.model import CAPTURE_GRADS, ModelConfig, TransformerModel
+from shlm.model import CAPTURE_GRADS, MaskSet, ModelConfig, TransformerModel
 from shlm.predictor import (build_dataset, load_predictor, predictor_fidelity,
                             save_predictor)
 from shlm.text import ingest_corpus
@@ -814,7 +814,10 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 def test_benchmark_checks_and_tracer_run_on_toy_pipeline(pipeline, tmp_path,
                                                          monkeypatch):
     """benchmarks/checks.py and tracer.py pass on the toy pipeline, so a
-    change that breaks what they use of shlm fails here first."""
+    change that breaks what they use of shlm fails here first. The spans
+    and masks checked are those benchmarks/layers.py indexes: a traced
+    train-predictor's dataset and feature spans, and the contextual
+    sweep's predictor calls and masks at 0.5 for both strategies."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     import checks
     import tracer
@@ -824,20 +827,32 @@ def test_benchmark_checks_and_tracer_run_on_toy_pipeline(pipeline, tmp_path,
     model = load_checkpoint(pipeline / "lm" / "model.bin")
     val = ingest_corpus(pipeline / "corpus.txt").val
     out = tmp_path / "sweep_contextual"
+    common = ["--config", str(pipeline / "cfg.json"),
+              "--checkpoint", str(pipeline / "lm" / "model.bin"),
+              "--corpus", str(pipeline / "corpus.txt")]
     tr = tracer.Tracer()
     with tr.patched():
         # looked up on the module, so the traced main runs
+        assert cli.main(["train-predictor", *common,
+                         "--out", str(tmp_path / "pred")]) == 0
+    names = {s.name for s in tr.spans}
+    assert {"predictor.build_dataset", "predictor.extract_features"} <= names
+    tr = tracer.Tracer()
+    masks = []
+    tr.on_mask = lambda spec, mask: masks.append((spec.strategy, spec.sparsity, mask))
+    with tr.patched():
         assert cli.main([
-            "sweep", "--config", str(pipeline / "cfg.json"),
-            "--checkpoint", str(pipeline / "lm" / "model.bin"),
-            "--corpus", str(pipeline / "corpus.txt"),
+            "sweep", *common,
             "--predictor", str(pipeline / "pred" / "predictor.bin"),
             "--sparsity", "0.0", "0.5", "--window", "16",
             "--max-tokens", "64", "--out", str(out)]) == 0
-    names = {s.name for s in tr.spans}
+    names = [s.name for s in tr.spans]
     assert {"cli.main", "checkpoint.load_checkpoint", "text.ingest_corpus",
-            "predictor.extract_features", "predictor.predict_scores",
-            "pruning.build_mask"} <= names
+            "predictor.extract_features", "pruning.build_mask"} <= set(names)
+    assert names.count("predictor.predict_scores") >= 1
+    at_half = {strategy for strategy, sparsity, mask in masks
+               if sparsity == 0.5 and isinstance(mask, MaskSet)}
+    assert at_half == {"local", "global"}
     results = [
         *checks.check_reference_forward(model, [val[:64], val[:16]]),
         *checks.check_static_dense(pipeline / "sweep" / "sweep.csv", model,

@@ -45,6 +45,7 @@ from shlm.model import (
     num_head_units,
     num_units,
     unit_at,
+    unit_blocks,
     unit_index,
 )
 from shlm.text import make_fewshot_prompts
@@ -448,6 +449,28 @@ def test_collect_equals_per_prompt_reference(trained_model, monkeypatch, kind,
     assert len(got) == len(want)
     for vec, ref in zip(got, want):
         assert vec.values.tobytes() == ScoreVector(ref, kind).values.tobytes()
+
+
+@pytest.mark.parametrize("kind", [kind.value for kind in CriterionKind
+                                  if kind not in AGGREGATE_ONLY])
+def test_collect_from_a_first_layer_equals_full_scores_on_its_layers(trained_model,
+                                                                     kind):
+    # every covered unit has the bits of a collect of every layer; the
+    # earlier layers' units are uncovered and hold 0
+    cfg = trained_model.cfg
+    prompts = _mixed_prompts()
+    full = collect_criteria(trained_model, prompts, kind, loss_on="target")
+    for first in range(1, cfg.num_layers + 1):
+        got = collect_criteria(trained_model, prompts, kind, loss_on="target",
+                               first_layer=first)
+        keep = np.zeros(num_units(cfg), dtype=bool)
+        for block in unit_blocks(cfg, keep):
+            block[first:] = True
+        assert len(got) == len(full)
+        for vec, ref in zip(got, full):
+            assert np.array_equal(vec.covered, keep)
+            assert vec.values[keep].tobytes() == ref.values[keep].tobytes()
+            assert not vec.values[~keep].any()
 
 
 def test_collect_workers_deterministic(trained_model, monkeypatch):

@@ -359,6 +359,53 @@ def test_grad_capture_accumulates_only_what_it_returns(monkeypatch):
     assert len(calls) == 2 * TINY.num_layers
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batched", [False, True], ids=["prompt", "batch"])
+def test_grad_capture_from_a_first_layer_keeps_the_bits_of_its_layers(
+        monkeypatch, dtype, batched):
+    # a capture from layer k has the full capture's gradients on layers
+    # >= k and zeros below, and its backward runs fewer VJPs; k = 0 is the
+    # default capture
+    cfg = ModelConfig(num_layers=3, embed_dim=16, num_heads=2, head_dim=8,
+                      ffn_dim=16, vocab_size=256, max_seq_len=16)
+    model = TransformerModel(cfg, seed=5, dtype=dtype)
+    toks = (np.stack([_tokens(10, seed=s) for s in range(3)]) if batched
+            else _tokens(10, seed=6))
+    vjps, from_op = [], T._from_op
+
+    def counting(data, parents, op, vjp):
+        def counted(g, need):
+            vjps.append(op)
+            return vjp(g, need)
+        return from_op(data, parents, op, counted)
+
+    monkeypatch.setattr(T, "_from_op", counting)
+
+    def capture(loss_from, **kwargs):
+        vjps.clear()
+        res = model.forward(toks, capture=CAPTURE_GRADS, loss_from=loss_from, **kwargs)
+        return (res if batched else [res]), len(vjps)
+
+    for loss_from in (1, 4):
+        full, full_vjps = capture(loss_from)
+        counts = [full_vjps]
+        for k in range(cfg.num_layers + 1):
+            got, n_vjps = capture(loss_from, first_layer=k)
+            if k:
+                assert n_vjps < counts[-1], (loss_from, k)
+            counts.append(n_vjps)
+            for res, ref in zip(got, full, strict=True):
+                for i in range(cfg.num_layers):
+                    for name in ("head_grads", "neuron_grads", "up_grads"):
+                        a, b = getattr(res, name)[i], getattr(ref, name)[i]
+                        want = b if i >= k else np.zeros_like(b)
+                        assert _same_bits(a, want), (loss_from, k, i, name)
+        assert counts[0] == counts[1] and counts[-1] == 0
+    for bad in (-1, cfg.num_layers + 1):
+        with pytest.raises(ValueError, match="first_layer"):
+            model.forward(toks, capture=CAPTURE_GRADS, first_layer=bad)
+
+
 def test_loss_from_restricts_positions():
     model = TransformerModel(_SMALL, seed=0, dtype=np.float64)
     toks = _tokens(7, vocab=_SMALL.vocab_size, seed=8)

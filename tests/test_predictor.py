@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shlm import criteria as criteria_mod
+from shlm import predictor as predictor_mod
 from shlm import tensor as T
 from shlm.checkpoint import read_container, save_checkpoint, write_container
 from shlm.criteria import collect_criteria
@@ -213,6 +215,42 @@ def test_features_equal_full_capture_forward(topology, stride):
     got = extract_features(model, prompt, topology, stride)
     assert got.dtype == np.float32
     np.testing.assert_array_equal(got, want.astype(np.float32))
+
+
+@pytest.mark.parametrize("topology", ["shadow", "fullseq", "dejavu"])
+def test_dataset_features_come_from_one_pass_per_group(monkeypatch, topology):
+    # the collect runs from the topology's first covered layer, then one
+    # extract_features call per batch_groups group at the capture budget:
+    # 20 prompts of 16 tokens fill two groups, then the 5-token prompts (a
+    # pair among them) and the 9-token one; every feature has the bits of
+    # the prompt's own. The default width shows layout effects.
+    cfg = ModelConfig()
+    model = TransformerModel(cfg, seed=2)
+    rng = np.random.default_rng(24)
+    prompts = [rng.integers(0, cfg.vocab_size, size=n) for n in [16] * 20 + [5, 9, 5]]
+    prompts.append((prompts[0][:3], prompts[1][:2]))
+    shapes, extract = [], predictor_mod.extract_features
+    first_layers, collect = [], criteria_mod.collect_criteria
+
+    def spy(model, prompt, *args, **kwargs):
+        shapes.append(np.shape(prompt))
+        return extract(model, prompt, *args, **kwargs)
+
+    def collect_spy(*args, first_layer=0, **kwargs):
+        first_layers.append(first_layer)
+        return collect(*args, first_layer=first_layer, **kwargs)
+
+    monkeypatch.setattr(predictor_mod, "extract_features", spy)
+    monkeypatch.setattr(criteria_mod, "collect_criteria", collect_spy)
+    ds = build_dataset(model, prompts, "l2norm", topology=topology)
+    monkeypatch.undo()
+    assert shapes == [(16, 16), (4, 16), (3, 5), (1, 9)]
+    # the capture starts at the first layer the topology covers
+    assert first_layers == [0 if topology == "fullseq" else 1]
+    for feature, prompt in zip(ds.features, prompts, strict=True):
+        want = extract_features(model, prompt, topology)
+        assert feature.dtype == want.dtype and feature.shape == want.shape
+        assert feature.tobytes() == want.tobytes()
 
 
 def test_empty_prompt_rejected(trained_model):
