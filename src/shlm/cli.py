@@ -518,6 +518,11 @@ def cmd_rank_variance(cfg, seed: int, workers: int, out: Path) -> list[Path]:
 
 def cmd_fewshot(cfg, seed: int, workers: int, out: Path) -> list[Path]:
     """criterion quality vs shot count"""
+    if cfg["tokenizer"] == WORD:
+        # the template prompts are bytes, which a word model would read
+        # as word ids
+        raise ConfigError("field 'tokenizer': fewshot prompts are byte-encoded,"
+                          " so it runs on byte models only")
     specs = _prune_specs(cfg)
     section = cfg["fewshot"]
     model, stream, inputs = _model_io(cfg, "eval.window")

@@ -95,15 +95,6 @@ def num_head_units(cfg: ModelConfig) -> int:
     return cfg.num_layers * cfg.num_heads
 
 
-def unit_index(cfg: ModelConfig, uid: UnitId) -> int:
-    """Canonical flat position: all heads layer-major, then all neurons."""
-    head = uid.kind == UnitKind.HEAD
-    width = cfg.num_heads if head else cfg.ffn_dim
-    if not (0 <= uid.layer < cfg.num_layers and 0 <= uid.index < width):
-        raise ValueError(f"unit out of range: {uid}")
-    return (0 if head else num_head_units(cfg)) + uid.layer * width + uid.index
-
-
 def unit_at(cfg: ModelConfig, flat: int) -> UnitId:
     heads = num_head_units(cfg)
     if not (0 <= flat < num_units(cfg)):
@@ -119,11 +110,6 @@ def unit_rows(cfg: ModelConfig) -> list[tuple[int, str, int]]:
     return [(layer, kind.value, index) for kind, width in
             ((UnitKind.HEAD, cfg.num_heads), (UnitKind.NEURON, cfg.ffn_dim))
             for layer in range(cfg.num_layers) for index in range(width)]
-
-
-def all_units(cfg: ModelConfig) -> list[UnitId]:
-    return [UnitId(layer, UnitKind(kind), index)
-            for layer, kind, index in unit_rows(cfg)]
 
 
 def unit_blocks(cfg: ModelConfig, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,15 +317,15 @@ class TransformerModel:
         return O.add_(O.embedding_lookup(O.leaf(p["tok_emb"]), tokens),
                       O.slice_rows(O.leaf(p["pos_emb"]), 0, t_len))
 
-    def block(self, i: int, x, mask: "MaskSet | list[MaskSet] | None" = None,
-              head_offsets=None, up_offsets=None, taps: Taps | None = None):
+    def block(self, i: int, x, keep=(None, None), head_offsets=None,
+              up_offsets=None, taps: Taps | None = None):
         """Block ``i`` applied to its input ``x``, (T, E) or a batch
         (B, T, E): causal attention, then the FFN, each added to the
-        residual. ``mask`` and the offsets are the whole-model unit hooks
-        of ``forward``; the block reads its own layer of each. ``mask``
-        may also be a list of one MaskSet per sequence of a batch.
-        ``taps`` receives the captured values. A non-finite value is
-        reported with the layer as well as the op.
+        residual. ``keep`` is layer ``i``'s (head, neuron) pair of
+        ``keep_factors``; the offsets are the whole-model unit hooks of
+        ``forward``, of which the block reads its own layer. ``taps``
+        receives the captured values. A non-finite value is reported with
+        the layer as well as the op.
 
         The block is its two halves: ``head_outputs`` runs up to the
         per-head attention output, where no mask acts yet, and
@@ -354,7 +340,7 @@ class TransformerModel:
         ``x`` or a tapped value.
         """
         att = self.head_outputs(i, x, head_offsets, taps)
-        return self.block_tail(i, x, att, mask, up_offsets, taps)
+        return self.block_tail(i, x, att, keep, up_offsets, taps)
 
     def head_outputs(self, i: int, x, head_offsets=None, taps: Taps | None = None):
         """The first half of ``block``: layernorm, QKV, causal softmax and
@@ -387,28 +373,23 @@ class TransformerModel:
             taps.head_acts.append(att)
         return att
 
-    def block_tail(self, i: int, x, att, mask: "MaskSet | list[MaskSet] | None" = None,
-                   up_offsets=None, taps: Taps | None = None):
+    def block_tail(self, i: int, x, att, keep=(None, None), up_offsets=None,
+                   taps: Taps | None = None):
         """The second half of ``block``: layer ``i``'s head keep factors
         times its ``head_outputs`` ``att``, then ``wo``, the residual and
         the FFN (with ``up_offsets`` and the neuron keep factors) on the
-        block input ``x``; neither input is written."""
+        block input ``x``; neither input is written. ``keep`` is the
+        layer's (head, neuron) pair of ``keep_factors``."""
         O = T.ops()
         lead, (t_len, e_dim) = x.shape[:-2], x.shape[-2:]
         nb = len(lead)
-        if (mask is not None and not isinstance(mask, MaskSet)
-                and (nb != 1 or len(mask) != lead[0])):
-            raise MaskShapeMismatchError(
-                f"{len(mask)} masks for a batch of shape {tuple(lead)}")
-        head_f = self._unit_factors(mask, "head", i)
-        neuron_f = self._unit_factors(mask, "neuron", i)
+        head_f, neuron_f = keep
         swap_th = (*range(nb), nb + 1, nb, nb + 2)     # (H, T, d) -> (T, H, d)
         p = self.params
         pre = f"h{i}."
         try:
             if head_f is not None:
-                # (H, 1, 1) or (B, H, 1, 1)
-                att = O.mul(att, O.const(head_f[..., None, None]))
+                att = O.mul(att, O.const(head_f))
             merged = O.reshape(O.transpose(att, swap_th), (*lead, t_len, e_dim))
             attn_out = O.matmul(merged, O.leaf(p[pre + "wo"]))
             x = O.add(x, attn_out)
@@ -424,8 +405,6 @@ class TransformerModel:
                 taps.neuron_acts.append(hidden)
                 taps.ffn_inputs.append(h2)
             if neuron_f is not None:
-                if neuron_f.ndim == 2:
-                    neuron_f = neuron_f[:, None, :]       # (B, 1, F)
                 hidden = O.mul(hidden, O.const(neuron_f))
             x = O.add_(x, O.matmul(hidden, O.leaf(p[pre + "w_down"])))
             O.check(x, "block output")
@@ -435,6 +414,33 @@ class TransformerModel:
             taps.attn_outs.append(attn_out)
             taps.layer_outs.append(x)
         return x
+
+    def keep_factors(self, mask: "MaskSet | Sequence[MaskSet] | None",
+                     batch: int | None = None) -> list[tuple]:
+        """Each layer's (head, neuron) keep factors for ``mask``, the one
+        form in which a mask enters ``block``: 0.0 or 1.0 in the model
+        dtype, shaped to multiply the layer's head outputs and FFN
+        activations, (H, 1, 1) and (F,) for one MaskSet, or (B, H, 1, 1)
+        and (B, 1, F) for a list of one MaskSet per sequence of a batch of
+        ``batch``; None for a kind the layer keeps whole, and for both
+        when ``mask`` is None. Every mask is validated here, once."""
+        cfg = self.cfg
+        if mask is None:
+            return [(None, None)] * cfg.num_layers
+        if isinstance(mask, MaskSet):
+            mask.validate_for(cfg)
+            heads, neurons = mask.heads[:, :, None, None], mask.neurons
+        else:
+            if batch is None or len(mask) != batch:
+                raise MaskShapeMismatchError(
+                    f"{len(mask)} masks for "
+                    + ("one sequence" if batch is None else f"a batch of {batch}"))
+            for one in mask:
+                one.validate_for(cfg)
+            heads = np.stack([one.heads for one in mask], axis=1)[..., None, None]
+            neurons = np.stack([one.neurons for one in mask], axis=1)[:, :, None, :]
+        return [tuple(None if f.all() else f.astype(self.dtype) for f in pair)
+                for pair in zip(heads, neurons)]
 
     def readout(self, x):
         """Final layernorm and tied projection: (..., T, E) -> logits (..., T, V)."""
@@ -456,8 +462,10 @@ class TransformerModel:
         (B,) tensor of every sequence's loss, shared by the batch's
         results. A batched gradient capture keeps none, so its tape goes
         once its own backward has run.
-        The unit hooks are ``mask``, which zeroes heads and neurons, and
-        the taped offsets that curvature probes perturb: ``head_offsets[i]``
+        The unit hooks are ``mask``, which zeroes heads and neurons (one
+        MaskSet, or a list of one per sequence of a batch; it enters the
+        blocks as ``keep_factors``, built once per call), and the taped
+        offsets that curvature probes perturb: ``head_offsets[i]``
         is added to layer i's head outputs and ``up_offsets[i]`` to its
         ``w_up``. An offset with a leading batch axis gives each sequence
         of a batch its own, (B, H, T, d_h) or (B, E, F).
@@ -492,8 +500,9 @@ class TransformerModel:
         taps = Taps() if want_acts else None
 
         embed_t = x
+        keep = self.keep_factors(mask, None if tokens.ndim == 1 else len(tokens))
         for i in range(cfg.num_layers):
-            x = self.block(i, x, mask, head_offsets, up_offsets, taps)
+            x = self.block(i, x, keep[i], head_offsets, up_offsets, taps)
         logits = self.readout(x)
 
         loss_t = (O.cross_entropy(O.slice_rows(logits, loss_from - 1, t_len - 1, axis=-2),
@@ -539,20 +548,6 @@ class TransformerModel:
         if tokens.ndim == 1:
             return result(())
         return [result(b) for b in range(len(tokens))]
-
-    def _unit_factors(self, mask: "MaskSet | list[MaskSet] | None", kind: str,
-                      layer: int) -> np.ndarray | None:
-        """Layer ``layer``'s keep factors for one unit kind, 0.0 or 1.0 in
-        the model dtype, (W,), or (B, W) for a list of B masks; None when
-        no mask is given or it keeps every unit of the row."""
-        if mask is None:
-            return None
-        masks = [mask] if isinstance(mask, MaskSet) else mask
-        for one in masks:
-            one.validate_for(self.cfg)
-        rows = [(one.heads if kind == "head" else one.neurons)[layer] for one in masks]
-        keep = rows[0] if isinstance(mask, MaskSet) else np.stack(rows)
-        return None if keep.all() else keep.astype(self.dtype)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -309,10 +309,12 @@ def build_dataset(model: TransformerModel, prompts, criterion,
     The scores come from ``collect_criteria`` from the topology's first
     covered layer on (1 for shadow and dejavu, 0 for fullseq), so a
     gradient capture differentiates only the layers the predictor
-    scores. The features come afterwards from one ``extract_features``
-    pass per ``batch_groups`` group of equal-length prompts, at the
-    capture budget ``_CAPTURE_TOKENS``; each equals that prompt's own
-    feature bit for bit."""
+    scores, and each ScoreVector covers exactly the topology's
+    ``covered_units``, over which its target is normalized. The features
+    come afterwards from one ``extract_features`` pass per
+    ``batch_groups`` group of equal-length prompts, at the capture budget
+    ``_CAPTURE_TOKENS``; each equals that prompt's own feature bit for
+    bit."""
     from .criteria import collect_criteria
 
     kind = CriterionKind(criterion)
@@ -334,14 +336,12 @@ def build_dataset(model: TransformerModel, prompts, criterion,
                                  topology, stride)
         for i, feat in zip(members, feats):
             features[i] = feat
-    covered = covered_units(cfg, topology)
-    targets = [normalize_scores(cfg, ScoreVector(sv.values, sv.criterion,
-                                                 sv.example_id, covered),
-                                normalization) for sv in per_example]
+    targets = [normalize_scores(cfg, sv, normalization) for sv in per_example]
     return CriteriaDataset(
         model_config=cfg, topology=topology, criterion=kind.value,
         normalization=normalization, stride=stride, features=features,
-        targets=np.asarray(targets, dtype=np.float64), covered=covered)
+        targets=np.asarray(targets, dtype=np.float64),
+        covered=covered_units(cfg, topology))
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +468,6 @@ class PredictorTrainingLog:
     heldout_mse: list[float]
     settings: dict
 
-    @property
-    def final_heldout_mse(self) -> float:
-        return self.heldout_mse[-1]
-
 
 def _mse_loss(pred: T.Tensor, target: np.ndarray) -> T.Tensor:
     diff = T.sub(pred, T.constant(target.astype(np.float32)))
@@ -581,8 +577,9 @@ def train_predictor(dataset: CriteriaDataset, config: PredictorConfig,
 
 
 def predict_scores(predictor: Predictor, feature) -> ScoreVector:
-    """Scores for one ``extract_features`` feature. shadow/fullseq cover
-    all their layers at once; dejavu unions the windows of every host."""
+    """Scores for one ``extract_features`` feature, covering the
+    predictor's ``covered`` units. shadow/fullseq score them all with one
+    net; dejavu's host windows together span every covered layer."""
     mcfg = predictor.model_config
     cfg = predictor.config
     expected = _feature_shape(mcfg, cfg.topology, cfg.dejavu_stride)
@@ -594,14 +591,12 @@ def predict_scores(predictor: Predictor, feature) -> ScoreVector:
             f"{cfg.topology} feature has shape {feature.shape}, "
             f"expected {expected} (None = at least 1)")
     values = np.zeros(num_units(mcfg), dtype=np.float64)
-    covered = np.zeros_like(predictor.covered)
     with T.no_grad():
         for prefix, row, _, cols in _nets(mcfg, predictor.covered,
                                           cfg.topology, cfg.dejavu_stride):
             x = feature if row is None else feature[row]
             values[cols] = _forward_batch(predictor.params, cfg, [x], prefix)[0]
-            covered[cols] = True
-    return ScoreVector(values, predictor.criterion, covered=covered)
+    return ScoreVector(values, predictor.criterion, covered=predictor.covered)
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +737,12 @@ def load_predictor(path) -> Predictor:
     draw = config.get("draw")
     if draw is not None and not isinstance(draw, dict):
         raise ConfigMismatchError(f"{path}: prompt draw {draw!r} is neither an object nor null")
+    covered = covered_units(mcfg, cfg.topology)
     covered_arr = tensors.pop("covered", None)
-    if covered_arr is None or covered_arr.size != num_units(mcfg):
-        raise ConfigMismatchError(f"{path}: missing or mis-sized covered mask")
-    covered = covered_arr.astype(bool)
+    if covered_arr is None or not np.array_equal(covered_arr.astype(bool), covered):
+        raise ConfigMismatchError(
+            f"{path}: the covered mask is missing or is not the units"
+            f" the {cfg.topology} topology scores")
     want = _param_shapes(mcfg, cfg, covered)
     have = {name: arr.shape for name, arr in tensors.items()}
     for name in sorted(want.keys() | have.keys()):

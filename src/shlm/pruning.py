@@ -116,8 +116,8 @@ class _DensePass:
     A masked forward multiplies each layer with no pruned unit by exactly
     1.0, so its values below the first pruned layer equal the dense run
     bit for bit, and so do that layer's head outputs, which no mask
-    touches yet; ``nll`` resumes the windows with a pruned unit together
-    at the ``block_tail`` of the first such layer among them.
+    touches yet; ``nll`` resumes the group at the ``block_tail`` of the
+    first layer any of its masks prunes.
     """
 
     def __init__(self, model: TransformerModel, chunks: np.ndarray):
@@ -138,36 +138,23 @@ class _DensePass:
     def nll(self, model: TransformerModel, masks) -> list[float]:
         """float64 NLL sum of each window under its own mask, one in
         ``masks`` per window, bit-identical to a full masked forward of
-        that window. A window whose mask prunes nothing keeps its dense
-        NLL; the others run as one batch from the kept head outputs of
-        the first layer any of them prunes, where a window pruned first
-        at a later layer passes the layers before it with factors of
-        exactly 1.0."""
-        cfg = model.cfg
-        firsts = []
-        for mask in masks:
-            mask.validate_for(cfg)
-            pruned = ~(mask.heads.all(axis=1) & mask.neurons.all(axis=1))
-            firsts.append(int(np.argmax(pruned)) if pruned.any() else cfg.num_layers)
-        run = [b for b, first in enumerate(firsts) if first < cfg.num_layers]
-        out = list(self.dense)
-        if not run:
-            return out
-        first = min(firsts[b] for b in run)
-        x, att = self.block_inputs[first], self.head_outputs[first]
-        if len(run) < len(masks):
-            x, att = x[run], att[run]
-        # one MaskSet for every window needs no per-window stacking
-        mask = (masks[run[0]] if all(masks[b] is masks[run[0]] for b in run)
-                else [masks[b] for b in run])
+        that window: the dense NLLs when no mask prunes a unit, otherwise
+        one batched pass of every window from the kept head outputs of
+        the first layer any mask prunes. A window that prunes nothing
+        there, or only later, passes those layers with factors of exactly
+        1.0."""
+        keep = model.keep_factors(masks, len(self.targets))
+        first = next((i for i, pair in enumerate(keep)
+                      if any(f is not None for f in pair)), None)
+        if first is None:
+            return list(self.dense)
         with T.no_grad():
-            x = model.block_tail(first, x, att, mask)
-            for i in range(first + 1, cfg.num_layers):
-                x = model.block(i, x, mask)
+            x = model.block_tail(first, self.block_inputs[first],
+                                 self.head_outputs[first], keep[first])
+            for i in range(first + 1, model.cfg.num_layers):
+                x = model.block(i, x, keep[i])
             logits = model.readout(x)
-        for b, z in zip(run, logits):
-            out[b] = _nll_from_logits(z, self.targets[b])
-        return out
+        return [_nll_from_logits(z, t) for z, t in zip(logits, self.targets)]
 
 
 def _masked_totals(model: TransformerModel, eval_tokens, window: int | None,

@@ -1,12 +1,13 @@
 """Shared fixtures: a tiny model config, a deterministic corpus,
-session-scoped trained models reused by the slower studies, and the
-forward offsets that scale one unit."""
+session-scoped trained models reused by the slower studies, a unit's
+flat position, and the forward offsets that scale one unit."""
 
 import numpy as np
 import pytest
 
 from shlm import tensor as T
-from shlm.model import ModelConfig, TransformerModel, UnitKind, unit_at
+from shlm.model import (ModelConfig, TransformerModel, UnitKind, num_units,
+                        unit_at, unit_blocks)
 from shlm.text import TEMPLATES, ingest_corpus
 from shlm.train import train_lm
 
@@ -76,6 +77,13 @@ def trained_models(stream, trained_model):
     for seed in range(1, 5):
         models[seed] = train_tiny(stream.train, seed=seed)
     return models
+
+
+def flat_index(cfg: ModelConfig, uid) -> int:
+    """A unit's canonical flat position, read through ``unit_blocks``'s
+    views of the positions themselves."""
+    heads, neurons = unit_blocks(cfg, np.arange(num_units(cfg)))
+    return int((heads if uid.kind == UnitKind.HEAD else neurons)[uid.layer, uid.index])
 
 
 def scale_unit_offsets(capture, flat: int, eps: float) -> dict:

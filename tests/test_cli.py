@@ -412,6 +412,31 @@ def test_byte_model_rejects_a_word_tokenizer(tmp_path, workdir, pipeline,
     assert "field 'tokenizer': the checkpoint holds no word" in capsys.readouterr().err
 
 
+def test_fewshot_rejects_a_word_model_before_loading(tmp_path, monkeypatch,
+                                                    capsys):
+    # the template prompts are bytes: a word model would score them as
+    # word ids, and used to exit 0 with a meaningless perplexity
+    corpus = tmp_path / "words.txt"
+    corpus.write_text(" ".join(f"w{i % 300}" for i in range(900)) + "\n",
+                      encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {**TOY_CONFIG["model"], "vocab_size": 301},
+        "tokenizer": "word", "train": {"steps": 2, "batch_size": 2, "seq_len": 8},
+        "fewshot": TOY_CONFIG["fewshot"]}), encoding="utf-8")
+    assert main(["train-lm", "--config", str(cfg), "--corpus", str(corpus),
+                 "--out", str(tmp_path / "lm")]) == 0
+    loads = []
+    monkeypatch.setattr(cli, "_model_io", lambda *args: loads.append(args))
+    out = tmp_path / "fs"
+    assert main(["fewshot", "--config", str(cfg), "--corpus", str(corpus),
+                 "--checkpoint", str(tmp_path / "lm" / "model.bin"),
+                 "--out", str(out)]) == 2
+    assert "config error: field 'tokenizer': fewshot prompts are byte-encoded" \
+        in capsys.readouterr().err
+    assert loads == [] and list(out.iterdir()) == []
+
+
 def test_flops_manifest_records_topology_under_flops(tmp_path):
     out = tmp_path / "d"
     assert main(["flops", "--model-preset", "opt-1.3b", "--topology", "dejavu",

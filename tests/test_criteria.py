@@ -46,11 +46,10 @@ from shlm.model import (
     num_units,
     unit_at,
     unit_blocks,
-    unit_index,
 )
 from shlm.text import make_fewshot_prompts
 
-from .conftest import TINY, scale_unit_offsets
+from .conftest import TINY, flat_index, scale_unit_offsets
 
 _CFG = ModelConfig(num_layers=2, embed_dim=8, num_heads=2, head_dim=4,
                    ffn_dim=6, vocab_size=16, max_seq_len=16)
@@ -86,14 +85,14 @@ def test_l2norm_matches_direct_computation():
     cap = _fake_capture(_CFG, 5, rng)
     got = score_contextual(cap, "l2norm")
     want_head = np.sqrt((cap.head_acts[1][0] ** 2).sum())
-    assert abs(got[unit_index(_CFG, UnitId(1, UnitKind.HEAD, 0))] - want_head) <= 1e-12
+    assert abs(got[flat_index(_CFG, UnitId(1, UnitKind.HEAD, 0))] - want_head) <= 1e-12
     want_neuron = np.sqrt((cap.neuron_acts[0][:, 3] ** 2).sum())
-    assert abs(got[unit_index(_CFG, UnitId(0, UnitKind.NEURON, 3))] - want_neuron) <= 1e-12
+    assert abs(got[flat_index(_CFG, UnitId(0, UnitKind.NEURON, 3))] - want_neuron) <= 1e-12
     grad = score_contextual(cap, "gradnorm")
     want_head = np.sqrt((cap.head_grads[0][1] ** 2).sum())
-    assert abs(grad[unit_index(_CFG, UnitId(0, UnitKind.HEAD, 1))] - want_head) <= 1e-12
+    assert abs(grad[flat_index(_CFG, UnitId(0, UnitKind.HEAD, 1))] - want_head) <= 1e-12
     want_neuron = np.sqrt((cap.up_grads[1][:, 4] ** 2).sum())
-    assert abs(grad[unit_index(_CFG, UnitId(1, UnitKind.NEURON, 4))] - want_neuron) <= 1e-12
+    assert abs(grad[flat_index(_CFG, UnitId(1, UnitKind.NEURON, 4))] - want_neuron) <= 1e-12
 
 
 def test_plainact_and_fisher_hand_values():
@@ -101,11 +100,11 @@ def test_plainact_and_fisher_hand_values():
     cap = _fake_capture(_CFG, 4, rng)
     plain = score_contextual(cap, "plainact")
     fisher = score_contextual(cap, "fisher")
-    h = unit_index(_CFG, UnitId(0, UnitKind.HEAD, 1))
+    h = flat_index(_CFG, UnitId(0, UnitKind.HEAD, 1))
     prod = cap.head_acts[0][1] * cap.head_grads[0][1]
     assert abs(plain[h] - np.abs(prod).sum()) <= 1e-12
     assert abs(fisher[h] - np.square(prod).mean()) <= 1e-12
-    n = unit_index(_CFG, UnitId(1, UnitKind.NEURON, 2))
+    n = flat_index(_CFG, UnitId(1, UnitKind.NEURON, 2))
     prod_n = cap.up_weights[1][:, 2] * cap.up_grads[1][:, 2]
     assert abs(plain[n] - np.abs(prod_n).sum()) <= 1e-12
     assert abs(fisher[n] - np.square(prod_n).mean()) <= 1e-12
@@ -118,7 +117,7 @@ def test_snip_equals_plainact():
                        score_contextual(cap, "plainact"), rtol=1e-12, atol=0)
     # snip is plainact because |x| * |g| equals |x * g| bit for bit
     a, g = cap.head_acts[1], cap.head_grads[1]
-    start = unit_index(_CFG, UnitId(1, UnitKind.HEAD, 0))
+    start = flat_index(_CFG, UnitId(1, UnitKind.HEAD, 0))
     np.testing.assert_array_equal(
         score_contextual(cap, "snip")[start:start + _CFG.num_heads],
         (np.abs(a) * np.abs(g)).sum(axis=(1, 2)))
@@ -145,12 +144,12 @@ def test_nwot_sentinel_and_value():
     # constant-one activations are exactly "1 away from nothing": sentinel
     cap.neuron_acts[0][:, 0] = 1.0
     got = score_nwot(cap)
-    dead = unit_index(_CFG, UnitId(0, UnitKind.NEURON, 0))
+    dead = flat_index(_CFG, UnitId(0, UnitKind.NEURON, 0))
     assert got[dead] == NEG_INF
-    live = unit_index(_CFG, UnitId(0, UnitKind.NEURON, 1))
+    live = flat_index(_CFG, UnitId(0, UnitKind.NEURON, 1))
     want = np.log(np.square(1.0 - cap.neuron_acts[0][:, 1]).mean())
     assert abs(got[live] - want) <= 1e-12
-    head = unit_index(_CFG, UnitId(1, UnitKind.HEAD, 0))
+    head = flat_index(_CFG, UnitId(1, UnitKind.HEAD, 0))
     per_pos = cap.head_acts[1][0].mean(axis=1)
     assert abs(got[head] - np.log(np.square(1.0 - per_pos).mean())) <= 1e-12
 
@@ -208,8 +207,8 @@ def test_jacov_hand_built_batch():
                    for _ in range(cfg.num_layers)]
         captures.append(_vec_capture(cfg, head_vecs, up_cols))
     got = score_jacov(captures)
-    idx_same = unit_index(cfg, UnitId(0, UnitKind.HEAD, 0))
-    idx_rand = unit_index(cfg, UnitId(0, UnitKind.HEAD, 1))
+    idx_same = flat_index(cfg, UnitId(0, UnitKind.HEAD, 0))
+    idx_rand = flat_index(cfg, UnitId(0, UnitKind.HEAD, 1))
     want_same = _jacov_reference(np.stack([fixed] * 3))
     want_rand = _jacov_reference(np.stack(randoms))
     assert got[idx_same] == pytest.approx(want_same, rel=1e-6)
@@ -238,7 +237,7 @@ def test_epenas_separable_classes():
         up_cols = [np.ones((cfg.embed_dim, cfg.ffn_dim)) for _ in range(cfg.num_layers)]
         captures.append(_vec_capture(cfg, head_vecs, up_cols))
     got = score_epenas(captures, labels=[0, 0, 1, 1])
-    idx = unit_index(cfg, UnitId(0, UnitKind.HEAD, 0))
+    idx = flat_index(cfg, UnitId(0, UnitKind.HEAD, 0))
     assert got[idx] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -277,7 +276,7 @@ def test_jacov_epenas_blocks_equal_per_unit_reference(trained_model):
         cap.up_grads = [g.copy() for g in cap.up_grads]
         cap.up_grads[0][:, 5] = 0.0
     for uid in (UnitId(1, UnitKind.HEAD, 2), UnitId(0, UnitKind.NEURON, 5)):
-        assert not _per_unit_grads(captures, unit_index(TINY, uid)).any()
+        assert not _per_unit_grads(captures, flat_index(TINY, uid)).any()
     labels = np.array([0, 1, 0, 2, 1])   # same- and cross-class pairs
     iu, ju = np.triu_indices(len(captures), k=1)
     same = labels[iu] == labels[ju]
@@ -588,7 +587,7 @@ def test_masked_unit_scores_zero(trained_model):
                                 capture=CAPTURE_GRADS)
     plain = score_contextual(cap, "plainact")
     # activation is captured pre-mask but its gradient is exactly zero
-    assert plain[unit_index(TINY, uid)] == 0.0
+    assert plain[flat_index(TINY, uid)] == 0.0
 
 
 def test_plainact_first_order_prediction(trained_model):

@@ -30,15 +30,13 @@ from shlm.model import (
     UnitKind,
     _flat_scores,
     _nll_from_logits,
-    all_units,
     num_units,
     unit_at,
     unit_blocks,
-    unit_index,
 )
 from shlm.pruning import _DensePass
 
-from .conftest import TINY, scale_unit_offsets
+from .conftest import TINY, flat_index, scale_unit_offsets
 from .oracles import relative_error
 
 _SMALL = ModelConfig(num_layers=2, embed_dim=8, num_heads=2, head_dim=4,
@@ -74,8 +72,8 @@ def test_unit_blocks_are_views_in_canonical_order():
     blocks = dict(zip((UnitKind.HEAD, UnitKind.NEURON), unit_blocks(TINY, flat)))
     assert blocks[UnitKind.HEAD].shape == (TINY.num_layers, TINY.num_heads)
     assert blocks[UnitKind.NEURON].shape == (TINY.num_layers, TINY.ffn_dim)
-    for uid in all_units(TINY):
-        i = unit_index(TINY, uid)
+    for i in range(num_units(TINY)):
+        uid = unit_at(TINY, i)
         assert blocks[uid.kind][uid.layer, uid.index] == flat[i]
         blocks[uid.kind][uid.layer, uid.index] = -1.0 - i
         assert flat[i] == -1.0 - i
@@ -83,10 +81,12 @@ def test_unit_blocks_are_views_in_canonical_order():
 
 
 def test_unit_indexing_roundtrip():
-    for flat in range(num_units(TINY)):
-        assert unit_index(TINY, unit_at(TINY, flat)) == flat
-    units = all_units(TINY)
-    assert len(units) == num_units(TINY)
+    units = [unit_at(TINY, flat) for flat in range(num_units(TINY))]
+    assert [flat_index(TINY, uid) for uid in units] == list(range(len(units)))
+    assert len(set(units)) == len(units)
+    for flat in (-1, num_units(TINY)):
+        with pytest.raises(ValueError):
+            unit_at(TINY, flat)
     # heads come first, layer-major, then neurons layer-major
     assert units[0] == UnitId(0, UnitKind.HEAD, 0)
     assert units[TINY.num_heads] == UnitId(1, UnitKind.HEAD, 0)
@@ -467,10 +467,11 @@ def test_forward_resumed_from_block_input_is_bit_exact():
             UnitId(start, UnitKind.HEAD, 1), UnitId(start, UnitKind.NEURON, 5),
             UnitId(cfg.num_layers - 1, UnitKind.NEURON, 0)])
         full = model.forward(toks, mask=mask).logits
+        keep = model.keep_factors(mask)
         with T.no_grad():
             x = block_inputs[start]
             for i in range(start, cfg.num_layers):
-                x = model.block(i, x, mask)
+                x = model.block(i, x, keep[i])
             resumed = model.readout(x)
         assert np.array_equal(resumed, full), start
 
@@ -487,11 +488,12 @@ def test_forward_resumed_from_block_input_is_bit_exact():
                         UnitId(start, UnitKind.NEURON, 2)]):
             mask = MaskSet.ones(cfg).without(pruned)
             full = model.forward(toks, mask=mask).logits
+            keep = model.keep_factors([mask], 1)
             with T.no_grad():
                 x = model.block_tail(start, kept.block_inputs[start],
-                                     kept.head_outputs[start], mask)
+                                     kept.head_outputs[start], keep[start])
                 for i in range(start + 1, cfg.num_layers):
-                    x = model.block(i, x, mask)
+                    x = model.block(i, x, keep[i])
                 resumed = model.readout(x)[0]
             assert np.array_equal(resumed, full), (start, pruned)
             assert kept.nll(model, [mask]) == [
@@ -726,6 +728,43 @@ def test_batched_forward_rejects_bad_mask_lists(array_mode):
             model.forward(toks[0], mask=masks[:1])    # a 1-D run takes one MaskSet
         with pytest.raises(MaskShapeMismatchError):
             model.forward(toks, mask=[masks[0], wrong, masks[2]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_keep_factors_are_shaped_per_layer_and_none_when_whole(dtype):
+    model = TransformerModel(TINY, seed=0, dtype=dtype)
+    n_layers, heads, ffn = TINY.num_layers, TINY.num_heads, TINY.ffn_dim
+    assert model.keep_factors(None) == [(None, None)] * n_layers
+    assert model.keep_factors(MaskSet.ones(TINY)) == [(None, None)] * n_layers
+    mask = MaskSet.ones(TINY).without([UnitId(0, UnitKind.HEAD, 1),
+                                       UnitId(1, UnitKind.NEURON, 3)])
+    (head0, neuron0), (head1, neuron1) = model.keep_factors(mask)
+    assert neuron0 is None and head1 is None
+    assert head0.shape == (heads, 1, 1) and neuron1.shape == (ffn,)
+    assert head0.dtype == neuron1.dtype == dtype
+    assert np.array_equal(head0.reshape(-1), mask.heads[0])
+    assert np.array_equal(neuron1, mask.neurons[1])
+
+    # a list gives each sequence of the batch its own row; a kind is
+    # None only when every mask keeps that layer's units whole
+    masks = [mask, MaskSet.ones(TINY),
+             MaskSet.ones(TINY).without([UnitId(1, UnitKind.HEAD, 0)])]
+    (head0, neuron0), (head1, neuron1) = model.keep_factors(masks, 3)
+    assert neuron0 is None
+    assert head0.shape == head1.shape == (3, heads, 1, 1)
+    assert neuron1.shape == (3, 1, ffn) and head1.dtype == dtype
+    for layer, factor in ((0, head0), (1, head1)):
+        assert np.array_equal(factor.reshape(3, heads),
+                              np.stack([m.heads[layer] for m in masks]))
+    assert np.array_equal(neuron1.reshape(3, ffn),
+                          np.stack([m.neurons[1] for m in masks]))
+    assert model.keep_factors([MaskSet.ones(TINY)] * 3, 3) == [(None, None)] * n_layers
+
+    wrong = MaskSet(np.ones((n_layers, heads + 1)), np.ones((n_layers, ffn)))
+    for bad, batch in ((masks, 2), (masks, None), ([mask], None), (wrong, None),
+                       ([mask, wrong, mask], 3)):
+        with pytest.raises(MaskShapeMismatchError):
+            model.keep_factors(bad, batch)
 
 
 def test_batched_forward_rejects_other_ranks():

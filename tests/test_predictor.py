@@ -443,7 +443,7 @@ def test_constant_targets_drive_mse_to_zero(shadow_dataset):
     # 0.5 offset needs the faster rate to be reachable in 400 epochs
     cfg = PredictorConfig(epochs=400, batch=8, lr=1e-2, weight_decay=0.0)
     _, log = train_predictor(flat, cfg, seed=0)
-    assert log.final_heldout_mse < 1e-3
+    assert log.heldout_mse[-1] < 1e-3
     assert log.heldout_mse[-1] < log.heldout_mse[0]
 
 
@@ -453,9 +453,9 @@ def test_learnable_signal_beats_constant_baseline(shadow_dataset):
     cov = shadow_dataset.covered
     held = shadow_dataset.targets[shadow_dataset.heldout_idx][:, cov]
     target_var = float(held.var())
-    assert log.final_heldout_mse < target_var
+    assert log.heldout_mse[-1] < target_var
     rep = predictor_fidelity(pred, shadow_dataset)
-    assert rep.mse == pytest.approx(log.final_heldout_mse, rel=1e-5)
+    assert rep.mse == pytest.approx(log.heldout_mse[-1], rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +594,7 @@ def test_fullseq_encoder_takes_an_odd_width():
     ds = build_dataset(model, prompts, "l2norm", topology="fullseq")
     pred, log = train_predictor(
         ds, PredictorConfig(topology="fullseq", epochs=1, batch=4), seed=0)
-    assert np.isfinite(log.final_heldout_mse)
+    assert np.isfinite(log.heldout_mse[-1])
     assert np.isfinite(predict_scores(pred, ds.features[0]).values).all()
 
 
@@ -667,6 +667,27 @@ def test_load_matches_tensors_against_the_config(tmp_path, saved_shadow,
     with pytest.raises(ConfigMismatchError) as exc:
         load_predictor(bad)
     assert str(exc.value).startswith(f"{bad}: tensor {tensor!r}: ")
+
+
+@pytest.mark.parametrize("case", ["moved", "missing"])
+def test_load_rejects_a_covered_mask_not_the_topologys(tmp_path, saved_shadow,
+                                                      case):
+    # shadow leaves layer 0 dense; head coverage moved from layer 1 to
+    # layer 0 keeps every count the weights are checked against, and such
+    # a file used to load and mark layer-0 heads covered
+    config, tensors = read_container(saved_shadow)
+    covered = tensors.pop("covered").copy()
+    if case == "moved":
+        heads, _ = unit_blocks(TINY, covered)
+        heads[[0, 1]] = heads[[1, 0]]
+        tensors["covered"] = covered
+    bad = tmp_path / "bad.bin"
+    write_container(bad, config, tensors)
+    with pytest.raises(ConfigMismatchError) as exc:
+        load_predictor(bad)
+    assert str(exc.value).startswith(f"{bad}: the covered mask ")
+    np.testing.assert_array_equal(load_predictor(saved_shadow).covered,
+                                  covered_units(TINY, "shadow"))
 
 
 def test_contextual_mask_source_keeps_layer0_dense(trained_model,

@@ -20,9 +20,9 @@ from shlm.model import (
     TransformerModel,
     UnitId,
     UnitKind,
-    all_units,
     num_head_units,
     num_units,
+    unit_at,
 )
 from shlm.predictor import (
     PredictorConfig,
@@ -32,6 +32,7 @@ from shlm.predictor import (
 )
 from shlm.pruning import (
     PruneSpec,
+    _DensePass,
     _masked_totals,
     build_mask,
     oracle_ablation,
@@ -161,7 +162,8 @@ def test_oracle_ablation_shape_and_cap(trained_model, stream):
     assert len(results) == num_head_units(TINY)
     assert results[0][0] == UnitId(0, UnitKind.HEAD, 0)
     assert all(np.isfinite(d) for _, d in results)
-    units, n_heads = all_units(TINY), num_head_units(TINY)
+    units = [unit_at(TINY, flat) for flat in range(num_units(TINY))]
+    n_heads = num_head_units(TINY)
     assert [u for u, _ in results] == units[:n_heads]
     neurons = oracle_ablation(trained_model, eval_tokens[:64], scope="neurons")
     assert [u for u, _ in neurons] == units[n_heads:]
@@ -349,6 +351,33 @@ def test_sweep_checks_mask_shape_before_dense_shortcut(trained_model, stream):
     with pytest.raises(MaskShapeMismatchError):
         sparsity_sweep(trained_model, wrong_config_ones,
                        [PruneSpec("local", 0.0)], stream.val[:64], window=32)
+
+    # so is one window's mask with a head too many among whole ones
+    bad = MaskSet(np.ones((TINY.num_layers, TINY.num_heads + 1)),
+                  np.ones((TINY.num_layers, TINY.ffn_dim)))
+    windows = trained_model.eval_windows(stream.val[:96], 16)
+
+    def one_mis_shaped(m, window_tokens, spec):
+        odd = np.array_equal(window_tokens, windows[2])
+        return bad if odd else MaskSet.ones(m.cfg)
+
+    with pytest.raises(MaskShapeMismatchError):
+        sparsity_sweep(trained_model, one_mis_shaped,
+                       [PruneSpec("global", 0.0)], stream.val[:96], window=16)
+
+
+def test_shared_mask_and_equal_copies_give_the_same_bits(trained_model, stream):
+    windows = trained_model.eval_windows(stream.val[:144], 48)
+    dense = _DensePass(trained_model, np.stack(windows))
+    for uid in (UnitId(0, UnitKind.HEAD, 1), UnitId(1, UnitKind.NEURON, 3)):
+        mask = MaskSet.ones(TINY).without([uid])
+        shared = dense.nll(trained_model, [mask] * len(windows))
+        copies = dense.nll(trained_model,
+                           [MaskSet(mask.heads, mask.neurons) for _ in windows])
+        want = [trained_model.stream_nll(w, mask=mask, window=len(w))[0]
+                for w in windows]
+        assert np.array(shared).tobytes() == np.array(copies).tobytes()
+        assert shared == want, uid
 
 
 def _mixed_mask(cfg, tokens, spec):
